@@ -1,31 +1,15 @@
-"""Numeric kernels with a compiled fast path and a NumPy fallback.
+"""Numeric kernels over unit-row float64 matrices.
 
-Dense similarity products always go through numpy's BLAS; measurement
-(benchmarks/bench_kernels.py) shows a hand-compiled matmul is no contest.
-The compiled extension accelerates what follows each product block:
-threshold counting for the weighting stage and the running column argmax.
-Set LIBSIFT_PURE=1 before import to force the fallback; `backend` names
-whichever implementation is active.
-
-Both backends consume identical BLAS blocks, so integer counts and match
-indices agree exactly, not just within rounding.
+Dense similarity products go through numpy's BLAS in blocks of `_BLOCK`
+rows; the scans that fold each block into counts or a running argmax live
+in `fallback` and are looked up there on every call, so a profiler can
+wrap them on that module.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import fallback as _fallback
-
-_compiled = None
-if os.environ.get("LIBSIFT_PURE") != "1":
-    try:
-        from . import _core as _compiled
-    except ImportError:
-        _compiled = None
-
-backend = "compiled" if _compiled is not None else "numpy"
+from . import fallback
 
 _BLOCK = 512
 
@@ -45,7 +29,7 @@ def sim_matrix(queries, keys, batch=128):
         raise ValueError("dimension mismatch")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    return _fallback.sim_matrix(queries, keys, int(batch))
+    return fallback.sim_matrix(queries, keys, int(batch))
 
 
 def theta_counts(vectors, lib_ids, n_libs, theta):
@@ -69,21 +53,11 @@ def theta_counts(vectors, lib_ids, n_libs, theta):
     if not count:
         return n, df
     theta = float(theta)
-    if _compiled is not None:
-        stamp = np.zeros(int(n_libs), dtype=np.int64)
-
-        def scan(sims, start):
-            _compiled.count_block(sims, lib_ids, start, theta, n, df, stamp)
-    else:
-        bounds = np.searchsorted(lib_ids, np.arange(int(n_libs)))
-
-        def scan(sims, start):
-            _fallback.count_block(sims, lib_ids, bounds, start, theta, n, df)
-
+    bounds = np.searchsorted(lib_ids, np.arange(int(n_libs)))
     vt = vectors.T
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
-        scan(vectors[start:stop] @ vt, start)
+        fallback.count_block(vectors[start:stop] @ vt, lib_ids, bounds, start, theta, n, df)
     return n, df
 
 
@@ -96,11 +70,10 @@ def best_match(queries, keys):
         raise ValueError("dimension mismatch")
     if queries.shape[0] == 0:
         raise ValueError("queries must be non-empty")
-    scan = _compiled.best_match_block if _compiled is not None else _fallback.best_match_block
     best = np.full(keys.shape[0], -np.inf, dtype=np.float64)
     arg = np.zeros(keys.shape[0], dtype=np.int64)
     kt = keys.T
     for start in range(0, queries.shape[0], _BLOCK):
         stop = min(start + _BLOCK, queries.shape[0])
-        scan(queries[start:stop] @ kt, start, best, arg)
+        fallback.best_match_block(queries[start:stop] @ kt, start, best, arg)
     return best, arg

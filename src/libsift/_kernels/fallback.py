@@ -1,8 +1,8 @@
-"""Pure NumPy kernels; used whenever the compiled core is unavailable.
+"""NumPy block scans behind the kernels in __init__.
 
-All inputs are C-contiguous float64 arrays of unit-norm rows; the
-dispatcher in __init__ owns the block loop and feeds both backends
-identical BLAS similarity blocks, so results agree exactly.
+All inputs are C-contiguous float64 arrays of unit-norm rows; __init__
+validates them, owns the block loop and computes each BLAS similarity
+block these functions fold.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ def count_block(sims, lib_ids, bounds, row_start, theta, n_out, df_out):
     cross-library document frequencies.
 
     `bounds` holds the reduceat segment starts, one per library; valid
-    because the dispatcher guarantees every library is populated.
+    because theta_counts guarantees every library is populated.
     """
     rows = sims.shape[0]
     rr = np.arange(rows)

@@ -23,7 +23,7 @@ from . import _kernels
 from .embedding import HashedNgramEmbedder, cosine
 from .errors import ConfigError, EmbeddingError, ParseError
 from .interchange import BinaryDocument, filter_sections
-from .repository import EMBEDDER_EXTERNAL, FunctionFeature, TplRepository
+from .repository import EMBEDDER_EXTERNAL, FunctionFeature, RepoConfig, TplRepository
 
 log = logging.getLogger(__name__)
 
@@ -140,6 +140,81 @@ def aggregate(
     return total, evidence
 
 
+def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None, embedder=None):
+    """(function names, unit-row matrix) for a target's functions after
+    section filtering, or ([], None) when filtering leaves none.
+
+    A repository built from external vectors requires `vectors` (function
+    name -> embedding); any other repository refuses them and embeds with
+    its own embedder (`embedder`, or a fresh one), so embedding spaces never
+    mix.
+    """
+    if config.embedder == EMBEDDER_EXTERNAL:
+        if vectors is None:
+            raise ConfigError(
+                "repository was built from external vectors; supply target vectors"
+            )
+    elif vectors is not None:
+        raise ConfigError(
+            "repository was built with the %r embedder; external target vectors "
+            "would mix embedding spaces" % config.embedder
+        )
+    else:
+        if embedder is None:
+            embedder = HashedNgramEmbedder(config.dim, config.seed)
+        if embedder.name != config.embedder:
+            raise ConfigError(
+                "repository embedder %r is not available" % config.embedder
+            )
+        if (embedder.dim, embedder.seed) != (config.dim, config.seed):
+            raise ConfigError("embedder does not match repository dim/seed")
+
+    fdoc = filter_sections(doc)
+    if not fdoc.functions:
+        log.warning("binary %r is empty after section filtering", doc.binary_id)
+        return [], None
+    if vectors is None:
+        return embedder.embed_document(fdoc)
+
+    names = [fn.name for fn in fdoc.functions]
+    dim = config.dim
+    mat = np.empty((len(names), dim), dtype=np.float64)
+    for i, name in enumerate(names):
+        if name not in vectors:
+            raise EmbeddingError("no vector supplied for function %r" % name)
+        vec = np.asarray(vectors[name], dtype=np.float64)
+        if vec.shape != (dim,):
+            raise ConfigError(
+                "vector for %r does not match repository dimension %d" % (name, dim)
+            )
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0 or not np.isfinite(vec).all():
+            raise EmbeddingError("vector for %r is degenerate" % name)
+        mat[i] = vec / norm
+    return names, mat
+
+
+def score_libraries(names, mat, repo: TplRepository, *, mode=AGG_WEIGHTED_MEAN,
+                    batch=DEFAULT_BATCH) -> list:
+    """(library_id, score, evidence) per library, in library id order, for
+    one embedded target.
+
+    Neither empty case is ever decided: a target with no functions
+    (`mat` is None) yields no rows, and a library with no retained features
+    yields score None.
+    """
+    if mat is None:
+        return []
+    rows = []
+    for lib_id in sorted(repo.libraries):
+        feats = repo.libraries[lib_id]
+        if feats:
+            rows.append((lib_id, *aggregate(mat, names, feats, mode=mode, batch=batch)))
+        else:
+            rows.append((lib_id, None, []))
+    return rows
+
+
 def detect(
     doc: BinaryDocument,
     repo: TplRepository,
@@ -153,17 +228,12 @@ def detect(
     score >= theta3 (inclusive).
 
     `vectors` maps function name -> embedding for the target; required when
-    the repository was built from external vectors, ignored otherwise only
-    if absent.
+    the repository was built from external vectors and refused otherwise.
     """
     if mode not in AGGREGATION_MODES:
         raise ConfigError("unknown aggregation mode %r" % mode)
     if not -1.0 <= theta3 <= 1.0:
         raise ConfigError("theta3 must be in [-1, 1]")
-    if repo.config.embedder == EMBEDDER_EXTERNAL and vectors is None:
-        raise ConfigError(
-            "repository was built from external vectors; supply target vectors"
-        )
 
     echo = {
         "theta1": repo.config.theta1,
@@ -175,45 +245,14 @@ def detect(
         "seed": repo.config.seed,
         "batch": batch,
     }
-    fdoc = filter_sections(doc)
-    if not fdoc.functions:
-        log.warning("binary %r is empty after section filtering", doc.binary_id)
-        return DetectionReport(doc.binary_id, [], echo)
-
-    names = [fn.name for fn in fdoc.functions]
-    if vectors is not None:
-        dim = repo.config.dim
-        mat = np.empty((len(names), dim), dtype=np.float64)
-        for i, name in enumerate(names):
-            if name not in vectors:
-                raise EmbeddingError("no vector supplied for function %r" % name)
-            vec = np.asarray(vectors[name], dtype=np.float64)
-            if vec.shape != (dim,):
-                raise ConfigError(
-                    "vector for %r does not match repository dimension %d"
-                    % (name, dim)
-                )
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0 or not np.isfinite(vec).all():
-                raise EmbeddingError("vector for %r is degenerate" % name)
-            mat[i] = vec / norm
-    else:
-        embedder = HashedNgramEmbedder(repo.config.dim, repo.config.seed)
-        if embedder.name != repo.config.embedder:
-            raise ConfigError(
-                "repository embedder %r is not available" % repo.config.embedder
-            )
-        names, mat = embedder.embed_document(fdoc)
-
+    names, mat = embed_target(doc, repo.config, vectors=vectors)
     entries = []
-    for lib_id in sorted(repo.libraries):
-        feats = repo.libraries[lib_id]
-        if not feats:
+    for lib_id, score, evidence in score_libraries(names, mat, repo, mode=mode, batch=batch):
+        if score is None:
             log.warning("library %r has no retained features; scoring 0", lib_id)
             entries.append(LibraryScore(lib_id, 0.0, False, []))
-            continue
-        score, evidence = aggregate(mat, names, feats, mode=mode, batch=batch)
-        entries.append(LibraryScore(lib_id, score, score >= theta3, evidence))
+        else:
+            entries.append(LibraryScore(lib_id, score, score >= theta3, evidence))
     return DetectionReport(doc.binary_id, entries, echo)
 
 

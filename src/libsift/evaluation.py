@@ -12,19 +12,22 @@ lands.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-import numpy as np
-
-from .detector import AGG_WEIGHTED_MEAN, AGGREGATION_MODES, DEFAULT_BATCH, aggregate
+from .detector import (
+    AGG_WEIGHTED_MEAN,
+    AGGREGATION_MODES,
+    DEFAULT_BATCH,
+    embed_target,
+    score_libraries,
+)
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedNgramEmbedder
 from .errors import ConfigError, ParseError
-from .interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction, filter_sections
+from .interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction
 from .metrics import compute_profile
 from .repository import (
     STAGE_EXPORT,
@@ -35,8 +38,6 @@ from .repository import (
     purify_export,
     purify_mi,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_THETA1_GRID = (0.75, 0.8, 0.85, 0.9, 0.95)
 DEFAULT_THETA2_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
@@ -100,46 +101,33 @@ def score_metrics(reports, manifest: Mapping) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# shared scoring plumbing (sweep and ablation reuse embedded targets)
+# shared scoring plumbing: detect's embedding and per-library loop
 
-def _embed_tpl_cache(tpl_docs, embedder):
-    cache = {}
-    for doc in tpl_docs:
-        fdoc = filter_sections(doc)
-        if not fdoc.functions:
-            cache[doc.binary_id] = {}
-            continue
-        names, mat = embedder.embed_document(fdoc)
-        cache[doc.binary_id] = {name: mat[i] for i, name in enumerate(names)}
-    return cache
-
-
-def _embed_targets(target_docs, embedder):
-    out = []
-    for doc in target_docs:
-        fdoc = filter_sections(doc)
-        if not fdoc.functions:
-            log.warning("binary %r is empty after section filtering", doc.binary_id)
-            out.append((doc.binary_id, [], None))
-            continue
-        names, mat = embedder.embed_document(fdoc)
-        out.append((doc.binary_id, names, mat))
-    return out
+def _origin_and_targets(tpl_docs, target_docs, dim, seed):
+    """The origin repository and every target embedded by one embedder;
+    thresholds never change embeddings, so sweep and ablation only rescore
+    these."""
+    embedder = HashedNgramEmbedder(dim, seed)
+    origin = build_origin(tpl_docs, dim=dim, seed=seed, embedder=embedder)
+    targets = [
+        (doc.binary_id, embed_target(doc, origin.config, embedder=embedder))
+        for doc in target_docs
+    ]
+    return origin, targets
 
 
-def _score_targets(target_embeds, repo: TplRepository, mode, batch):
-    """bin_id -> {library_id: aggregate score} with empty cases scored 0."""
-    table = {}
-    for bin_id, names, mat in target_embeds:
-        scores = {}
-        for lib_id in sorted(repo.libraries):
-            feats = repo.libraries[lib_id]
-            if mat is None or not feats:
-                scores[lib_id] = 0.0
-            else:
-                scores[lib_id] = aggregate(mat, names, feats, mode=mode, batch=batch)[0]
-        table[bin_id] = scores
-    return table
+def _score_targets(targets, repo: TplRepository, mode, batch):
+    """bin_id -> {library_id: aggregate score} for (bin_id, (names, mat))
+    targets, over the libraries detect could decide: emptied libraries and
+    empty targets contribute none."""
+    return {
+        bin_id: {
+            lib_id: score
+            for lib_id, score, _ in score_libraries(names, mat, repo, mode=mode, batch=batch)
+            if score is not None
+        }
+        for bin_id, (names, mat) in targets
+    }
 
 
 def _counts_at(score_table, manifest, theta3) -> ConfusionCounts:
@@ -226,18 +214,15 @@ def sweep(
         if doc.binary_id not in manifest:
             raise ValueError("target %r missing from manifest" % doc.binary_id)
 
-    embedder = HashedNgramEmbedder(dim, seed)
-    cache = _embed_tpl_cache(tpl_docs, embedder)
-    origin = build_origin(tpl_docs, dim=dim, seed=seed, precomputed=cache)
+    origin, targets = _origin_and_targets(tpl_docs, target_docs, dim, seed)
     exported = purify_export(origin)
-    target_embeds = _embed_targets(target_docs, embedder)
 
     cells = []
     for t1 in theta1_values:
         for t2 in theta2_values:
             repo = compute_weights(purify_mi(exported, t2), t1)
             retained = repo.stats[-1].leave_percent
-            table = _score_targets(target_embeds, repo, mode, batch)
+            table = _score_targets(targets, repo, mode, batch)
             for t3 in theta3_values:
                 result = metrics_from_counts(_counts_at(table, manifest, t3))
                 cells.append(
@@ -321,10 +306,7 @@ def run_ablation(
     1.0) and on, at fixed thresholds."""
     tpl_docs = list(tpl_docs)
     target_docs = list(target_docs)
-    embedder = HashedNgramEmbedder(dim, seed)
-    cache = _embed_tpl_cache(tpl_docs, embedder)
-    origin = build_origin(tpl_docs, dim=dim, seed=seed, precomputed=cache)
-    target_embeds = _embed_targets(target_docs, embedder)
+    origin, targets = _origin_and_targets(tpl_docs, target_docs, dim, seed)
 
     rows = []
     for label, stages in ABLATION_CONFIGS:
@@ -335,7 +317,7 @@ def run_ablation(
             staged = purify_mi(staged, theta2)
         for weights_on in (False, True):
             repo = compute_weights(staged, theta1) if weights_on else staged
-            table = _score_targets(target_embeds, repo, mode, batch)
+            table = _score_targets(targets, repo, mode, batch)
             result = metrics_from_counts(_counts_at(table, manifest, theta3))
             rows.append(
                 AblationRow(

@@ -126,15 +126,13 @@ def build_origin(
     seed: int = DEFAULT_SEED,
     embedder: HashedNgramEmbedder = None,
     vectors: Mapping = None,
-    precomputed: Mapping = None,
 ) -> TplRepository:
     """Extract one feature per function from per-library documents.
 
     Section filtering is applied here (idempotent if already done).
     `vectors` supplies external embeddings keyed binary_id -> name -> vector
-    and marks the repository as externally embedded; `precomputed` is a
-    trusted cache of built-in embedder output with the same shape, used to
-    avoid re-hashing during sweeps.
+    and marks the repository as externally embedded; otherwise `embedder`
+    (or a fresh built-in one) embeds every library.
     """
     docs = list(docs)
     if not docs:
@@ -191,8 +189,6 @@ def build_origin(
                         "external vector for %r has zero norm" % fn.name
                     )
                 mat[fn.name] = vec / norm
-        elif precomputed is not None and doc.binary_id in precomputed:
-            mat = precomputed[doc.binary_id]
         else:
             names, stack = embedder.embed_document(fdoc)
             mat = {name: stack[i] for i, name in enumerate(names)}
@@ -351,7 +347,6 @@ def build_repository(
     stages: Iterable[str] = ALL_STAGES,
     embedder: HashedNgramEmbedder = None,
     vectors: Mapping = None,
-    precomputed: Mapping = None,
 ) -> TplRepository:
     """Origin extraction plus the requested purification stages, applied in
     canonical order (export, then complexity filter, then weights)."""
@@ -367,7 +362,6 @@ def build_repository(
         seed=seed,
         embedder=embedder,
         vectors=vectors,
-        precomputed=precomputed,
     )
     if STAGE_EXPORT in stages:
         repo = purify_export(repo)
@@ -457,49 +451,79 @@ def load_repository(path) -> TplRepository:
         header = json.loads(payload[body_start : body_start + header_len])
     except json.JSONDecodeError as exc:
         raise RepositoryChecksumError("repository header is unreadable") from exc
-    cfg = header["config"]
-    config = RepoConfig(
-        theta1=cfg["theta1"],
-        theta2=cfg["theta2"],
-        dim=cfg["dim"],
-        embedder=cfg["embedder"],
-        seed=cfg["seed"],
-        stages=tuple(cfg["stages"]),
-    )
-    stats = [
-        StageStats(s["stage"], s["functions"], s["leave_percent"])
-        for s in header["stats"]
-    ]
-    dim = config.dim
+    config, stats, libraries = _read_header(header)
     blob = payload[body_start + header_len :]
-    expected = sum(len(lib["features"]) for lib in header["libraries"]) * dim * 8
-    if len(blob) != expected:
+    if len(blob) != sum(len(recs) for _, recs in libraries) * config.dim * 8:
         raise RepositoryChecksumError("vector block has wrong length")
 
-    libraries = {}
-    pos = 0
-    for lib in header["libraries"]:
-        feats = []
-        for rec in lib["features"]:
-            vec = np.frombuffer(blob, dtype="<f8", count=dim, offset=pos).copy()
-            pos += dim * 8
-            prof = rec["profile"]
-            feats.append(
-                FunctionFeature(
-                    library_id=lib["library_id"],
-                    function_name=rec["function_name"],
-                    vector=vec,
-                    profile=ComplexityProfile(
-                        prof["hv"], prof["loc"], prof["cc"], prof["mi"]
-                    ),
-                    is_export=rec["is_export"],
-                    weight=rec["weight"],
-                    df=rec["df"],
-                    n_in_library=rec["n_in_library"],
-                )
-            )
-        libraries[lib["library_id"]] = feats
-    return TplRepository(libraries, config, stats)
+    rows = iter(np.frombuffer(blob, dtype="<f8").reshape(-1, config.dim).copy())
+    return TplRepository(
+        {lib_id: [FunctionFeature(library_id=lib_id, vector=next(rows), **rec) for rec in recs]
+         for lib_id, recs in libraries},
+        config,
+        stats,
+    )
+
+
+_NUMBER = (int, float)
+
+
+def _field(obj, key, kind):
+    """obj[key], which must exist and be an instance of `kind` (bools only
+    where `kind` is bool)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise RepositoryError("repository header lacks field %r" % key)
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise RepositoryError("repository header field %r has the wrong type" % key)
+    return value
+
+
+def _read_header(header):
+    """(config, stats, [(library_id, [feature fields])]) from a decoded
+    header; every field is read here and a missing or mistyped one raises
+    RepositoryError."""
+    cfg = _field(header, "config", dict)
+    stages = _field(cfg, "stages", list)
+    if not all(isinstance(stage, str) for stage in stages):
+        raise RepositoryError("repository header field 'stages' has the wrong type")
+    config = RepoConfig(
+        theta1=_field(cfg, "theta1", _NUMBER),
+        theta2=_field(cfg, "theta2", _NUMBER),
+        dim=_field(cfg, "dim", int),
+        embedder=_field(cfg, "embedder", str),
+        seed=_field(cfg, "seed", int),
+        stages=tuple(stages),
+    )
+    if config.dim < 1:
+        raise RepositoryError("repository dimension must be >= 1")
+    stats = [
+        StageStats(
+            _field(s, "stage", str),
+            _field(s, "functions", int),
+            _field(s, "leave_percent", _NUMBER),
+        )
+        for s in _field(header, "stats", list)
+    ]
+    libraries = []
+    for lib in _field(header, "libraries", list):
+        recs = []
+        for rec in _field(lib, "features", list):
+            prof = _field(rec, "profile", dict)
+            recs.append({
+                "function_name": _field(rec, "function_name", str),
+                "profile": ComplexityProfile(
+                    *(_field(prof, key, _NUMBER) for key in ("hv", "loc", "cc", "mi"))
+                ),
+                "is_export": _field(rec, "is_export", bool),
+                "weight": _field(rec, "weight", _NUMBER),
+                "df": _field(rec, "df", int),
+                "n_in_library": _field(rec, "n_in_library", int),
+            })
+        libraries.append((_field(lib, "library_id", str), recs))
+    if len({lib_id for lib_id, _ in libraries}) != len(libraries):
+        raise RepositoryError("repository header repeats a library_id")
+    return config, stats, libraries
 
 
 # ---------------------------------------------------------------------------

@@ -314,3 +314,22 @@ def test_external_vectors_end_to_end(corpus_dir, tmp_path):
         "--targets", str(corpus_dir / "targets"),
         "--out", str(tmp_path / "x.jsonl"), "--quiet",
     ]) == 2
+
+
+def test_detect_refuses_vectors_for_a_hashed_repository(corpus_dir, repo_path, tmp_path,
+                                                         capsys):
+    from libsift import load_document
+
+    vec_dir = tmp_path / "vectors"
+    vec_dir.mkdir()
+    for fname in os.listdir(corpus_dir / "targets"):
+        doc = load_document(corpus_dir / "targets" / fname)
+        _vector_file(vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
+                     [fn.name for fn in doc.functions], 192)
+    out = tmp_path / "reports.jsonl"
+    assert main([
+        "detect", "--repo", str(repo_path), "--targets", str(corpus_dir / "targets"),
+        "--out", str(out), "--vectors-dir", str(vec_dir), "--quiet",
+    ]) == 2
+    assert "mix embedding spaces" in capsys.readouterr().err
+    assert not out.exists()

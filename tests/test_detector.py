@@ -299,6 +299,16 @@ def test_detect_external_repository_requires_target_vectors():
     assert len(report.entries) == 3
 
 
+def test_detect_refuses_external_vectors_for_a_hashed_repository():
+    docs = _corpus(seed=8)
+    repo = build_repository(docs, dim=DIM, stages=("export", "weights"))
+    target = _copy_target(docs[0])
+    rng = np.random.default_rng(2)
+    foreign = {fn.name: rng.standard_normal(DIM) for fn in target.functions}
+    with pytest.raises(ConfigError, match="mix embedding spaces"):
+        detect(target, repo, vectors=foreign)
+
+
 def test_detect_external_vector_shape_and_norm_checks():
     docs = _corpus(seed=9)
     rng = np.random.default_rng(1)

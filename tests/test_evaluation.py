@@ -4,15 +4,21 @@ import random
 import pytest
 
 from libsift import (
+    BasicBlock,
+    BinaryDocument,
     ConfigError,
     ConfusionCounts,
     DetectionReport,
+    FunctionRecord,
+    Instruction,
     LibraryScore,
     ParseError,
     StageTimings,
     SweepCell,
     SweepGrid,
     SyntheticCorpusSpec,
+    build_repository,
+    detect,
     generate_corpus,
     metrics_from_counts,
     random_reuse_plan,
@@ -351,6 +357,63 @@ def test_ablation_csv_and_pretty_table():
     assert len(lines) == 9
     pretty = str(table)
     assert "export+mi" in pretty and pretty.count("\n") == 8
+
+
+# ---------------------------------------------------------------------------
+# sweep and ablation decide exactly as detect does
+
+def _emptying_corpus():
+    """_mini_spec's corpus plus a library with no exports, which the export
+    stage empties, and a target holding only a .plt stub, which section
+    filtering empties."""
+    tpl_docs, target_docs, manifest = generate_corpus(_mini_spec())
+    private = [
+        FunctionRecord("priv_%s" % fn.name, fn.section, False, fn.blocks, fn.edges)
+        for fn in tpl_docs[1].functions
+        if fn.section == ".text"
+    ]
+    stub = FunctionRecord(
+        "stub", ".plt", False, [BasicBlock(0, [Instruction("jmp", ("ext_001",))])], []
+    )
+    tpl_docs = tpl_docs + [BinaryDocument("libpriv", "tpl", private)]
+    target_docs = target_docs + [BinaryDocument("binstub", "target", [stub])]
+    return tpl_docs, target_docs, dict(manifest, binstub={"lib000"})
+
+
+_THETA3S = (-0.5, 0.0, 0.89)
+
+
+def _detected(tpl_docs, target_docs, manifest, theta3, **build):
+    repo = build_repository(tpl_docs, dim=128, **build)
+    reports = [detect(doc, repo, theta3=theta3) for doc in target_docs]
+    return repo, score_metrics(reports, manifest)
+
+
+def test_sweep_cells_equal_detect_at_every_theta3():
+    tpl_docs, target_docs, manifest = _emptying_corpus()
+    grid = sweep(tpl_docs, target_docs, manifest, dim=128,
+                 theta1_values=(0.8,), theta2_values=(0.3, 0.6),
+                 theta3_values=_THETA3S)
+    assert len(grid.cells) == 6
+    for cell in grid.cells:
+        repo, want = _detected(tpl_docs, target_docs, manifest, cell.theta3,
+                               theta1=cell.theta1, theta2=cell.theta2)
+        assert repo.libraries["libpriv"] == []
+        assert (cell.precision, cell.recall) == (want.precision, want.recall), cell
+
+
+def test_ablation_rows_equal_detect_at_every_theta3():
+    tpl_docs, target_docs, manifest = _emptying_corpus()
+    stages = {"origin": (), "export": ("export",), "mi": ("mi",),
+              "export+mi": ("export", "mi")}
+    for theta3 in _THETA3S:
+        table = run_ablation(tpl_docs, target_docs, manifest, dim=128, theta3=theta3)
+        for row in table.rows:
+            _, want = _detected(
+                tpl_docs, target_docs, manifest, theta3, theta1=0.8, theta2=0.2,
+                stages=stages[row.config] + (("weights",) if row.weights else ()),
+            )
+            assert (row.precision, row.recall) == (want.precision, want.recall), row
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,6 @@ import numpy as np
 import pytest
 
 from libsift import _kernels
-from libsift._kernels import fallback
-
-try:
-    from libsift._kernels import _core
-except ImportError:
-    _core = None
 
 
 def _unit(rng, n, dim):
@@ -159,51 +153,3 @@ def test_best_match_ties_across_internal_blocks():
 def test_best_match_requires_queries():
     with pytest.raises(ValueError):
         _kernels.best_match(np.empty((0, 4)), np.ones((2, 4)))
-
-
-@pytest.mark.skipif(_core is None, reason="compiled extension not built")
-def test_compiled_and_fallback_scans_agree_exactly():
-    rng = np.random.default_rng(6)
-    for _ in range(5):
-        count = int(rng.integers(10, 300))
-        n_libs = int(rng.integers(2, 8))
-        vecs = _unit(rng, count, 16)
-        ids = _lib_ids(rng, count, n_libs)
-        sims = vecs @ vecs.T
-        theta = _safe_theta(sims, rng)
-
-        n_a = np.ones(count, dtype=np.int64)
-        df_a = np.zeros(count, dtype=np.int64)
-        bounds = np.searchsorted(ids, np.arange(n_libs))
-        fallback.count_block(sims.copy(), ids, bounds, 0, theta, n_a, df_a)
-
-        n_b = np.ones(count, dtype=np.int64)
-        df_b = np.zeros(count, dtype=np.int64)
-        stamp = np.zeros(n_libs, dtype=np.int64)
-        _core.count_block(sims.copy(), ids, 0, theta, n_b, df_b, stamp)
-
-        np.testing.assert_array_equal(n_a, n_b)
-        np.testing.assert_array_equal(df_a, df_b)
-
-
-@pytest.mark.skipif(_core is None, reason="compiled extension not built")
-def test_compiled_and_fallback_argmax_agree_exactly():
-    rng = np.random.default_rng(7)
-    q = _unit(rng, 140, 16)
-    k = _unit(rng, 60, 16)
-    sims = q @ k.T
-
-    best_a = np.full(60, -np.inf)
-    arg_a = np.zeros(60, dtype=np.int64)
-    fallback.best_match_block(sims, 37, best_a, arg_a)
-
-    best_b = np.full(60, -np.inf)
-    arg_b = np.zeros(60, dtype=np.int64)
-    _core.best_match_block(sims, 37, best_b, arg_b)
-
-    np.testing.assert_array_equal(best_a, best_b)
-    np.testing.assert_array_equal(arg_a, arg_b)
-
-
-def test_backend_name_is_reported():
-    assert _kernels.backend in ("compiled", "numpy")

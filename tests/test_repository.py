@@ -1,6 +1,9 @@
+import hashlib
+import json
 import logging
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from libsift import (
     save_repository,
     tfidf_weight,
 )
+
+from libsift.cli import main
 
 from corpora import random_document
 
@@ -148,18 +153,6 @@ def test_build_origin_warns_on_stub_only_library(caplog):
         repo = build_origin([doc], dim=DIM)
     assert repo.libraries["libstubs"] == []
     assert any("no functions" in r.message for r in caplog.records)
-
-
-def test_build_origin_precomputed_matches_fresh_embedding():
-    docs = _small_corpus(seed=3)
-    emb = HashedNgramEmbedder(DIM, 1)
-    cache = {}
-    for doc in docs:
-        names, stack = emb.embed_document(doc)
-        cache[doc.binary_id] = {n: stack[i] for i, n in enumerate(names)}
-    fresh = build_origin(docs, dim=DIM, seed=1)
-    cached = build_origin(docs, dim=DIM, seed=1, precomputed=cache)
-    assert fresh == cached
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +530,42 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-40])
     with pytest.raises(RepositoryChecksumError):
         load_repository(path)
+
+
+def _rewrite_header(path, edit):
+    """Apply `edit` to the decoded header and rewrite the file with a valid
+    length field and checksum, so only the header schema is wrong."""
+    data = path.read_bytes()[:-32]
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + header_len])
+    edit(header)
+    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload = data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len :]
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def _first_feature(header):
+    return next(lib for lib in header["libraries"] if lib["features"])["features"][0]
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda h: h.pop("config"), "lacks field 'config'"),
+        (lambda h: _first_feature(h).pop("profile"), "lacks field 'profile'"),
+        (lambda h: h.update(libraries={}), "'libraries' has the wrong type"),
+    ],
+    ids=["no-config", "feature-without-profile", "libraries-not-a-list"],
+)
+def test_load_rejects_malformed_header(tmp_path, capsys, edit, needle):
+    path = tmp_path / "repo.lsr"
+    save_repository(_full_repo(), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(RepositoryError, match=needle):
+        load_repository(path)
+    assert main(["inspect", "--repo", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err
 
 
 def test_round_trip_random_repositories(tmp_path):
