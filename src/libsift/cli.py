@@ -87,7 +87,11 @@ class PipelineConfig:
             raise ConfigError("unknown stages: %s" % sorted(unknown))
 
 
-_CONFIG_KEYS = ("theta1", "theta2", "theta3", "dim", "batch", "mode", "seed", "stages")
+# config-file key -> the JSON type its value must have (never a bool)
+_CONFIG_KEYS = {
+    "theta1": (int, float), "theta2": (int, float), "theta3": (int, float),
+    "dim": int, "batch": int, "mode": str, "seed": int, "stages": list,
+}
 
 
 def _load_config_file(path) -> dict:
@@ -96,11 +100,17 @@ def _load_config_file(path) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError("config file %s is not valid JSON: %s" % (path, exc.msg))
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config file %s is not UTF-8: %s" % (path, exc.reason))
     if not isinstance(raw, dict):
         raise ConfigError("config file %s must hold a JSON object" % path)
     unknown = set(raw) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError("config file %s has unknown keys: %s" % (path, sorted(unknown)))
+    for key, value in raw.items():
+        if (not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool)
+                or (key == "stages" and not all(isinstance(v, str) for v in value))):
+            raise ConfigError("config file %s: %r has the wrong type" % (path, key))
     if "stages" in raw:
         raw["stages"] = tuple(raw["stages"])
     return raw
@@ -143,7 +153,7 @@ def _load_vectors(vectors_dir, docs, dim) -> dict:
         vpath = os.path.join(vectors_dir, doc.binary_id + ".jsonl")
         if not os.path.exists(vpath):
             raise ConfigError("no vector file for %r at %s" % (doc.binary_id, vpath))
-        with open(vpath, "r", encoding="utf-8") as fh:
+        with open(vpath, "rb") as fh:
             out[doc.binary_id] = import_embeddings(doc, fh.read(), dim)
     return out
 

@@ -20,9 +20,9 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .embedding import HashedNgramEmbedder, cosine
+from .embedding import HashedNgramEmbedder, cosine, function_vectors
 from .errors import ConfigError, EmbeddingError, ParseError
-from .interchange import BinaryDocument, filter_sections
+from .interchange import BinaryDocument, json_records
 from .repository import EMBEDDER_EXTERNAL, FunctionFeature, RepoConfig, TplRepository
 
 log = logging.getLogger(__name__)
@@ -140,14 +140,14 @@ def aggregate(
     return total, evidence
 
 
-def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None, embedder=None):
+def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
     """(function names, unit-row matrix) for a target's functions after
     section filtering, or ([], None) when filtering leaves none.
 
-    A repository built from external vectors requires `vectors` (function
-    name -> embedding); any other repository refuses them and embeds with
-    its own embedder (`embedder`, or a fresh one), so embedding spaces never
-    mix.
+    The repository's embedder decides the embedding space: a repository
+    built from external vectors requires `vectors` (function name ->
+    embedding), and any other repository refuses them and embeds with its
+    own embedder, so embedding spaces never mix.
     """
     if config.embedder == EMBEDDER_EXTERNAL:
         if vectors is None:
@@ -159,39 +159,10 @@ def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None, embed
             "repository was built with the %r embedder; external target vectors "
             "would mix embedding spaces" % config.embedder
         )
-    else:
-        if embedder is None:
-            embedder = HashedNgramEmbedder(config.dim, config.seed)
-        if embedder.name != config.embedder:
-            raise ConfigError(
-                "repository embedder %r is not available" % config.embedder
-            )
-        if (embedder.dim, embedder.seed) != (config.dim, config.seed):
-            raise ConfigError("embedder does not match repository dim/seed")
-
-    fdoc = filter_sections(doc)
-    if not fdoc.functions:
-        log.warning("binary %r is empty after section filtering", doc.binary_id)
-        return [], None
-    if vectors is None:
-        return embedder.embed_document(fdoc)
-
-    names = [fn.name for fn in fdoc.functions]
-    dim = config.dim
-    mat = np.empty((len(names), dim), dtype=np.float64)
-    for i, name in enumerate(names):
-        if name not in vectors:
-            raise EmbeddingError("no vector supplied for function %r" % name)
-        vec = np.asarray(vectors[name], dtype=np.float64)
-        if vec.shape != (dim,):
-            raise ConfigError(
-                "vector for %r does not match repository dimension %d" % (name, dim)
-            )
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0 or not np.isfinite(vec).all():
-            raise EmbeddingError("vector for %r is degenerate" % name)
-        mat[i] = vec / norm
-    return names, mat
+    elif config.embedder != HashedNgramEmbedder.name:
+        raise ConfigError("repository embedder %r is not available" % config.embedder)
+    functions, mat = function_vectors(doc, config.dim, config.seed, vectors=vectors)
+    return [fn.name for fn in functions], mat
 
 
 def score_libraries(names, mat, repo: TplRepository, *, mode=AGG_WEIGHTED_MEAN,
@@ -297,14 +268,8 @@ def _report_dict(report: DetectionReport) -> dict:
 
 def read_reports(path) -> list:
     reports = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError("invalid JSON: %s" % exc.msg, line=lineno) from exc
+    with open(path, "rb") as fh:
+        for lineno, obj in json_records(fh.read()):
             try:
                 entries = [
                     LibraryScore(

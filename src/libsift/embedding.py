@@ -5,10 +5,15 @@ into fixed-dimension vectors by signed feature hashing of unigrams and
 adjacent bigrams.  The built-in embedder is deterministic and
 dependency-free; vectors from a real similarity model can be imported
 instead, as long as the dimension matches the repository.
+
+`function_vectors` is the one way a document's functions become vectors,
+for library builds and targets alike, and `_unit_vector` is the one check
+on vectors that come from outside the package.
 """
 from __future__ import annotations
 
-import json
+import logging
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -19,7 +24,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import EmbeddingError, ParseError
-from .interchange import BinaryDocument, FunctionRecord
+from .interchange import BinaryDocument, FunctionRecord, filter_sections, json_records
+
+log = logging.getLogger(__name__)
 
 DEFAULT_DIM = 768
 DEFAULT_SEED = 1
@@ -108,9 +115,14 @@ class HashedNgramEmbedder:
 
     Hash function and seed are fixed at construction and recorded in
     repository headers, so repositories reproduce across machines.
+
+    A key's slot depends only on (dim, seed), so every instance with the
+    same pair shares one slot cache, which lives as long as the process and
+    grows with the distinct n-gram keys it has hashed.
     """
 
     name = "hashed-ngram-v1"
+    _slot_caches = {}
 
     def __init__(self, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED):
         if dim < 2:
@@ -118,7 +130,7 @@ class HashedNgramEmbedder:
         self.dim = int(dim)
         self.seed = int(seed)
         self._key = struct.pack("<q", self.seed)
-        self._slots = {}
+        self._slots = self._slot_caches.setdefault((self.dim, self.seed), {})
 
     @property
     def info(self) -> str:
@@ -166,20 +178,66 @@ class HashedNgramEmbedder:
         return names, mat
 
 
+def _unit_vector(name, value, dim: int) -> np.ndarray:
+    """`value`, the vector supplied for function `name`, as a float64 unit
+    vector of length `dim`.
+
+    Raises EmbeddingError when the vector is missing (None), not numeric,
+    of the wrong shape, non-finite, or has a zero or overflowing norm.
+    """
+    if value is None:
+        raise EmbeddingError("no vector supplied for function %r" % name)
+    try:
+        vec = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise EmbeddingError("vector for %r is not numeric" % name) from exc
+    if vec.dtype.kind not in "iuf":
+        raise EmbeddingError("vector for %r is not numeric" % name)
+    if vec.shape != (dim,):
+        raise EmbeddingError(
+            "vector for %r has shape %s, not the repository dimension (%d,)"
+            % (name, vec.shape, dim)
+        )
+    vec = vec.astype(np.float64)
+    if not np.isfinite(vec).all():
+        raise EmbeddingError("vector for %r has non-finite values" % name)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
+    if not 0.0 < norm < math.inf:
+        raise EmbeddingError("vector for %r has a zero or overflowing norm" % name)
+    return vec / norm
+
+
+def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Mapping = None):
+    """(functions kept by section filtering, unit-row matrix of their
+    vectors), or ([], None) when filtering keeps nothing.
+
+    `vectors` maps function name -> vector from an external model, each
+    checked by `_unit_vector`; without it the built-in embedder for
+    (dim, seed) embeds the functions.
+    """
+    fdoc = filter_sections(doc)
+    if not fdoc.functions:
+        log.warning("%s document %r is empty after section filtering; no functions kept",
+                    doc.kind, doc.binary_id)
+        return [], None
+    if vectors is None:
+        return fdoc.functions, HashedNgramEmbedder(dim, seed).embed_document(fdoc)[1]
+    return fdoc.functions, np.array(
+        [_unit_vector(fn.name, vectors.get(fn.name), dim) for fn in fdoc.functions]
+    )
+
+
 def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:
     """Load an external vector file for `doc`; returns name -> unit vector.
 
-    The file is JSON lines: a header (doc_id, dim, count), then one record
-    per function.  Vectors are L2-normalized on import.
+    The file is UTF-8 JSON lines: a header (doc_id, dim, count), then one
+    record per function.  Every vector passes `_unit_vector`.
     """
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    records = json_records(data)
+    if not records:
         raise ParseError("empty vector file", line=1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError("invalid JSON: %s" % exc.msg, line=1) from exc
+    header = records[0][1]
     if header.get("doc_id") != doc.binary_id:
         raise EmbeddingError(
             "vector file is for %r, not %r" % (header.get("doc_id"), doc.binary_id)
@@ -191,25 +249,13 @@ def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:
         )
     known = {fn.name for fn in doc.functions}
     out = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON: %s" % exc.msg, line=lineno) from exc
+    for _, rec in records[1:]:
         name = rec.get("function")
-        if name not in known:
-            raise EmbeddingError("vector for unknown function %r" % name)
+        if not isinstance(name, str) or name not in known:
+            raise EmbeddingError("vector for unknown function %r" % (name,))
         if name in out:
             raise EmbeddingError("duplicate vector for function %r" % name)
-        values = np.asarray(rec.get("values", ()), dtype=np.float64)
-        if values.shape != (dim,):
-            raise EmbeddingError("vector for %r has wrong dimension" % name)
-        if not np.isfinite(values).all():
-            raise EmbeddingError("vector for %r has non-finite values" % name)
-        norm = float(np.linalg.norm(values))
-        if norm == 0.0:
-            raise EmbeddingError("vector for %r has zero norm" % name)
-        out[name] = values / norm
+        out[name] = _unit_vector(name, rec.get("values"), dim)
     count = header.get("count")
     if count is not None and count != len(out):
         raise EmbeddingError(

@@ -25,7 +25,7 @@ from .detector import (
     embed_target,
     score_libraries,
 )
-from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedNgramEmbedder
+from .embedding import DEFAULT_DIM, DEFAULT_SEED
 from .errors import ConfigError, ParseError
 from .interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction
 from .metrics import compute_profile
@@ -104,16 +104,10 @@ def score_metrics(reports, manifest: Mapping) -> EvalResult:
 # shared scoring plumbing: detect's embedding and per-library loop
 
 def _origin_and_targets(tpl_docs, target_docs, dim, seed):
-    """The origin repository and every target embedded by one embedder;
-    thresholds never change embeddings, so sweep and ablation only rescore
-    these."""
-    embedder = HashedNgramEmbedder(dim, seed)
-    origin = build_origin(tpl_docs, dim=dim, seed=seed, embedder=embedder)
-    targets = [
-        (doc.binary_id, embed_target(doc, origin.config, embedder=embedder))
-        for doc in target_docs
-    ]
-    return origin, targets
+    """The origin repository and every embedded target; thresholds never
+    change embeddings, so sweep and ablation only rescore these."""
+    origin = build_origin(tpl_docs, dim=dim, seed=seed)
+    return origin, [(doc.binary_id, embed_target(doc, origin.config)) for doc in target_docs]
 
 
 def _score_targets(targets, repo: TplRepository, mode, batch):

@@ -125,15 +125,17 @@ def _validate_function(fn: FunctionRecord) -> None:
         seen_edges.add(edge)
 
 
-def parse_document(data) -> BinaryDocument:
-    """Parse bytes (or str) into a validated BinaryDocument.
-
-    Raises ParseError for syntax/type problems (with a line number) and
-    ValidationError for invariant violations (naming the function).
-    """
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+def json_records(data) -> list:
+    """(1-based line number, object) for every non-blank line of JSON Lines
+    `data`, UTF-8 bytes or str; any other line raises ParseError."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError("not UTF-8: %s" % exc.reason, line=line) from exc
     records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
@@ -143,7 +145,16 @@ def parse_document(data) -> BinaryDocument:
         if not isinstance(obj, dict):
             raise ParseError("record is not an object", line=lineno)
         records.append((lineno, obj))
+    return records
 
+
+def parse_document(data) -> BinaryDocument:
+    """Parse UTF-8 bytes (or str) into a validated BinaryDocument.
+
+    Raises ParseError for syntax/type problems (with a line number) and
+    ValidationError for invariant violations (naming the function).
+    """
+    records = json_records(data)
     if not records:
         raise ParseError("empty document: header record missing", line=1)
 

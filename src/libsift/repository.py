@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedNgramEmbedder
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedNgramEmbedder, function_vectors
 from .errors import (
     ConfigError,
     ParseError,
@@ -26,7 +26,7 @@ from .errors import (
     RepositoryError,
     RepositoryVersionError,
 )
-from .interchange import BinaryDocument, filter_sections
+from .interchange import BinaryDocument
 from .metrics import ComplexityProfile, compute_profile
 
 log = logging.getLogger(__name__)
@@ -124,25 +124,19 @@ def build_origin(
     theta2: float = 0.2,
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
-    embedder: HashedNgramEmbedder = None,
     vectors: Mapping = None,
 ) -> TplRepository:
-    """Extract one feature per function from per-library documents.
+    """Extract one feature per function kept by section filtering from
+    per-library documents.
 
-    Section filtering is applied here (idempotent if already done).
     `vectors` supplies external embeddings keyed binary_id -> name -> vector
-    and marks the repository as externally embedded; otherwise `embedder`
-    (or a fresh built-in one) embeds every library.
+    and marks the repository as externally embedded; otherwise the built-in
+    embedder for (dim, seed) embeds every library.
     """
     docs = list(docs)
     if not docs:
         raise RepositoryError("empty corpus: no library documents")
-    if embedder is None:
-        embedder = HashedNgramEmbedder(dim, seed)
-    elif embedder.dim != dim or embedder.seed != seed:
-        raise ConfigError("embedder does not match requested dim/seed")
 
-    embedder_name = EMBEDDER_EXTERNAL if vectors is not None else embedder.name
     libraries = {}
     for doc in docs:
         if doc.kind != "tpl":
@@ -152,62 +146,25 @@ def build_origin(
             )
         if doc.binary_id in libraries:
             raise RepositoryError("duplicate library_id %r" % doc.binary_id)
-        fdoc = filter_sections(doc)
-        if not fdoc.functions:
-            log.warning(
-                "library %r has no functions after section filtering", doc.binary_id
+        table = None if vectors is None else vectors.get(doc.binary_id, {})
+        functions, mat = function_vectors(doc, dim, seed, vectors=table)
+        libraries[doc.binary_id] = [
+            FunctionFeature(
+                library_id=doc.binary_id,
+                function_name=fn.name,
+                vector=mat[i],
+                profile=compute_profile(fn),
+                is_export=fn.is_export,
             )
-            libraries[doc.binary_id] = []
-            continue
-
-        if vectors is not None:
-            table = vectors.get(doc.binary_id)
-            if table is None:
-                raise RepositoryError(
-                    "no external vectors supplied for library %r" % doc.binary_id
-                )
-            missing = [fn.name for fn in fdoc.functions if fn.name not in table]
-            if missing:
-                raise RepositoryError(
-                    "library %r lacks vectors for %d functions (first: %r)"
-                    % (doc.binary_id, len(missing), missing[0])
-                )
-            mat = {}
-            for fn in fdoc.functions:
-                vec = np.asarray(table[fn.name], dtype=np.float64)
-                if vec.shape != (dim,):
-                    raise RepositoryError(
-                        "external vector for %r has wrong dimension" % fn.name
-                    )
-                if not np.isfinite(vec).all():
-                    raise RepositoryError(
-                        "external vector for %r has non-finite values" % fn.name
-                    )
-                norm = float(np.linalg.norm(vec))
-                if norm == 0.0:
-                    raise RepositoryError(
-                        "external vector for %r has zero norm" % fn.name
-                    )
-                mat[fn.name] = vec / norm
-        else:
-            names, stack = embedder.embed_document(fdoc)
-            mat = {name: stack[i] for i, name in enumerate(names)}
-
-        feats = []
-        for fn in fdoc.functions:
-            feats.append(
-                FunctionFeature(
-                    library_id=doc.binary_id,
-                    function_name=fn.name,
-                    vector=np.ascontiguousarray(mat[fn.name], dtype=np.float64),
-                    profile=compute_profile(fn),
-                    is_export=fn.is_export,
-                )
-            )
-        libraries[doc.binary_id] = feats
+            for i, fn in enumerate(functions)
+        ]
 
     config = RepoConfig(
-        theta1=theta1, theta2=theta2, dim=dim, embedder=embedder_name, seed=seed
+        theta1=theta1,
+        theta2=theta2,
+        dim=dim,
+        embedder=HashedNgramEmbedder.name if vectors is None else EMBEDDER_EXTERNAL,
+        seed=seed,
     )
     repo = TplRepository(libraries, config, [])
     repo.stats.append(StageStats("origin", repo.feature_count(), 1.0))
@@ -345,7 +302,6 @@ def build_repository(
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
     stages: Iterable[str] = ALL_STAGES,
-    embedder: HashedNgramEmbedder = None,
     vectors: Mapping = None,
 ) -> TplRepository:
     """Origin extraction plus the requested purification stages, applied in
@@ -360,7 +316,6 @@ def build_repository(
         theta2=theta2,
         dim=dim,
         seed=seed,
-        embedder=embedder,
         vectors=vectors,
     )
     if STAGE_EXPORT in stages:
@@ -448,9 +403,9 @@ def load_repository(path) -> TplRepository:
         raise RepositoryChecksumError("repository checksum mismatch")
 
     try:
-        header = json.loads(payload[body_start : body_start + header_len])
-    except json.JSONDecodeError as exc:
-        raise RepositoryChecksumError("repository header is unreadable") from exc
+        header = json.loads(payload[body_start : body_start + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise RepositoryError("repository header is not UTF-8 JSON") from exc
     config, stats, libraries = _read_header(header)
     blob = payload[body_start + header_len :]
     if len(blob) != sum(len(recs) for _, recs in libraries) * config.dim * 8:
@@ -538,11 +493,13 @@ def save_manifest(manifest: Mapping, path) -> None:
 
 
 def load_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON manifest: %s" % exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError("manifest is not UTF-8: %s" % exc.reason) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid JSON manifest: %s" % exc.msg) from exc
     if not isinstance(raw, dict):
         raise ParseError("manifest must be an object")
     out = {}

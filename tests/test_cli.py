@@ -236,6 +236,19 @@ def test_exit_code_two_on_bad_config(corpus_dir, tmp_path, capsys):
         "--stages", "export,polish", "--quiet",
     ])
     assert code == 2
+    capsys.readouterr()
+    cfg_path = tmp_path / "cfg.json"
+    for bad in (b'{"theta1": "x"}', b'{"stages": 5}', b'{"stages": [["export"]]}',
+                b'{"dim": true}', b'\xff\xfe{}'):
+        cfg_path.write_bytes(bad)
+        code = main([
+            "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
+            "--config", str(cfg_path), "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_exit_code_two_on_usage_error(capsys):

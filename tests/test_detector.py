@@ -321,10 +321,10 @@ def test_detect_external_vector_shape_and_norm_checks():
     )
     target = _copy_target(docs[0])
     bad_shape = {fn.name: np.ones(9) for fn in target.functions}
-    with pytest.raises(ConfigError, match="dimension"):
+    with pytest.raises(EmbeddingError, match="shape"):
         detect(target, repo, vectors=bad_shape)
     bad_norm = {fn.name: np.zeros(16) for fn in target.functions}
-    with pytest.raises(EmbeddingError, match="degenerate"):
+    with pytest.raises(EmbeddingError, match="zero or overflowing norm"):
         detect(target, repo, vectors=bad_norm)
 
 

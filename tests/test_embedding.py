@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -124,6 +126,29 @@ def test_seed_and_dim_matter():
     assert HashedNgramEmbedder(dim=64, seed=1).info == "hashed-ngram-v1/d64/s1"
 
 
+def test_slot_cache_is_shared_per_dim_and_seed_and_safe_under_threads():
+    assert HashedNgramEmbedder(64, 3)._slots is HashedNgramEmbedder(64, 3)._slots
+    assert HashedNgramEmbedder(64, 3)._slots is not HashedNgramEmbedder(64, 4)._slots
+    assert HashedNgramEmbedder(64, 3)._slots is not HashedNgramEmbedder(128, 3)._slots
+
+    # a (dim, seed) pair no other test uses: many threads fill its cache
+    # at once, then a cleared cache must give the same vectors serially
+    dim, seed = 96, 424242
+    docs = [random_document(random.Random(i), "d%02d" % i) for i in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(HashedNgramEmbedder(dim, seed).embed_document, d)
+                       for d in docs]
+            threaded = [f.result(timeout=60)[1] for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    HashedNgramEmbedder(dim, seed)._slots.clear()
+    for doc, mat in zip(docs, threaded):
+        assert np.array_equal(HashedNgramEmbedder(dim, seed).embed_document(doc)[1], mat)
+
+
 def test_disjoint_token_streams_orthogonal_at_wide_dim():
     # at 4096 slots these few features land collision-free, so the dot
     # product is exactly zero
@@ -222,13 +247,23 @@ def test_import_embeddings_normalizes():
     (lambda d: _vector_file("bin", 4, [("f", [float("nan"), 0, 0, 0])]), EmbeddingError),
     (lambda d: _vector_file("bin", 4, [("f", [0, 0, 0, 0])]), EmbeddingError),
     (lambda d: _vector_file("bin", 4, [("f", [1, 0, 0, 0])], count=5), EmbeddingError),
+    (lambda d: _vector_file("bin", 4, [("f", ["a", 0, 0, 0])]), EmbeddingError),
+    (lambda d: _vector_file("bin", 4, [("f", [[1, 0], [0, 0]])]), EmbeddingError),
+    (lambda d: _vector_file("bin", 4, [("f", [[1, 0], [0]])]), EmbeddingError),
+    (lambda d: _vector_file("bin", 4, [("f", [1e308, 1e308, 0, 0])]), EmbeddingError),
+    (lambda d: _vector_file("bin", 4, [(["f"], [1, 0, 0, 0])]), EmbeddingError),
     (lambda d: "", ParseError),
     (lambda d: "{not json", ParseError),
+    (lambda d: "[1]", ParseError),
+    (lambda d: _vector_file("bin", 4, []) + "\n\n[1]", ParseError),
+    (lambda d: b"\xff\xfe" + _vector_file("bin", 4, []).encode(), ParseError),
 ])
 def test_import_embeddings_rejects_bad_files(mutate, err):
     doc = BinaryDocument("bin", "tpl", [_fn("f", [["ret"]])])
-    with pytest.raises(err):
+    with pytest.raises(err) as info:
         import_embeddings(doc, mutate(doc), 4)
+    if err is ParseError:
+        assert info.value.line is not None
 
 
 def test_import_accepts_bytes():

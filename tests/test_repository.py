@@ -12,8 +12,8 @@ from libsift import (
     BasicBlock,
     BinaryDocument,
     ConfigError,
+    EmbeddingError,
     FunctionRecord,
-    HashedNgramEmbedder,
     Instruction,
     ParseError,
     RepositoryChecksumError,
@@ -141,12 +141,6 @@ def test_build_origin_rejects_empty_corpus():
         build_origin([], dim=DIM)
 
 
-def test_build_origin_rejects_mismatched_embedder():
-    emb = HashedNgramEmbedder(32, 1)
-    with pytest.raises(ConfigError):
-        build_origin(_small_corpus(), dim=DIM, embedder=emb)
-
-
 def test_build_origin_warns_on_stub_only_library(caplog):
     doc = _doc("libstubs", [_fn("s", ["jmp"], section=".plt")])
     with caplog.at_level(logging.WARNING):
@@ -181,21 +175,23 @@ def test_external_vectors_mark_repo_and_normalize():
 @pytest.mark.parametrize(
     "breakage,needle",
     [
-        (lambda t: t.pop("lib001"), "no external vectors"),
-        (lambda t: t["lib001"].pop("lib1_fn00"), "lacks vectors"),
-        (lambda t: t["lib001"].update(lib1_fn00=np.ones(7)), "wrong dimension"),
-        (lambda t: t["lib001"].update(lib1_fn00=np.zeros(DIM)), "zero norm"),
+        (lambda t: t.pop("lib001"), "no vector supplied"),
+        (lambda t: t["lib001"].pop("lib1_fn00"), "no vector supplied"),
+        (lambda t: t["lib001"].update(lib1_fn00=np.ones(7)), "shape"),
+        (lambda t: t["lib001"].update(lib1_fn00=np.zeros(DIM)), "zero or overflowing norm"),
         (
             lambda t: t["lib001"].update(lib1_fn00=np.full(DIM, np.nan)),
             "non-finite",
         ),
     ],
+    ids=["no-library-table", "no-function-vector", "wrong-dimension", "zero-norm",
+         "non-finite"],
 )
 def test_external_vector_validation(breakage, needle):
     docs = _small_corpus(seed=1, libs=2, fns=3)
     table = _external_table(docs)
     breakage(table)
-    with pytest.raises(RepositoryError, match=needle):
+    with pytest.raises(EmbeddingError, match=needle):
         build_origin(docs, dim=DIM, vectors=table)
 
 

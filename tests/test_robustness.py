@@ -1,0 +1,294 @@
+"""Malformed input of any kind ends in a typed LibsiftError and a clean
+exit code, never a traceback."""
+import hashlib
+import json
+import random
+import struct
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from libsift import (
+    BasicBlock,
+    BinaryDocument,
+    ConfigError,
+    EmbeddingError,
+    FunctionRecord,
+    Instruction,
+    LibsiftError,
+    ParseError,
+    RepositoryError,
+    build_origin,
+    build_repository,
+    detect,
+    import_embeddings,
+    load_manifest,
+    load_repository,
+    parse_document,
+    read_reports,
+    save_manifest,
+    save_repository,
+    serialize_document,
+    write_reports,
+)
+from libsift.cli import main
+
+from corpora import random_document
+
+DIM = 16
+NOT_UTF8 = b"\xff\xfe"
+
+
+def _fn(name, mnemonics, reg):
+    instrs = [Instruction(m, (reg, "0x%x" % i)) for i, m in enumerate(mnemonics)]
+    return FunctionRecord(name, ".text", True, [BasicBlock(0, instrs)], [])
+
+
+def _library(lib_id, k):
+    return BinaryDocument(lib_id, "tpl", [
+        _fn("%s_f%d" % (lib_id, i), ["add", "xor", "shl", "lea", "mov"][: 2 + i], "r%d" % (8 + k))
+        for i in range(3)
+    ])
+
+
+def _target(libraries, binary_id="bin"):
+    return BinaryDocument(binary_id, "target", [fn for lib in libraries for fn in lib.functions])
+
+
+def _vector_file(doc_id, rows, dim=DIM):
+    lines = [json.dumps({"doc_id": doc_id, "dim": dim})]
+    lines += [json.dumps({"function": name, "values": values}) for name, values in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _rewrite_header(data: bytes, header: bytes) -> bytes:
+    """A repository file whose header bytes are `header`, with a valid
+    length field and checksum, so only the header itself is wrong."""
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    payload = data[:8] + struct.pack("<I", len(header)) + header + data[12 + header_len : -32]
+    return payload + hashlib.sha256(payload).digest()
+
+
+# ---------------------------------------------------------------------------
+# one validator for vectors from outside, whichever entry point reads them
+
+_BAD_VECTORS = {
+    "wrong-dimension": ("f", [1.0] * (DIM - 1)),
+    "nan": ("f", [float("nan")] + [0.0] * (DIM - 1)),
+    "zero": ("f", [0.0] * DIM),
+    "overflowing-norm": ("f", [1e308, 1e308] + [0.0] * (DIM - 2)),
+    "non-numeric": ("f", ["a"] + [0.0] * (DIM - 1)),
+    "missing-name": ("not_f", [1.0] * DIM),
+}
+
+
+@pytest.mark.parametrize("entry", ["import_embeddings", "build_origin", "detect"])
+@pytest.mark.parametrize("case", sorted(_BAD_VECTORS))
+def test_every_entry_point_raises_embedding_error_for_a_bad_vector(case, entry):
+    name, values = _BAD_VECTORS[case]
+    doc = BinaryDocument("lib", "tpl", [_fn("f", ["add", "xor"], "rax")])
+    table = {name: values}
+    with pytest.raises(EmbeddingError):
+        if entry == "import_embeddings":
+            import_embeddings(doc, _vector_file("lib", [(name, values)]), DIM)
+        elif entry == "build_origin":
+            build_origin([doc], dim=DIM, vectors={"lib": table})
+        else:
+            good = {"lib": {"f": np.ones(DIM)}}
+            repo = build_repository([doc], dim=DIM, stages=(), vectors=good)
+            detect(_target([doc]), repo, vectors=table)
+
+
+# ---------------------------------------------------------------------------
+# a repository whose embedder this build does not have
+
+def test_detect_refuses_a_repository_with_an_unknown_embedder(tmp_path, capsys):
+    libs = [_library("liba", 0), _library("libb", 1)]
+    repo = build_repository(libs, dim=DIM, stages=())
+    repo.config = replace(repo.config, embedder="bcsd-model-v9")
+    with pytest.raises(ConfigError, match="not available"):
+        detect(_target(libs), repo)
+
+    repo_path = tmp_path / "repo.lsr"
+    save_repository(repo, repo_path)
+    target_path = tmp_path / "bin.jsonl"
+    target_path.write_bytes(serialize_document(_target(libs)))
+    out = tmp_path / "reports.jsonl"
+    assert main(["detect", "--repo", str(repo_path), "--targets", str(target_path),
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "not available" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# non-UTF-8 input
+
+def _saved_repository(path):
+    save_repository(build_repository([_library("liba", 0)], dim=DIM, stages=()), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("reader", ["parse_document", "read_reports", "load_manifest",
+                                    "load_repository"])
+def test_readers_refuse_non_utf8_input(reader, tmp_path):
+    path = tmp_path / "input"
+    if reader == "parse_document":
+        with pytest.raises(ParseError, match="line 2: not UTF-8"):
+            parse_document(serialize_document(_library("liba", 0)).replace(b"liba_f0", NOT_UTF8))
+    elif reader == "load_repository":
+        header = b'{"config": "' + NOT_UTF8 + b'"}'
+        path.write_bytes(_rewrite_header(_saved_repository(path), header))
+        with pytest.raises(RepositoryError, match="not UTF-8"):
+            load_repository(path)
+    else:
+        path.write_bytes(NOT_UTF8 + b"{}\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            (read_reports if reader == "read_reports" else load_manifest)(path)
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """Valid inputs for every command, so one file at a time can be broken."""
+    libs = [_library("liba", 0), _library("libb", 1)]
+    for sub, docs in (("tpls", libs), ("targets", [_target(libs)]), ("vectors", [])):
+        (tmp_path / sub).mkdir()
+        for doc in docs:
+            (tmp_path / sub / (doc.binary_id + ".jsonl")).write_bytes(serialize_document(doc))
+    for doc in libs:
+        rows = [(fn.name, [1.0 + i] + [0.5] * (DIM - 1)) for i, fn in enumerate(doc.functions)]
+        (tmp_path / "vectors" / (doc.binary_id + ".jsonl")).write_bytes(
+            _vector_file(doc.binary_id, rows))
+    save_manifest({"bin": {"liba", "libb"}}, tmp_path / "manifest.json")
+    _saved_repository(tmp_path / "repo.lsr")
+    return tmp_path
+
+
+_CLI_CASES = {
+    "detect-target": ("targets/bin.jsonl",
+                      "detect --repo {d}/repo.lsr --targets {d}/targets --out {d}/r.jsonl --quiet"),
+    "build-vectors": ("vectors/liba.jsonl",
+                      "build --tpls {d}/tpls --out {d}/x.lsr --vectors-dir {d}/vectors "
+                      "--dim %d --quiet" % DIM),
+    "sweep-manifest": ("manifest.json",
+                       "sweep --tpls {d}/tpls --targets {d}/targets --manifest "
+                       "{d}/manifest.json --out {d}/s.csv --theta3-grid 0.9 --quiet"),
+    "inspect-header": ("repo.lsr", "inspect --repo {d}/repo.lsr"),
+}
+
+
+@pytest.mark.parametrize("content", ["not-utf8", "not-an-object"])
+@pytest.mark.parametrize("case", sorted(_CLI_CASES))
+def test_cli_exits_one_on_unreadable_input(case, content, cli_inputs, capsys):
+    rel, command = _CLI_CASES[case]
+    path = cli_inputs / rel
+    bad = NOT_UTF8 + b"{}" if content == "not-utf8" else b"[1]"
+    if rel.endswith(".lsr"):
+        path.write_bytes(_rewrite_header(path.read_bytes(), bad))
+    else:
+        path.write_bytes(bad + b"\n")
+    assert main(command.format(d=cli_inputs).split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# property: the readers raise nothing but LibsiftError on arbitrary or
+# mutated bytes
+
+_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+_DOC = random_document(random.Random(3), "bin", kind="tpl")
+
+
+def _edits(data: bytes):
+    """`data` with 1-6 byte flips, insertions or deletions."""
+    edit = st.tuples(st.integers(0, max(len(data) - 1, 0)),
+                     st.sampled_from(("flip", "insert", "delete")), st.integers(0, 255))
+
+    def apply(edits):
+        out = bytearray(data)
+        for pos, op, byte in edits:
+            pos = min(pos, len(out))
+            if op == "insert":
+                out.insert(pos, byte)
+            elif pos < len(out):
+                if op == "flip":
+                    out[pos] ^= byte or 0x80
+                else:
+                    del out[pos]
+        return bytes(out)
+
+    return st.lists(edit, min_size=1, max_size=6).map(apply)
+
+
+def _inputs(valid: bytes):
+    return st.one_of(st.binary(max_size=300), _edits(valid))
+
+
+def _only_libsift_errors(call, *args):
+    try:
+        call(*args)
+    except LibsiftError:
+        pass
+
+
+def _valid_vector_file():
+    rows = [(fn.name, [0.25 * (i + 1)] * 4) for i, fn in enumerate(_DOC.functions)]
+    return _vector_file(_DOC.binary_id, rows, dim=4)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def valid_reports(scratch):
+    libs = [_library("liba", 0), _library("libb", 1)]
+    write_reports([detect(_target(libs), build_repository(libs, dim=DIM))],
+                  scratch / "reports.jsonl")
+    return (scratch / "reports.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_lsr(scratch):
+    return _saved_repository(scratch / "valid.lsr")
+
+
+@_PROPERTY
+@given(data=_inputs(serialize_document(_DOC)))
+def test_parse_document_raises_only_libsift_errors(data):
+    _only_libsift_errors(parse_document, data)
+
+
+@_PROPERTY
+@given(data=_inputs(_valid_vector_file()))
+def test_import_embeddings_raises_only_libsift_errors(data):
+    _only_libsift_errors(import_embeddings, _DOC, data, 4)
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_read_reports_raises_only_libsift_errors(scratch, valid_reports, data):
+    (scratch / "in.jsonl").write_bytes(data.draw(_inputs(valid_reports)))
+    _only_libsift_errors(read_reports, scratch / "in.jsonl")
+
+
+@_PROPERTY
+@given(data=_inputs(json.dumps({"bin000": ["lib000", "lib001"], "bin001": []}).encode()))
+def test_load_manifest_raises_only_libsift_errors(scratch, data):
+    (scratch / "manifest.json").write_bytes(data)
+    _only_libsift_errors(load_manifest, scratch / "manifest.json")
+
+
+@_PROPERTY
+@given(data=st.data())
+def test_load_repository_raises_only_libsift_errors_on_mutated_headers(scratch, valid_lsr, data):
+    (header_len,) = struct.unpack_from("<I", valid_lsr, 8)
+    header = data.draw(_edits(valid_lsr[12 : 12 + header_len]))
+    (scratch / "in.lsr").write_bytes(_rewrite_header(valid_lsr, header))
+    _only_libsift_errors(load_repository, scratch / "in.lsr")
