@@ -25,7 +25,7 @@ from .detector import (
     detect,
     write_reports,
 )
-from .embedding import DEFAULT_DIM, DEFAULT_SEED, import_embeddings
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, MAX_SEED, MIN_SEED, import_embeddings
 from .errors import ConfigError, LibsiftError
 from .evaluation import (
     DEFAULT_THETA1_GRID,
@@ -80,6 +80,8 @@ class PipelineConfig:
             raise ConfigError("dim must be >= 1")
         if self.batch < 1:
             raise ConfigError("batch must be >= 1")
+        if not MIN_SEED <= self.seed <= MAX_SEED:
+            raise ConfigError("seed must be a signed 64-bit integer")
         if self.mode not in AGGREGATION_MODES:
             raise ConfigError("unknown aggregation mode %r" % self.mode)
         unknown = set(self.stages) - set(ALL_STAGES)
@@ -102,6 +104,8 @@ def _load_config_file(path) -> dict:
         raise ConfigError("config file %s is not valid JSON: %s" % (path, exc.msg))
     except UnicodeDecodeError as exc:
         raise ConfigError("config file %s is not UTF-8: %s" % (path, exc.reason))
+    except RecursionError:
+        raise ConfigError("config file %s is nested too deeply" % path) from None
     if not isinstance(raw, dict):
         raise ConfigError("config file %s must hold a JSON object" % path)
     unknown = set(raw) - set(_CONFIG_KEYS)

@@ -16,13 +16,16 @@ import logging
 import math
 import re
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from hashlib import blake2b
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import _kernels
+from . import _gc, _kernels
 from .errors import EmbeddingError, ParseError
 from .interchange import BinaryDocument, FunctionRecord, filter_sections, json_records
 
@@ -30,6 +33,8 @@ log = logging.getLogger(__name__)
 
 DEFAULT_DIM = 768
 DEFAULT_SEED = 1
+# seeds are packed as signed 64-bit integers into the hash key
+MIN_SEED, MAX_SEED = -(2 ** 63), 2 ** 63 - 1
 
 MNEMONIC = "MNEMONIC"
 REG = "REG"
@@ -45,6 +50,12 @@ _ABSTRACT_KINDS = frozenset({IMM, MEM, NEARFUNC, EXTFUNC})
 class NormalizedToken:
     text: str
     kind: str
+    # "KIND:text", the token's unigram hashing key
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # interned, so every slot-cache key built from it shares one string
+        object.__setattr__(self, "key", sys.intern(self.kind + ":" + self.text))
 
 
 def _register_names():
@@ -71,7 +82,7 @@ def _is_branch(mnemonic: str) -> bool:
     return mnemonic in _BRANCH_EXTRA or mnemonic.startswith("j")
 
 
-def _classify(operand: str, mnemonic: str, local_names) -> NormalizedToken:
+def _classify(operand: str, is_branch: bool, local_names) -> NormalizedToken:
     if operand in REGISTERS:
         return NormalizedToken(operand, REG)
     if operand in _ABSTRACT_KINDS:
@@ -81,7 +92,7 @@ def _classify(operand: str, mnemonic: str, local_names) -> NormalizedToken:
         return NormalizedToken(IMM, IMM)
     if "[" in operand:
         return NormalizedToken(MEM, MEM)
-    if _is_branch(mnemonic):
+    if is_branch:
         if operand in local_names:
             return NormalizedToken(NEARFUNC, NEARFUNC)
         return NormalizedToken(EXTFUNC, EXTFUNC)
@@ -89,25 +100,62 @@ def _classify(operand: str, mnemonic: str, local_names) -> NormalizedToken:
     return NormalizedToken(MEM, MEM)
 
 
+class _Tokenizer:
+    """Token streams for the functions of one document, sharing one token
+    per mnemonic and one per operand.
+
+    An operand's class depends only on the operand and on whether the
+    instruction is a branch (a bare symbol is MEM on data instructions and
+    NEARFUNC/EXTFUNC by `local_names` on branches), so operands are
+    memoized separately for the two.
+    """
+
+    def __init__(self, local_names):
+        self.local_names = local_names
+        self.mnemonics = {}  # mnemonic -> (its token, its operand memo, is_branch)
+        self.data_operands = {}
+        self.branch_operands = {}
+
+    def _mnemonic(self, mnemonic):
+        branch = _is_branch(mnemonic)
+        entry = (NormalizedToken(mnemonic, MNEMONIC),
+                 self.branch_operands if branch else self.data_operands, branch)
+        self.mnemonics[mnemonic] = entry
+        return entry
+
+    def tokens(self, record: FunctionRecord) -> list:
+        out = []
+        append = out.append
+        mnemonics = self.mnemonics
+        for block in sorted(record.blocks, key=lambda b: b.id):
+            for ins in block.instructions:
+                token, operands, branch = (mnemonics.get(ins.mnemonic)
+                                           or self._mnemonic(ins.mnemonic))
+                append(token)
+                for op in ins.operands:
+                    op_token = operands.get(op)
+                    if op_token is None:
+                        op_token = operands[op] = _classify(op, branch, self.local_names)
+                    append(op_token)
+        return out
+
+
 def normalize(record: FunctionRecord, local_names=frozenset()) -> list:
     """Tokenize one function: mnemonics and registers verbatim, everything
     else abstracted to its class.  Blocks are concatenated in ascending id
     order, so block relabeling cannot change the stream.
     """
-    tokens = []
-    for block in sorted(record.blocks, key=lambda b: b.id):
-        for ins in block.instructions:
-            tokens.append(NormalizedToken(ins.mnemonic, MNEMONIC))
-            for op in ins.operands:
-                tokens.append(_classify(op, ins.mnemonic, local_names))
-    return tokens
+    return _Tokenizer(local_names).tokens(record)
 
 
 def normalize_document(doc: BinaryDocument) -> dict:
     """Token streams for every function, resolving near/external targets
     against the document's own function names."""
-    local = frozenset(fn.name for fn in doc.functions)
-    return {fn.name: normalize(fn, local) for fn in doc.functions}
+    tokenizer = _Tokenizer(frozenset(fn.name for fn in doc.functions))
+    return {fn.name: tokenizer.tokens(fn) for fn in doc.functions}
+
+
+_token_key = attrgetter("key")
 
 
 class HashedNgramEmbedder:
@@ -118,7 +166,8 @@ class HashedNgramEmbedder:
 
     A key's slot depends only on (dim, seed), so every instance with the
     same pair shares one slot cache, which lives as long as the process and
-    grows with the distinct n-gram keys it has hashed.
+    holds one entry per distinct n-gram it has hashed: a unigram under its
+    key string, a bigram under its (key, key) pair.
     """
 
     name = "hashed-ngram-v1"
@@ -127,6 +176,8 @@ class HashedNgramEmbedder:
     def __init__(self, dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED):
         if dim < 2:
             raise EmbeddingError("dim must be >= 2")
+        if not MIN_SEED <= seed <= MAX_SEED:
+            raise EmbeddingError("seed must be a signed 64-bit integer")
         self.dim = int(dim)
         self.seed = int(seed)
         self._key = struct.pack("<q", self.seed)
@@ -136,32 +187,47 @@ class HashedNgramEmbedder:
     def info(self) -> str:
         return "%s/d%d/s%d" % (self.name, self.dim, self.seed)
 
-    def _slot(self, key: str):
-        cached = self._slots.get(key)
-        if cached is None:
-            digest = blake2b(key.encode("utf-8"), digest_size=8, key=self._key).digest()
-            value = int.from_bytes(digest, "little")
-            cached = ((value >> 1) % self.dim, 1.0 if value & 1 else -1.0)
-            self._slots[key] = cached
-        return cached
+    def _hash(self, text: str) -> int:
+        """Signed slot of `text`: slot + 1 when the feature counts +1,
+        -(slot + 1) when it counts -1."""
+        digest = blake2b(text.encode("utf-8"), digest_size=8, key=self._key).digest()
+        value = int.from_bytes(digest, "little")
+        slot = (value >> 1) % self.dim + 1
+        return slot if value & 1 else -slot
+
+    def _signed_slots(self, keys: list) -> list:
+        """Signed slots of the unigrams, then the adjacent bigrams, of
+        `keys`, hashing only keys the slot cache has not seen."""
+        slots = self._slots
+        unigrams = list(map(slots.get, keys))
+        if None in unigrams:
+            for i, key in enumerate(keys):
+                if unigrams[i] is None:
+                    unigrams[i] = slots[key] = self._hash(key)
+        bigrams = list(map(slots.get, zip(keys, islice(keys, 1, None))))
+        if None in bigrams:
+            for i, pair in enumerate(zip(keys, islice(keys, 1, None))):
+                if bigrams[i] is None:
+                    bigrams[i] = slots[pair] = self._hash(pair[0] + "\x1f" + pair[1])
+        return unigrams + bigrams
 
     def embed_tokens(self, tokens) -> np.ndarray:
         """L2-normalized vector for one token stream."""
         if not tokens:
             raise EmbeddingError("cannot embed an empty token stream")
-        vec = np.zeros(self.dim, dtype=np.float64)
-        keys = ["%s:%s" % (t.kind, t.text) for t in tokens]
-        for key in keys:
-            slot, sign = self._slot(key)
-            vec[slot] += sign
-        for a, b in zip(keys, keys[1:]):
-            slot, sign = self._slot(a + "\x1f" + b)
-            vec[slot] += sign
+        keys = list(map(_token_key, tokens))
+        signed = np.array(self._signed_slots(keys))
+        # each n-gram adds +1 or -1 to its slot; sums of small integers are
+        # exact in float64, so the order of accumulation cannot matter
+        vec = np.bincount(np.abs(signed) - 1, weights=np.sign(signed), minlength=self.dim)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # total sign cancellation; vanishingly rare but must stay deterministic
-            slot, _ = self._slot("\x1f".join(keys) + "\x1f#cancelled")
-            vec[slot] = 1.0
+            key = "\x1f".join(keys) + "\x1f#cancelled"
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = self._hash(key)
+            vec[abs(slot) - 1] = 1.0
             norm = 1.0
         return vec / norm
 
@@ -216,16 +282,17 @@ def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Mapping 
     checked by `_unit_vector`; without it the built-in embedder for
     (dim, seed) embeds the functions.
     """
-    fdoc = filter_sections(doc)
-    if not fdoc.functions:
-        log.warning("%s document %r is empty after section filtering; no functions kept",
-                    doc.kind, doc.binary_id)
-        return [], None
-    if vectors is None:
-        return fdoc.functions, HashedNgramEmbedder(dim, seed).embed_document(fdoc)[1]
-    return fdoc.functions, np.array(
-        [_unit_vector(fn.name, vectors.get(fn.name), dim) for fn in fdoc.functions]
-    )
+    with _gc.paused():
+        fdoc = filter_sections(doc)
+        if not fdoc.functions:
+            log.warning("%s document %r is empty after section filtering; no functions kept",
+                        doc.kind, doc.binary_id)
+            return [], None
+        if vectors is None:
+            return fdoc.functions, HashedNgramEmbedder(dim, seed).embed_document(fdoc)[1]
+        return fdoc.functions, np.array(
+            [_unit_vector(fn.name, vectors.get(fn.name), dim) for fn in fdoc.functions]
+        )
 
 
 def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:

@@ -644,6 +644,9 @@ class StageTimings:
     export_s: float
     mi_s: float
     weights_s: float
+    # building the origin repository (section filter, embedding, profiles);
+    # None when read from a file written without it
+    origin_s: float = None
 
     @property
     def total_s(self) -> float:
@@ -658,41 +661,55 @@ def time_stages(
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
 ):
-    """Wall-clock the three purification stages over a freshly built
-    origin; returns (timings, final repository)."""
-    origin = build_origin(list(tpl_docs), theta1=theta1, theta2=theta2, dim=dim, seed=seed)
+    """Wall-clock building the origin and the three purification stages
+    over it; returns (timings, final repository)."""
     t0 = time.perf_counter()
-    repo = purify_export(origin)
+    origin = build_origin(list(tpl_docs), theta1=theta1, theta2=theta2, dim=dim, seed=seed)
     t1 = time.perf_counter()
-    repo = purify_mi(repo, theta2)
+    repo = purify_export(origin)
     t2 = time.perf_counter()
-    repo = compute_weights(repo, theta1)
+    repo = purify_mi(repo, theta2)
     t3 = time.perf_counter()
-    return StageTimings(t1 - t0, t2 - t1, t3 - t2), repo
+    repo = compute_weights(repo, theta1)
+    t4 = time.perf_counter()
+    return StageTimings(t2 - t1, t3 - t2, t4 - t3, origin_s=t1 - t0), repo
+
+
+_TIMING_FIELDS = ("origin_s", "export_s", "mi_s", "weights_s")
 
 
 def write_timings(timings: StageTimings, path) -> None:
+    payload = {key: getattr(timings, key) for key in _TIMING_FIELDS
+               if getattr(timings, key) is not None}
+    payload["total_s"] = timings.total_s
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "export_s": timings.export_s,
-                "mi_s": timings.mi_s,
-                "weights_s": timings.weights_s,
-                "total_s": timings.total_s,
-            },
-            fh,
-        )
+        json.dump(payload, fh)
         fh.write("\n")
 
 
 def read_timings(path) -> StageTimings:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid timing file: %s" % exc.msg) from exc
+    """Timings from a file written by `write_timings`; `origin_s` may be
+    absent.  Anything else malformed raises ParseError."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        timings = StageTimings(raw["export_s"], raw["mi_s"], raw["weights_s"])
-    except KeyError as exc:
-        raise ParseError("timing file missing field %s" % exc) from exc
-    return timings
+        raw = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError("timing file is not UTF-8: %s" % exc.reason) from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid timing file: %s" % exc.msg) from exc
+    except RecursionError:
+        raise ParseError("timing file is nested too deeply") from None
+    if not isinstance(raw, dict):
+        raise ParseError("timing file must hold a JSON object")
+    fields = {}
+    for key in _TIMING_FIELDS:
+        if key not in raw:
+            if key == "origin_s":
+                continue
+            raise ParseError("timing file missing field %r" % key)
+        value = raw[key]
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ParseError("timing file field %r is not a number" % key)
+        fields[key] = value
+    return StageTimings(**fields)

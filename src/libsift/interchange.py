@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from . import _gc
 from .errors import ParseError, ValidationError
 
 FORMAT_VERSION = 1
@@ -65,7 +66,15 @@ def _expect(record, key, typ, line):
     return value
 
 
-def _decode_function(record: dict, line: int) -> FunctionRecord:
+def _decode_function(record: dict, line: int, shared: dict):
+    """(FunctionRecord, whether an instruction it holds first has an empty
+    mnemonic).
+
+    `shared` maps the token tuple of every instruction seen earlier in the
+    document to its one Instruction, so a repeated instruction is checked
+    and built once.  An instruction with an empty mnemonic fails its first
+    function's validation, so only a first sighting can carry one.
+    """
     name = _expect(record, "name", str, line)
     section = _expect(record, "section", str, line)
     is_export = _expect(record, "is_export", bool, line)
@@ -73,18 +82,25 @@ def _decode_function(record: dict, line: int) -> FunctionRecord:
     raw_edges = _expect(record, "edges", list, line)
 
     blocks = []
+    empty_mnemonic = False
     for rb in raw_blocks:
         if not isinstance(rb, dict):
             raise ParseError("block record is not an object", line=line)
         bid = _expect(rb, "id", int, line)
-        raw_instrs = _expect(rb, "instructions", list, line)
         instrs = []
-        for ri in raw_instrs:
-            if not isinstance(ri, list) or not ri:
+        for ri in _expect(rb, "instructions", list, line):
+            if ri.__class__ is not list or not ri:
                 raise ParseError("instruction must be a non-empty array", line=line)
-            if not all(isinstance(tok, str) for tok in ri):
-                raise ParseError("instruction tokens must be strings", line=line)
-            instrs.append(Instruction(ri[0], tuple(ri[1:])))
+            key = tuple(ri)
+            try:
+                ins = shared.get(key)  # TypeError: a nested array or object
+                if ins is None:
+                    "".join(key)  # TypeError: a token that is not a string
+                    ins = shared[key] = Instruction(key[0], key[1:])
+                    empty_mnemonic = empty_mnemonic or not key[0]
+            except TypeError:
+                raise ParseError("instruction tokens must be strings", line=line) from None
+            instrs.append(ins)
         blocks.append(BasicBlock(bid, instrs))
 
     edges = []
@@ -97,10 +113,10 @@ def _decode_function(record: dict, line: int) -> FunctionRecord:
             raise ParseError("edge must be a [from, to] integer pair", line=line)
         edges.append((re_[0], re_[1]))
 
-    return FunctionRecord(name, section, is_export, blocks, edges)
+    return FunctionRecord(name, section, is_export, blocks, edges), empty_mnemonic
 
 
-def _validate_function(fn: FunctionRecord) -> None:
+def _validate_function(fn: FunctionRecord, empty_mnemonic: bool) -> None:
     if not fn.name:
         raise ValidationError("empty function name", function=fn.name)
     if not fn.blocks:
@@ -110,9 +126,8 @@ def _validate_function(fn: FunctionRecord) -> None:
         raise ValidationError("duplicate basic block id", function=fn.name)
     if fn.instruction_count() == 0:
         raise ValidationError("function has no instructions", function=fn.name)
-    for ins in (i for b in fn.blocks for i in b.instructions):
-        if not ins.mnemonic:
-            raise ValidationError("empty mnemonic", function=fn.name)
+    if empty_mnemonic:
+        raise ValidationError("empty mnemonic", function=fn.name)
     known = set(ids)
     seen_edges = set()
     for edge in fn.edges:
@@ -142,6 +157,8 @@ def json_records(data) -> list:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError("invalid JSON: %s" % exc.msg, line=lineno) from exc
+        except RecursionError:
+            raise ParseError("JSON nested too deeply", line=lineno) from None
         if not isinstance(obj, dict):
             raise ParseError("record is not an object", line=lineno)
         records.append((lineno, obj))
@@ -153,8 +170,13 @@ def parse_document(data) -> BinaryDocument:
 
     Raises ParseError for syntax/type problems (with a line number) and
     ValidationError for invariant violations (naming the function).
+    Equal instructions within the document share one Instruction.
     """
-    records = json_records(data)
+    with _gc.paused():
+        return _parse_records(json_records(data))
+
+
+def _parse_records(records) -> BinaryDocument:
     if not records:
         raise ParseError("empty document: header record missing", line=1)
 
@@ -175,9 +197,10 @@ def parse_document(data) -> BinaryDocument:
 
     functions = []
     names = set()
+    shared = {}
     for lineno, record in records[1:]:
-        fn = _decode_function(record, lineno)
-        _validate_function(fn)
+        fn, empty_mnemonic = _decode_function(record, lineno, shared)
+        _validate_function(fn, empty_mnemonic)
         if fn.name in names:
             raise ValidationError("duplicate function name", function=fn.name)
         names.add(fn.name)

@@ -406,6 +406,8 @@ def load_repository(path) -> TplRepository:
         header = json.loads(payload[body_start : body_start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise RepositoryError("repository header is not UTF-8 JSON") from exc
+    except RecursionError:
+        raise RepositoryError("repository header is nested too deeply") from None
     config, stats, libraries = _read_header(header)
     blob = payload[body_start + header_len :]
     if len(blob) != sum(len(recs) for _, recs in libraries) * config.dim * 8:
@@ -500,6 +502,8 @@ def load_manifest(path) -> dict:
         raise ParseError("manifest is not UTF-8: %s" % exc.reason) from exc
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON manifest: %s" % exc.msg) from exc
+    except RecursionError:
+        raise ParseError("manifest JSON is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError("manifest must be an object")
     out = {}

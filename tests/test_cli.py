@@ -5,8 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
-from libsift import load_manifest, load_repository, read_reports, score_metrics
-from libsift.cli import main
+from libsift import ConfigError, load_manifest, load_repository, read_reports, score_metrics
+from libsift.cli import PipelineConfig, main
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +248,20 @@ def test_exit_code_two_on_bad_config(corpus_dir, tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_seed_outside_signed_64_bits_is_a_config_error(corpus_dir, tmp_path, capsys):
+    PipelineConfig(seed=-(2 ** 63)).validate()
+    PipelineConfig(seed=2 ** 63 - 1).validate()
+    for seed in (2 ** 63, -(2 ** 63) - 1):
+        with pytest.raises(ConfigError, match="seed"):
+            PipelineConfig(seed=seed).validate()
+    out = tmp_path / "r.lsr"
+    assert main(["build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
+                 "--seed", "100000000000000000000", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err and "Traceback" not in err
     assert not out.exists()
 
 

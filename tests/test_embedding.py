@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import sys
@@ -16,6 +17,7 @@ from libsift.embedding import (
     HashedNgramEmbedder,
     batched_similarity,
     cosine,
+    function_vectors,
     import_embeddings,
     normalize,
     normalize_document,
@@ -132,7 +134,8 @@ def test_slot_cache_is_shared_per_dim_and_seed_and_safe_under_threads():
     assert HashedNgramEmbedder(64, 3)._slots is not HashedNgramEmbedder(128, 3)._slots
 
     # a (dim, seed) pair no other test uses: many threads fill its cache
-    # at once, then a cleared cache must give the same vectors serially
+    # at once (through function_vectors, which pauses cyclic GC), then a
+    # cleared cache must give the same vectors serially
     dim, seed = 96, 424242
     docs = [random_document(random.Random(i), "d%02d" % i) for i in range(24)]
     interval = sys.getswitchinterval()
@@ -141,12 +144,16 @@ def test_slot_cache_is_shared_per_dim_and_seed_and_safe_under_threads():
         with ThreadPoolExecutor(max_workers=8) as pool:
             futures = [pool.submit(HashedNgramEmbedder(dim, seed).embed_document, d)
                        for d in docs]
+            futures += [pool.submit(function_vectors, d, dim, seed) for d in docs]
             threaded = [f.result(timeout=60)[1] for f in futures]
     finally:
         sys.setswitchinterval(interval)
+    assert gc.isenabled()
     HashedNgramEmbedder(dim, seed)._slots.clear()
-    for doc, mat in zip(docs, threaded):
+    for doc, mat, kept in zip(docs, threaded, threaded[len(docs):]):
         assert np.array_equal(HashedNgramEmbedder(dim, seed).embed_document(doc)[1], mat)
+        want = function_vectors(doc, dim, seed)[1]
+        assert (kept is None and want is None) or np.array_equal(want, kept)
 
 
 def test_disjoint_token_streams_orthogonal_at_wide_dim():
@@ -161,6 +168,14 @@ def test_disjoint_token_streams_orthogonal_at_wide_dim():
 def test_embedder_rejects_degenerate_dim():
     with pytest.raises(EmbeddingError):
         HashedNgramEmbedder(dim=1)
+
+
+def test_embedder_rejects_seed_outside_signed_64_bits():
+    HashedNgramEmbedder(dim=16, seed=-(2 ** 63))
+    HashedNgramEmbedder(dim=16, seed=2 ** 63 - 1)
+    for seed in (2 ** 63, -(2 ** 63) - 1, 10 ** 20):
+        with pytest.raises(EmbeddingError, match="seed"):
+            HashedNgramEmbedder(dim=16, seed=seed)
 
 
 def test_empty_token_stream_rejected():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -422,6 +423,7 @@ def test_ablation_rows_equal_detect_at_every_theta3():
 def test_time_stages_returns_positive_durations():
     tpl_docs, _, _ = generate_corpus(_mini_spec(planted_reuse={}))
     timings, repo = time_stages(tpl_docs, dim=64)
+    assert timings.origin_s > 0.0
     assert timings.export_s >= 0.0
     assert timings.mi_s >= 0.0
     assert timings.weights_s >= 0.0
@@ -442,5 +444,43 @@ def test_timings_round_trip(tmp_path):
 def test_read_timings_rejects_malformed(tmp_path, text):
     path = tmp_path / "timings.json"
     path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError):
+        read_timings(path)
+
+
+def test_timings_file_carries_origin_and_keeps_total_meaning(tmp_path):
+    timings = StageTimings(0.125, 0.0625, 0.03125, origin_s=2.5)
+    path = tmp_path / "timings.json"
+    write_timings(timings, path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert raw["origin_s"] == 2.5
+    assert raw["total_s"] == 0.125 + 0.0625 + 0.03125  # origin is not a stage
+    assert read_timings(path) == timings
+
+
+def test_read_timings_accepts_a_file_without_origin(tmp_path):
+    path = tmp_path / "timings.json"
+    path.write_text('{"export_s": 0.5, "mi_s": 0.25, "weights_s": 1, "total_s": 1.75}',
+                    encoding="utf-8")
+    assert read_timings(path) == StageTimings(0.5, 0.25, 1)
+    assert read_timings(path).origin_s is None
+
+
+_STAGES = '"export_s": 0.5, "mi_s": 0.25, "weights_s": 1.0'
+
+
+@pytest.mark.parametrize("data", [
+    b"[0.5, 0.25, 1.0]",
+    b'"timings"',
+    b"\xff\xfe{}",
+    b'{"export_s": "0.5", "mi_s": 0.25, "weights_s": 1.0}',
+    b'{"export_s": 0.5, "mi_s": true, "weights_s": 1.0}',
+    b'{"export_s": 0.5, "mi_s": 0.25, "weights_s": null}',
+    ("{%s, \"origin_s\": [1.0]}" % _STAGES).encode(),
+], ids=["array", "string", "not-utf8", "string-value", "bool-value", "null-value",
+        "array-origin"])
+def test_read_timings_raises_parse_error_for_non_objects_and_non_numbers(tmp_path, data):
+    path = tmp_path / "timings.json"
+    path.write_bytes(data)
     with pytest.raises(ParseError):
         read_timings(path)

@@ -29,12 +29,13 @@ from libsift import (
     load_repository,
     parse_document,
     read_reports,
+    read_timings,
     save_manifest,
     save_repository,
     serialize_document,
     write_reports,
 )
-from libsift.cli import main
+from libsift.cli import build_parser, main, resolve_config
 
 from corpora import random_document
 
@@ -193,6 +194,63 @@ def test_cli_exits_one_on_unreadable_input(case, content, cli_inputs, capsys):
     assert main(command.format(d=cli_inputs).split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# JSON nested deeper than the decoder can recurse
+
+DEEP = b"[" * 100000
+
+
+@pytest.mark.parametrize("reader", ["parse_document", "import_embeddings", "read_reports",
+                                    "load_manifest", "load_repository", "config",
+                                    "read_timings"])
+def test_readers_refuse_deeply_nested_json(reader, tmp_path):
+    path = tmp_path / "input"
+    doc = _library("liba", 0)
+    if reader == "parse_document":
+        header = serialize_document(doc).splitlines()[0]
+        with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
+            parse_document(header + b"\n" + b'{"name":' + DEEP + b"\n")
+    elif reader == "import_embeddings":
+        with pytest.raises(ParseError, match="line 1: JSON nested too deeply"):
+            import_embeddings(doc, b'{"doc_id":' + DEEP, DIM)
+    elif reader == "read_reports":
+        path.write_bytes(b"{}\n" + DEEP)
+        with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
+            read_reports(path)
+    elif reader == "load_manifest":
+        path.write_bytes(b'{"bin": ' + DEEP)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load_manifest(path)
+    elif reader == "load_repository":
+        path.write_bytes(_rewrite_header(_saved_repository(path), b'{"config": ' + DEEP))
+        with pytest.raises(RepositoryError, match="nested too deeply"):
+            load_repository(path)
+    elif reader == "config":
+        path.write_bytes(b'{"theta1": ' + DEEP)
+        with pytest.raises(ConfigError, match="nested too deeply"):
+            resolve_config(build_parser().parse_args(
+                ["build", "--tpls", "t", "--out", "o", "--config", str(path)]))
+    else:
+        path.write_bytes(b'{"export_s": ' + DEEP)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            read_timings(path)
+
+
+@pytest.mark.parametrize("case", ["detect-target", "build-config"])
+def test_cli_exits_cleanly_on_deeply_nested_json(case, cli_inputs, capsys):
+    d = cli_inputs
+    if case == "detect-target":
+        (d / "targets" / "bin.jsonl").write_bytes(DEEP + b"\n")
+        command, code, prefix = _CLI_CASES["detect-target"][1].format(d=d), 1, "error:"
+    else:
+        (d / "cfg.json").write_bytes(DEEP)
+        command = "build --tpls {d}/tpls --out {d}/x.lsr --config {d}/cfg.json --quiet"
+        command, code, prefix = command.format(d=d), 2, "config error:"
+    assert main(command.split()) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and "nested too deeply" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
