@@ -8,7 +8,6 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
@@ -146,20 +145,28 @@ def _doc_paths(path) -> list:
     return [path]
 
 
-def _load_docs(path) -> list:
-    return [load_document(p) for p in _doc_paths(path)]
+def _load_docs(path):
+    """Parse the documents under `path` one at a time, in file name order."""
+    for p in _doc_paths(path):
+        yield load_document(p)
 
 
-def _load_vectors(vectors_dir, docs, dim) -> dict:
-    """Per-document external embedding files named <binary_id>.jsonl."""
-    out = {}
+def _vector_table(vectors_dir, doc, dim) -> dict:
+    """The external embedding file <binary_id>.jsonl for one document."""
+    vpath = os.path.join(vectors_dir, doc.binary_id + ".jsonl")
+    if not os.path.exists(vpath):
+        raise ConfigError("no vector file for %r at %s" % (doc.binary_id, vpath))
+    with open(vpath, "rb") as fh:
+        return import_embeddings(doc, fh.read(), dim)
+
+
+def _with_vector_table(docs, vectors: dict, vectors_dir, dim):
+    """Yield each document once `vectors` holds its vector table, and no
+    other document's, so only one table is alive at a time."""
     for doc in docs:
-        vpath = os.path.join(vectors_dir, doc.binary_id + ".jsonl")
-        if not os.path.exists(vpath):
-            raise ConfigError("no vector file for %r at %s" % (doc.binary_id, vpath))
-        with open(vpath, "rb") as fh:
-            out[doc.binary_id] = import_embeddings(doc, fh.read(), dim)
-    return out
+        vectors.clear()
+        vectors[doc.binary_id] = _vector_table(vectors_dir, doc, dim)
+        yield doc
 
 
 def _say(args, msg, *fmt) -> None:
@@ -250,7 +257,8 @@ def cmd_build(args) -> int:
     docs = _load_docs(args.tpls)
     vectors = None
     if args.vectors_dir:
-        vectors = _load_vectors(args.vectors_dir, docs, cfg.dim)
+        vectors = {}
+        docs = _with_vector_table(docs, vectors, args.vectors_dir, cfg.dim)
 
     t0 = time.perf_counter()
     repo = build_origin(
@@ -286,23 +294,14 @@ def cmd_build(args) -> int:
 def cmd_detect(args) -> int:
     cfg = resolve_config(args)
     repo = load_repository(args.repo)
-    docs = _load_docs(args.targets)
-
-    vector_maps = {}
-    if args.vectors_dir:
-        vector_maps = _load_vectors(args.vectors_dir, docs, repo.config.dim)
-
-    def run(doc):
-        return detect(
-            doc, repo, theta3=cfg.theta3, mode=cfg.mode, batch=cfg.batch,
-            vectors=vector_maps.get(doc.binary_id),
-        )
-
-    if args.jobs > 1 and len(docs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, docs))
-    else:
-        reports = [run(doc) for doc in docs]
+    reports = []
+    for doc in _load_docs(args.targets):
+        vectors = None
+        if args.vectors_dir:
+            vectors = _vector_table(args.vectors_dir, doc, repo.config.dim)
+        reports.append(detect(
+            doc, repo, theta3=cfg.theta3, mode=cfg.mode, batch=cfg.batch, vectors=vectors,
+        ))
     reports.sort(key=lambda r: r.binary_id)
     write_reports(reports, args.out)
 
@@ -411,17 +410,19 @@ def _add_common(p) -> None:
     p.add_argument("--verbose", action="store_true", help="log at INFO level")
 
 
+# flag -> its argparse settings; every flag defaults to None so that
+# `resolve_config` can tell a given flag from an absent one
+_PIPELINE_FLAGS = {
+    "theta1": {"type": float}, "theta2": {"type": float}, "theta3": {"type": float},
+    "dim": {"type": int}, "seed": {"type": int}, "batch": {"type": int},
+    "mode": {"choices": AGGREGATION_MODES},
+}
+
+
 def _add_thresholds(p, *names) -> None:
-    if "theta1" in names:
-        p.add_argument("--theta1", type=float, default=None)
-    if "theta2" in names:
-        p.add_argument("--theta2", type=float, default=None)
-    if "theta3" in names:
-        p.add_argument("--theta3", type=float, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--mode", choices=AGGREGATION_MODES, default=None)
+    """Add the pipeline flags `names`, the ones the command reads."""
+    for name in names:
+        p.add_argument("--" + name, default=None, **_PIPELINE_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors-dir",
                    help="external embedding files, one <binary_id>.jsonl per doc")
     p.add_argument("--no-timing", action="store_true")
-    _add_thresholds(p, "theta1", "theta2")
+    _add_thresholds(p, "theta1", "theta2", "dim", "seed")
     _add_common(p)
     p.set_defaults(func=cmd_build)
 
@@ -466,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="document file or directory")
     p.add_argument("--out", required=True, help="report JSONL path")
     p.add_argument("--vectors-dir")
-    p.add_argument("--jobs", type=int, default=1)
-    _add_thresholds(p, "theta3")
+    _add_thresholds(p, "theta3", "batch", "mode")
     _add_common(p)
     p.set_defaults(func=cmd_detect)
 
@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1-grid", type=_parse_grid, default=DEFAULT_THETA1_GRID)
     p.add_argument("--theta2-grid", type=_parse_grid, default=DEFAULT_THETA2_GRID)
     p.add_argument("--theta3-grid", type=_parse_grid, default=DEFAULT_THETA3_GRID)
-    _add_thresholds(p)
+    _add_thresholds(p, "dim", "seed", "batch", "mode")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -488,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="CSV path")
-    _add_thresholds(p, "theta1", "theta2", "theta3")
+    _add_thresholds(p, "theta1", "theta2", "theta3", "dim", "seed", "batch", "mode")
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 

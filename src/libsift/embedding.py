@@ -220,16 +220,8 @@ class HashedNgramEmbedder:
         # each n-gram adds +1 or -1 to its slot; sums of small integers are
         # exact in float64, so the order of accumulation cannot matter
         vec = np.bincount(np.abs(signed) - 1, weights=np.sign(signed), minlength=self.dim)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            # total sign cancellation; vanishingly rare but must stay deterministic
-            key = "\x1f".join(keys) + "\x1f#cancelled"
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = self._slots[key] = self._hash(key)
-            vec[abs(slot) - 1] = 1.0
-            norm = 1.0
-        return vec / norm
+        # never zero: the 2n - 1 n-grams of n tokens sum to an odd total
+        return vec / float(np.linalg.norm(vec))
 
     def embed_function(self, record: FunctionRecord, local_names=frozenset()) -> np.ndarray:
         return self.embed_tokens(normalize(record, local_names))

@@ -75,39 +75,55 @@ def metrics_from_counts(counts: ConfusionCounts) -> EvalResult:
     return EvalResult(counts, precision, recall, f1, p_den > 0, r_den > 0)
 
 
-def score_metrics(reports, manifest: Mapping) -> EvalResult:
-    """Count (binary, library) decisions against the manifest.
+def _confusion(decisions, manifest: Mapping) -> ConfusionCounts:
+    """tp/fp/fn over (binary_id, decided library set) pairs.
 
-    Manifest binaries without a report count as all-missed; a report for a
-    binary absent from the manifest is an error.
+    Manifest binaries without a pair count as all-missed; a binary absent
+    from the manifest, or given twice, is an error.
     """
     seen = set()
     tp = fp = fn = 0
-    for report in reports:
-        if report.binary_id not in manifest:
-            raise ValueError("report for unknown binary %r" % report.binary_id)
-        if report.binary_id in seen:
-            raise ValueError("duplicate report for binary %r" % report.binary_id)
-        seen.add(report.binary_id)
-        truth = set(manifest[report.binary_id])
-        decided = report.decided()
+    for bin_id, decided in decisions:
+        if bin_id not in manifest:
+            raise ValueError("report for unknown binary %r" % bin_id)
+        if bin_id in seen:
+            raise ValueError("duplicate report for binary %r" % bin_id)
+        seen.add(bin_id)
+        truth = set(manifest[bin_id])
         tp += len(decided & truth)
         fp += len(decided - truth)
         fn += len(truth - decided)
     for bin_id in manifest:
         if bin_id not in seen:
             fn += len(set(manifest[bin_id]))
-    return metrics_from_counts(ConfusionCounts(tp, fp, fn))
+    return ConfusionCounts(tp, fp, fn)
+
+
+def score_metrics(reports, manifest: Mapping) -> EvalResult:
+    """Count (binary, library) decisions against the manifest.
+
+    Manifest binaries without a report count as all-missed; a report for a
+    binary absent from the manifest is an error.
+    """
+    return metrics_from_counts(
+        _confusion(((r.binary_id, r.decided()) for r in reports), manifest)
+    )
 
 
 # ---------------------------------------------------------------------------
 # shared scoring plumbing: detect's embedding and per-library loop
 
-def _origin_and_targets(tpl_docs, target_docs, dim, seed):
-    """The origin repository and every embedded target; thresholds never
-    change embeddings, so sweep and ablation only rescore these."""
+def _origin_and_targets(tpl_docs, target_docs, manifest, dim, seed):
+    """The origin repository and every embedded target, taking one document
+    at a time; thresholds never change embeddings, so sweep and ablation
+    only rescore these.  Every target must be in the manifest."""
     origin = build_origin(tpl_docs, dim=dim, seed=seed)
-    return origin, [(doc.binary_id, embed_target(doc, origin.config)) for doc in target_docs]
+    targets = []
+    for doc in target_docs:
+        if doc.binary_id not in manifest:
+            raise ValueError("target %r missing from manifest" % doc.binary_id)
+        targets.append((doc.binary_id, embed_target(doc, origin.config)))
+    return origin, targets
 
 
 def _score_targets(targets, repo: TplRepository, mode, batch):
@@ -125,17 +141,11 @@ def _score_targets(targets, repo: TplRepository, mode, batch):
 
 
 def _counts_at(score_table, manifest, theta3) -> ConfusionCounts:
-    tp = fp = fn = 0
-    for bin_id, scores in score_table.items():
-        truth = set(manifest[bin_id])
-        decided = {lib for lib, s in scores.items() if s >= theta3}
-        tp += len(decided & truth)
-        fp += len(decided - truth)
-        fn += len(truth - decided)
-    for bin_id in manifest:
-        if bin_id not in score_table:
-            fn += len(set(manifest[bin_id]))
-    return ConfusionCounts(tp, fp, fn)
+    return _confusion(
+        ((bin_id, {lib for lib, s in scores.items() if s >= theta3})
+         for bin_id, scores in score_table.items()),
+        manifest,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +212,7 @@ def sweep(
         raise ConfigError("sweep grids must be non-empty")
     if mode not in AGGREGATION_MODES:
         raise ConfigError("unknown aggregation mode %r" % mode)
-    tpl_docs = list(tpl_docs)
-    target_docs = list(target_docs)
-    for doc in target_docs:
-        if doc.binary_id not in manifest:
-            raise ValueError("target %r missing from manifest" % doc.binary_id)
-
-    origin, targets = _origin_and_targets(tpl_docs, target_docs, dim, seed)
+    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, dim, seed)
     exported = purify_export(origin)
 
     cells = []
@@ -298,9 +302,7 @@ def run_ablation(
 ) -> AblationTable:
     """Eight rows: four purification configs, each with weights off (all
     1.0) and on, at fixed thresholds."""
-    tpl_docs = list(tpl_docs)
-    target_docs = list(target_docs)
-    origin, targets = _origin_and_targets(tpl_docs, target_docs, dim, seed)
+    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, dim, seed)
 
     rows = []
     for label, stages in ABLATION_CONFIGS:

@@ -131,12 +131,9 @@ def build_origin(
 
     `vectors` supplies external embeddings keyed binary_id -> name -> vector
     and marks the repository as externally embedded; otherwise the built-in
-    embedder for (dim, seed) embeds every library.
+    embedder for (dim, seed) embeds every library.  Documents are taken one
+    at a time, so `docs` may parse them lazily.
     """
-    docs = list(docs)
-    if not docs:
-        raise RepositoryError("empty corpus: no library documents")
-
     libraries = {}
     for doc in docs:
         if doc.kind != "tpl":
@@ -158,6 +155,8 @@ def build_origin(
             )
             for i, fn in enumerate(functions)
         ]
+    if not libraries:
+        raise RepositoryError("empty corpus: no library documents")
 
     config = RepoConfig(
         theta1=theta1,

@@ -1,11 +1,13 @@
 import json
 import os
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from libsift import ConfigError, load_manifest, load_repository, read_reports, score_metrics
+from libsift import cli
 from libsift.cli import PipelineConfig, main
 
 
@@ -126,16 +128,24 @@ def test_detect_reports_and_summary(corpus_dir, repo_path, tmp_path, capsys):
     assert "REUSED" in printed
 
 
-def test_detect_parallel_matches_serial(corpus_dir, repo_path, tmp_path):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    base = [
-        "detect", "--repo", str(repo_path), "--targets",
-        str(corpus_dir / "targets"), "--quiet",
-    ]
-    assert main(base + ["--out", str(serial)]) == 0
-    assert main(base + ["--out", str(parallel), "--jobs", "3"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+@pytest.mark.parametrize("command, flag", [
+    ("build", ["--batch", "4"]),
+    ("build", ["--mode", "match-sum"]),
+    ("detect", ["--dim", "192"]),
+    ("detect", ["--seed", "3"]),
+    ("detect", ["--jobs", "2"]),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(corpus_dir, repo_path, tmp_path,
+                                                        capsys, command, flag):
+    out = tmp_path / "out"
+    args = {
+        "build": ["build", "--tpls", str(corpus_dir / "tpls")],
+        "detect": ["detect", "--repo", str(repo_path), "--targets", str(corpus_dir / "targets")],
+    }[command]
+    assert main(args + ["--out", str(out), "--quiet"] + flag) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: %s" % flag[0] in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_detect_single_file_target(corpus_dir, repo_path, tmp_path):
@@ -272,6 +282,18 @@ def test_exit_code_two_on_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_exit_code_two_on_a_directory_without_documents(repo_path, tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "out"
+    for args in (["build", "--tpls", str(empty)],
+                 ["detect", "--repo", str(repo_path), "--targets", str(empty)]):
+        assert main(args + ["--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "no .jsonl documents" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_exit_code_one_on_missing_input(tmp_path, capsys):
     code = main([
         "inspect", "--repo", str(tmp_path / "nope.lsr"),
@@ -360,3 +382,49 @@ def test_detect_refuses_vectors_for_a_hashed_repository(corpus_dir, repo_path, t
     ]) == 2
     assert "mix embedding spaces" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "build-vectors", "detect", "sweep", "ablate"])
+def test_commands_parse_one_document_at_a_time(corpus_dir, repo_path, tmp_path, monkeypatch,
+                                              command):
+    # each document is dropped once it is used; while the next one is
+    # parsed, loop variables may still name the previous one, and loading
+    # every document first would keep all of them alive
+    from libsift import load_document
+
+    vec_dir = tmp_path / "vectors"
+    if command == "build-vectors":
+        vec_dir.mkdir()
+        for fname in os.listdir(corpus_dir / "tpls"):
+            doc = load_document(corpus_dir / "tpls" / fname)
+            _vector_file(vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
+                         [fn.name for fn in doc.functions], 32)
+        del doc
+    tpls, targets = str(corpus_dir / "tpls"), str(corpus_dir / "targets")
+    out = str(tmp_path / "out")
+    args, count = {
+        "build": (["build", "--tpls", tpls, "--dim", "64"], 4),
+        "build-vectors": (["build", "--tpls", tpls, "--dim", "32",
+                           "--vectors-dir", str(vec_dir)], 4),
+        "detect": (["detect", "--repo", str(repo_path), "--targets", targets], 4),
+        "sweep": (["sweep", "--tpls", tpls, "--targets", targets,
+                   "--manifest", str(corpus_dir / "manifest.json"), "--dim", "64",
+                   "--theta1-grid", "0.8", "--theta2-grid", "0.45",
+                   "--theta3-grid", "0.9"], 8),
+        "ablate": (["ablate", "--tpls", tpls, "--targets", targets,
+                    "--manifest", str(corpus_dir / "manifest.json"), "--dim", "64"], 8),
+    }[command]
+
+    parsed, alive_at_load = [], []
+    real_load = cli.load_document
+
+    def load(path):
+        alive_at_load.append(sum(ref() is not None for ref in parsed))
+        doc = real_load(path)
+        parsed.append(weakref.ref(doc))
+        return doc
+
+    monkeypatch.setattr(cli, "load_document", load)
+    assert main(args + ["--out", out, "--quiet"]) == 0
+    assert len(parsed) == count
+    assert max(alive_at_load) <= 2, alive_at_load

@@ -1,11 +1,12 @@
 """Byte-level equivalence gate for refactors.
 
-One small fixed corpus goes through build, sweep and ablate, and the
-sha256 of each output file must equal the digest recorded here.  A change
-meant only to restructure code must leave all three unchanged; a change
-meant to alter results updates the digests and says why.  The digests
-were recorded with numpy and OpenBLAS on x86-64; vectors and weights in
-the repository file are only bit-exact where the float arithmetic is.
+One small fixed corpus goes through build, detect (in both aggregation
+modes), sweep and ablate, and the sha256 of each output file must equal
+the digest recorded here.  A change meant only to restructure code must
+leave all of them unchanged; a change meant to alter results updates the
+digests and says why.  The digests were recorded with numpy and OpenBLAS
+on x86-64; vectors and weights in the repository file are only bit-exact
+where the float arithmetic is.
 """
 import hashlib
 import random
@@ -15,11 +16,13 @@ import pytest
 from libsift import (
     SyntheticCorpusSpec,
     build_repository,
+    detect_many,
     generate_corpus,
     random_reuse_plan,
     run_ablation,
     save_repository,
     sweep,
+    write_reports,
 )
 
 DIM = 192
@@ -28,6 +31,8 @@ RECORDED = {
     "repository": "b1a11082fdf458a4ca2230b26bd2fd464756681c93abc7ba2cc00b5a3bb7d91c",
     "sweep": "14db16bf79fbff09d949bb34ea080f39bf391790b64ccdd45f0d756174dab0a7",
     "ablation": "0d86ec5a08a7152a2affb09c2fd1b157158ebfcdd25f903d1fd5858f072582bc",
+    "reports-weighted-mean": "735e4fd1bb5c938a2a838ca8cd9d34e165fd1c5e102ae5604b2c7c7305e52e08",
+    "reports-match-sum": "37a58128dd94d2e247d8a8a799eea7eb9a49de94c346741835f74c83efb6a271",
 }
 
 
@@ -41,10 +46,15 @@ def outputs(tmp_path_factory):
         distractor_functions=12, rng_seed=21,
     )
     tpl_docs, target_docs, manifest = generate_corpus(spec)
-    path = tmp_path_factory.mktemp("gate") / "repo.lsr"
-    save_repository(build_repository(tpl_docs, dim=DIM), path)
+    out = tmp_path_factory.mktemp("gate")
+    repo = build_repository(tpl_docs, dim=DIM)
+    save_repository(repo, out / "repo.lsr")
+    for mode in ("core-weighted-mean", "match-sum"):
+        write_reports(detect_many(target_docs, repo, mode=mode), out / (mode + ".jsonl"))
     return {
-        "repository": path.read_bytes(),
+        "repository": (out / "repo.lsr").read_bytes(),
+        "reports-weighted-mean": (out / "core-weighted-mean.jsonl").read_bytes(),
+        "reports-match-sum": (out / "match-sum.jsonl").read_bytes(),
         "sweep": sweep(tpl_docs, target_docs, manifest, dim=DIM).to_csv_bytes(),
         "ablation": run_ablation(tpl_docs, target_docs, manifest, dim=DIM).to_csv_bytes(),
     }

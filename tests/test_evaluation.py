@@ -282,6 +282,8 @@ def test_sweep_finds_working_thresholds():
     tpl_docs, target_docs, manifest = generate_corpus(_mini_spec())
     grid = sweep(tpl_docs, target_docs, manifest, dim=128)
     assert grid.best().f1 == 1.0
+    streamed = sweep(iter(tpl_docs), iter(target_docs), manifest, dim=128)
+    assert streamed.to_csv_bytes() == grid.to_csv_bytes()
 
 
 def test_sweep_validates_inputs():

@@ -201,19 +201,6 @@ def test_front_end_matches_reference(doc, dim, seed):
             assert single.tobytes() == row.tobytes()
 
 
-def test_cancelled_stream_falls_back_to_the_reference_slot(monkeypatch):
-    # 2n - 1 n-grams each add +-1, so a real stream never sums to zero in
-    # every slot; forcing the slots shows the fallback is the reference's
-    tokens = normalize(_fn("f", [["mov", "rax", "0x10"], ["ret"]]))
-    embedder = HashedNgramEmbedder(16, 5)
-    monkeypatch.setattr(embedder, "_signed_slots", lambda keys: [3, -3, 9, -9])
-    ref_keys = ["%s:%s" % (t.kind, t.text) for t in tokens]
-    slot, _ = _ref_slot("\x1f".join(ref_keys) + "\x1f#cancelled", 16, 5)
-    want = np.zeros(16)
-    want[slot] = 1.0
-    assert embedder.embed_tokens(tokens).tobytes() == want.tobytes()
-
-
 def test_tokens_carry_their_key_and_compare_without_it():
     tokens = normalize_document(_FIXED)["f1"]
     assert [t.key for t in tokens] == ["%s:%s" % (t.kind, t.text) for t in tokens]

@@ -115,6 +115,7 @@ def test_build_origin_one_feature_per_function():
     assert [s.stage for s in repo.stats] == ["origin"]
     assert repo.stats[0].functions == 18
     assert repo.stats[0].leave_percent == 1.0
+    assert build_origin(iter(docs), dim=DIM) == repo
 
 
 def test_build_origin_filters_linkage_sections():
@@ -136,9 +137,10 @@ def test_build_origin_rejects_duplicate_library():
         build_origin([doc, doc], dim=DIM)
 
 
-def test_build_origin_rejects_empty_corpus():
+@pytest.mark.parametrize("docs", [[], iter([])], ids=["list", "iterator"])
+def test_build_origin_rejects_empty_corpus(docs):
     with pytest.raises(RepositoryError, match="empty"):
-        build_origin([], dim=DIM)
+        build_origin(docs, dim=DIM)
 
 
 def test_build_origin_warns_on_stub_only_library(caplog):
