@@ -47,6 +47,8 @@ from .embedding import (
 )
 from .repository import (
     ALL_STAGES,
+    DEFAULT_THETA1,
+    DEFAULT_THETA2,
     STAGE_EXPORT,
     STAGE_MI,
     STAGE_WEIGHTS,
@@ -56,6 +58,7 @@ from .repository import (
     TplRepository,
     build_origin,
     build_repository,
+    build_steps,
     compute_weights,
     load_manifest,
     load_repository,
@@ -78,7 +81,6 @@ from .detector import (
     detect,
     detect_many,
     read_reports,
-    score_pairwise,
     write_reports,
 )
 from .evaluation import (

@@ -1,9 +1,9 @@
 """Numeric kernels over unit-row float64 matrices.
 
-Dense similarity products go through numpy's BLAS in blocks of `_BLOCK`
-rows; the scans that fold each block into counts or a running argmax live
-in `fallback` and are looked up there on every call, so a profiler can
-wrap them on that module.
+Dense similarity products go through numpy's BLAS in row blocks (`_BLOCK`
+rows for the scans, `batch` rows for `sim_matrix`); the scans that fold
+each block into counts or a running argmax live in `fallback` and are
+looked up there on every call, so a profiler can wrap them on that module.
 """
 from __future__ import annotations
 
@@ -22,14 +22,20 @@ def _rows(a):
 
 
 def sim_matrix(queries, keys, batch=128):
-    """M[i][j] = dot(queries[i], keys[j]), chunked by `batch` query rows."""
+    """M[i][j] = dot(queries[i], keys[j]), chunked by `batch` query rows;
+    every chunking computes the same dot products."""
     queries = _rows(queries)
     keys = _rows(keys)
     if queries.shape[1] != keys.shape[1]:
         raise ValueError("dimension mismatch")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    return fallback.sim_matrix(queries, keys, int(batch))
+    batch = int(batch)
+    out = np.empty((queries.shape[0], keys.shape[0]), dtype=np.float64)
+    kt = keys.T
+    for start in range(0, queries.shape[0], batch):
+        np.matmul(queries[start:start + batch], kt, out=out[start:start + batch])
+    return out
 
 
 def theta_counts(vectors, lib_ids, n_libs, theta):

@@ -9,20 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def sim_matrix(queries, keys, batch):
-    """Dense cosine matrix, computed in row chunks of `batch`.
-
-    Each output element is the same dot product whatever the chunking, so
-    results agree across batch sizes to float rounding.
-    """
-    out = np.empty((queries.shape[0], keys.shape[0]), dtype=np.float64)
-    kt = keys.T
-    for start in range(0, queries.shape[0], batch):
-        stop = min(start + batch, queries.shape[0])
-        np.matmul(queries[start:stop], kt, out=out[start:stop])
-    return out
-
-
 def count_block(sims, lib_ids, bounds, row_start, theta, n_out, df_out):
     """Fold one block of similarity rows into same-library hit counts and
     cross-library document frequencies.

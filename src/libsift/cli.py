@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .detector import (
     AGG_WEIGHTED_MEAN,
     AGGREGATION_MODES,
-    DEFAULT_BATCH,
     DEFAULT_THETA3,
     detect,
     write_reports,
@@ -39,15 +38,11 @@ from .evaluation import (
 from .interchange import load_document, save_document
 from .repository import (
     ALL_STAGES,
-    STAGE_EXPORT,
-    STAGE_MI,
-    STAGE_WEIGHTS,
-    build_origin,
-    compute_weights,
+    DEFAULT_THETA1,
+    DEFAULT_THETA2,
+    build_steps,
     load_manifest,
     load_repository,
-    purify_export,
-    purify_mi,
     save_manifest,
     save_repository,
 )
@@ -59,11 +54,10 @@ log = logging.getLogger(__name__)
 class PipelineConfig:
     """Effective thresholds and knobs after merging defaults, the config
     file, and explicit flags (flags win)."""
-    theta1: float = 0.8
-    theta2: float = 0.2
+    theta1: float = DEFAULT_THETA1
+    theta2: float = DEFAULT_THETA2
     theta3: float = DEFAULT_THETA3
     dim: int = DEFAULT_DIM
-    batch: int = DEFAULT_BATCH
     mode: str = AGG_WEIGHTED_MEAN
     seed: int = DEFAULT_SEED
     stages: tuple = ALL_STAGES
@@ -77,8 +71,6 @@ class PipelineConfig:
             raise ConfigError("theta3 must be in [-1, 1]")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
-        if self.batch < 1:
-            raise ConfigError("batch must be >= 1")
         if not MIN_SEED <= self.seed <= MAX_SEED:
             raise ConfigError("seed must be a signed 64-bit integer")
         if self.mode not in AGGREGATION_MODES:
@@ -91,7 +83,7 @@ class PipelineConfig:
 # config-file key -> the JSON type its value must have (never a bool)
 _CONFIG_KEYS = {
     "theta1": (int, float), "theta2": (int, float), "theta3": (int, float),
-    "dim": int, "batch": int, "mode": str, "seed": int, "stages": list,
+    "dim": int, "mode": str, "seed": int, "stages": list,
 }
 
 
@@ -260,23 +252,15 @@ def cmd_build(args) -> int:
         vectors = {}
         docs = _with_vector_table(docs, vectors, args.vectors_dir, cfg.dim)
 
+    times = []
     t0 = time.perf_counter()
-    repo = build_origin(
+    for stage, repo in build_steps(
         docs, theta1=cfg.theta1, theta2=cfg.theta2, dim=cfg.dim,
-        seed=cfg.seed, vectors=vectors,
-    )
-    times = [("origin", time.perf_counter() - t0)]
-    for stage in ALL_STAGES:
-        if stage not in cfg.stages:
-            continue
-        t0 = time.perf_counter()
-        if stage == STAGE_EXPORT:
-            repo = purify_export(repo)
-        elif stage == STAGE_MI:
-            repo = purify_mi(repo, cfg.theta2)
-        elif stage == STAGE_WEIGHTS:
-            repo = compute_weights(repo, cfg.theta1)
-        times.append((stage, time.perf_counter() - t0))
+        seed=cfg.seed, stages=cfg.stages, vectors=vectors,
+    ):
+        t1 = time.perf_counter()
+        times.append((stage, t1 - t0))
+        t0 = t1
     save_repository(repo, args.out)
 
     _say(args, "%-8s %10s %14s", "stage", "functions", "leave_percent")
@@ -300,7 +284,7 @@ def cmd_detect(args) -> int:
         if args.vectors_dir:
             vectors = _vector_table(args.vectors_dir, doc, repo.config.dim)
         reports.append(detect(
-            doc, repo, theta3=cfg.theta3, mode=cfg.mode, batch=cfg.batch, vectors=vectors,
+            doc, repo, theta3=cfg.theta3, mode=cfg.mode, vectors=vectors,
         ))
     reports.sort(key=lambda r: r.binary_id)
     write_reports(reports, args.out)
@@ -326,14 +310,14 @@ def cmd_sweep(args) -> int:
         theta1_values=args.theta1_grid,
         theta2_values=args.theta2_grid,
         theta3_values=args.theta3_grid,
-        dim=cfg.dim, seed=cfg.seed, mode=cfg.mode, batch=cfg.batch,
+        dim=cfg.dim, seed=cfg.seed, mode=cfg.mode,
     )
     grid.write_csv(args.out)
     _write_meta(args.out, {
         "theta1_grid": list(args.theta1_grid),
         "theta2_grid": list(args.theta2_grid),
         "theta3_grid": list(args.theta3_grid),
-        "dim": cfg.dim, "seed": cfg.seed, "mode": cfg.mode, "batch": cfg.batch,
+        "dim": cfg.dim, "seed": cfg.seed, "mode": cfg.mode,
     })
     best = grid.best()
     _say(args, "%d cells written to %s", len(grid.cells), args.out)
@@ -352,13 +336,13 @@ def cmd_ablate(args) -> int:
     table = run_ablation(
         tpl_docs, target_docs, manifest,
         theta1=cfg.theta1, theta2=cfg.theta2, theta3=cfg.theta3,
-        dim=cfg.dim, seed=cfg.seed, mode=cfg.mode, batch=cfg.batch,
+        dim=cfg.dim, seed=cfg.seed, mode=cfg.mode,
     )
     with open(args.out, "wb") as fh:
         fh.write(table.to_csv_bytes())
     _write_meta(args.out, {
         "theta1": cfg.theta1, "theta2": cfg.theta2, "theta3": cfg.theta3,
-        "dim": cfg.dim, "seed": cfg.seed, "mode": cfg.mode, "batch": cfg.batch,
+        "dim": cfg.dim, "seed": cfg.seed, "mode": cfg.mode,
     })
     _say(args, "%s", table)
     _say(args, "ablation written to %s", args.out)
@@ -414,7 +398,7 @@ def _add_common(p) -> None:
 # `resolve_config` can tell a given flag from an absent one
 _PIPELINE_FLAGS = {
     "theta1": {"type": float}, "theta2": {"type": float}, "theta3": {"type": float},
-    "dim": {"type": int}, "seed": {"type": int}, "batch": {"type": int},
+    "dim": {"type": int}, "seed": {"type": int},
     "mode": {"choices": AGGREGATION_MODES},
 }
 
@@ -467,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="document file or directory")
     p.add_argument("--out", required=True, help="report JSONL path")
     p.add_argument("--vectors-dir")
-    _add_thresholds(p, "theta3", "batch", "mode")
+    _add_thresholds(p, "theta3", "mode")
     _add_common(p)
     p.set_defaults(func=cmd_detect)
 
@@ -479,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1-grid", type=_parse_grid, default=DEFAULT_THETA1_GRID)
     p.add_argument("--theta2-grid", type=_parse_grid, default=DEFAULT_THETA2_GRID)
     p.add_argument("--theta3-grid", type=_parse_grid, default=DEFAULT_THETA3_GRID)
-    _add_thresholds(p, "dim", "seed", "batch", "mode")
+    _add_thresholds(p, "dim", "seed", "mode")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -488,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="CSV path")
-    _add_thresholds(p, "theta1", "theta2", "theta3", "dim", "seed", "batch", "mode")
+    _add_thresholds(p, "theta1", "theta2", "theta3", "dim", "seed", "mode")
     _add_common(p)
     p.set_defaults(func=cmd_ablate)
 

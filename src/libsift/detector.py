@@ -20,10 +20,10 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .embedding import HashedNgramEmbedder, cosine, function_vectors
+from .embedding import HashedNgramEmbedder, function_vectors
 from .errors import ConfigError, EmbeddingError, ParseError
 from .interchange import BinaryDocument, json_records
-from .repository import EMBEDDER_EXTERNAL, FunctionFeature, RepoConfig, TplRepository
+from .repository import EMBEDDER_EXTERNAL, RepoConfig, TplRepository
 
 log = logging.getLogger(__name__)
 
@@ -32,6 +32,8 @@ AGG_MATCH_SUM = "match-sum"
 AGGREGATION_MODES = (AGG_WEIGHTED_MEAN, AGG_MATCH_SUM)
 
 DEFAULT_THETA3 = 0.89
+# query rows per product block in match-sum scoring; reports echo it as
+# `config.batch`
 DEFAULT_BATCH = 128
 
 
@@ -62,11 +64,6 @@ class DetectionReport:
         return {e.library_id for e in self.entries if e.decision}
 
 
-def score_pairwise(vector, feature: FunctionFeature) -> float:
-    """weight * cosine for one (binary function, library feature) pair."""
-    return feature.weight * cosine(vector, feature.vector)
-
-
 def _unit_rows(mat) -> np.ndarray:
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1)
@@ -75,13 +72,7 @@ def _unit_rows(mat) -> np.ndarray:
     return mat / norms[:, None]
 
 
-def aggregate(
-    bin_vectors,
-    bin_names,
-    features,
-    mode: str = AGG_WEIGHTED_MEAN,
-    batch: int = DEFAULT_BATCH,
-):
+def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
     """(score, evidence rows) for one binary against one library.
 
     Evidence contributions always sum to the unnormalized aggregate.
@@ -119,7 +110,7 @@ def aggregate(
         score = total / total_weight if total_weight > 0.0 else 0.0
         return score, evidence
 
-    sims = np.clip(_kernels.sim_matrix(bin_mat, lib_mat, batch), -1.0, 1.0)
+    sims = np.clip(_kernels.sim_matrix(bin_mat, lib_mat, DEFAULT_BATCH), -1.0, 1.0)
     weights = np.array([f.weight for f in features], dtype=np.float64)
     scored = sims * weights[None, :]
     arg = scored.argmax(axis=1)
@@ -165,8 +156,7 @@ def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
     return [fn.name for fn in functions], mat
 
 
-def score_libraries(names, mat, repo: TplRepository, *, mode=AGG_WEIGHTED_MEAN,
-                    batch=DEFAULT_BATCH) -> list:
+def score_libraries(names, mat, repo: TplRepository, *, mode=AGG_WEIGHTED_MEAN) -> list:
     """(library_id, score, evidence) per library, in library id order, for
     one embedded target.
 
@@ -180,7 +170,7 @@ def score_libraries(names, mat, repo: TplRepository, *, mode=AGG_WEIGHTED_MEAN,
     for lib_id in sorted(repo.libraries):
         feats = repo.libraries[lib_id]
         if feats:
-            rows.append((lib_id, *aggregate(mat, names, feats, mode=mode, batch=batch)))
+            rows.append((lib_id, *aggregate(mat, names, feats, mode=mode)))
         else:
             rows.append((lib_id, None, []))
     return rows
@@ -192,7 +182,6 @@ def detect(
     *,
     theta3: float = DEFAULT_THETA3,
     mode: str = AGG_WEIGHTED_MEAN,
-    batch: int = DEFAULT_BATCH,
     vectors=None,
 ) -> DetectionReport:
     """One report entry per library, sorted by library id; decision is
@@ -214,11 +203,11 @@ def detect(
         "dim": repo.config.dim,
         "embedder": repo.config.embedder,
         "seed": repo.config.seed,
-        "batch": batch,
+        "batch": DEFAULT_BATCH,
     }
     names, mat = embed_target(doc, repo.config, vectors=vectors)
     entries = []
-    for lib_id, score, evidence in score_libraries(names, mat, repo, mode=mode, batch=batch):
+    for lib_id, score, evidence in score_libraries(names, mat, repo, mode=mode):
         if score is None:
             log.warning("library %r has no retained features; scoring 0", lib_id)
             entries.append(LibraryScore(lib_id, 0.0, False, []))

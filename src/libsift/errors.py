@@ -16,7 +16,8 @@ class ParseError(LibsiftError):
 
 
 class ValidationError(LibsiftError):
-    """Parseable input that violates a document invariant."""
+    """Parseable input that violates an invariant of a document, or
+    targets and reports that disagree with their manifest."""
 
     def __init__(self, message, function=None):
         if function is not None:

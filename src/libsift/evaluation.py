@@ -21,19 +21,22 @@ from typing import Mapping, Sequence
 from .detector import (
     AGG_WEIGHTED_MEAN,
     AGGREGATION_MODES,
-    DEFAULT_BATCH,
+    DEFAULT_THETA3,
     embed_target,
     score_libraries,
 )
 from .embedding import DEFAULT_DIM, DEFAULT_SEED
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ValidationError
 from .interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction
 from .metrics import compute_profile
 from .repository import (
+    DEFAULT_THETA1,
+    DEFAULT_THETA2,
     STAGE_EXPORT,
     STAGE_MI,
     TplRepository,
     build_origin,
+    build_steps,
     compute_weights,
     purify_export,
     purify_mi,
@@ -85,9 +88,9 @@ def _confusion(decisions, manifest: Mapping) -> ConfusionCounts:
     tp = fp = fn = 0
     for bin_id, decided in decisions:
         if bin_id not in manifest:
-            raise ValueError("report for unknown binary %r" % bin_id)
+            raise ValidationError("report for unknown binary %r" % bin_id)
         if bin_id in seen:
-            raise ValueError("duplicate report for binary %r" % bin_id)
+            raise ValidationError("duplicate report for binary %r" % bin_id)
         seen.add(bin_id)
         truth = set(manifest[bin_id])
         tp += len(decided & truth)
@@ -121,19 +124,19 @@ def _origin_and_targets(tpl_docs, target_docs, manifest, dim, seed):
     targets = []
     for doc in target_docs:
         if doc.binary_id not in manifest:
-            raise ValueError("target %r missing from manifest" % doc.binary_id)
+            raise ValidationError("target %r missing from manifest" % doc.binary_id)
         targets.append((doc.binary_id, embed_target(doc, origin.config)))
     return origin, targets
 
 
-def _score_targets(targets, repo: TplRepository, mode, batch):
+def _score_targets(targets, repo: TplRepository, mode):
     """bin_id -> {library_id: aggregate score} for (bin_id, (names, mat))
     targets, over the libraries detect could decide: emptied libraries and
     empty targets contribute none."""
     return {
         bin_id: {
             lib_id: score
-            for lib_id, score, _ in score_libraries(names, mat, repo, mode=mode, batch=batch)
+            for lib_id, score, _ in score_libraries(names, mat, repo, mode=mode)
             if score is not None
         }
         for bin_id, (names, mat) in targets
@@ -200,7 +203,6 @@ def sweep(
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
     mode: str = AGG_WEIGHTED_MEAN,
-    batch: int = DEFAULT_BATCH,
 ) -> SweepGrid:
     """Full grid evaluation.
 
@@ -220,7 +222,7 @@ def sweep(
         for t2 in theta2_values:
             repo = compute_weights(purify_mi(exported, t2), t1)
             retained = repo.stats[-1].leave_percent
-            table = _score_targets(targets, repo, mode, batch)
+            table = _score_targets(targets, repo, mode)
             for t3 in theta3_values:
                 result = metrics_from_counts(_counts_at(table, manifest, t3))
                 cells.append(
@@ -292,13 +294,12 @@ def run_ablation(
     target_docs,
     manifest: Mapping,
     *,
-    theta1: float = 0.8,
-    theta2: float = 0.2,
-    theta3: float = 0.89,
+    theta1: float = DEFAULT_THETA1,
+    theta2: float = DEFAULT_THETA2,
+    theta3: float = DEFAULT_THETA3,
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
     mode: str = AGG_WEIGHTED_MEAN,
-    batch: int = DEFAULT_BATCH,
 ) -> AblationTable:
     """Eight rows: four purification configs, each with weights off (all
     1.0) and on, at fixed thresholds."""
@@ -313,7 +314,7 @@ def run_ablation(
             staged = purify_mi(staged, theta2)
         for weights_on in (False, True):
             repo = compute_weights(staged, theta1) if weights_on else staged
-            table = _score_targets(targets, repo, mode, batch)
+            table = _score_targets(targets, repo, mode)
             result = metrics_from_counts(_counts_at(table, manifest, theta3))
             rows.append(
                 AblationRow(
@@ -658,23 +659,21 @@ class StageTimings:
 def time_stages(
     tpl_docs,
     *,
-    theta1: float = 0.8,
-    theta2: float = 0.2,
+    theta1: float = DEFAULT_THETA1,
+    theta2: float = DEFAULT_THETA2,
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
 ):
-    """Wall-clock building the origin and the three purification stages
-    over it; returns (timings, final repository)."""
+    """Wall-clock each step of `build_steps` with every stage: the origin
+    and the three purification stages; returns (timings, final
+    repository)."""
+    seconds = {}
     t0 = time.perf_counter()
-    origin = build_origin(list(tpl_docs), theta1=theta1, theta2=theta2, dim=dim, seed=seed)
-    t1 = time.perf_counter()
-    repo = purify_export(origin)
-    t2 = time.perf_counter()
-    repo = purify_mi(repo, theta2)
-    t3 = time.perf_counter()
-    repo = compute_weights(repo, theta1)
-    t4 = time.perf_counter()
-    return StageTimings(t2 - t1, t3 - t2, t4 - t3, origin_s=t1 - t0), repo
+    for stage, repo in build_steps(tpl_docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed):
+        t1 = time.perf_counter()
+        seconds[stage + "_s"] = t1 - t0
+        t0 = t1
+    return StageTimings(**seconds), repo
 
 
 _TIMING_FIELDS = ("origin_s", "export_s", "mi_s", "weights_s")

@@ -41,6 +41,9 @@ ALL_STAGES = (STAGE_EXPORT, STAGE_MI, STAGE_WEIGHTS)
 
 EMBEDDER_EXTERNAL = "external"
 
+DEFAULT_THETA1 = 0.8  # similarity at which two functions count as the same
+DEFAULT_THETA2 = 0.2  # population fraction the complexity filter may keep
+
 
 @dataclass(eq=False)
 class FunctionFeature:
@@ -70,8 +73,8 @@ class FunctionFeature:
 
 @dataclass(frozen=True)
 class RepoConfig:
-    theta1: float = 0.8
-    theta2: float = 0.2
+    theta1: float = DEFAULT_THETA1
+    theta2: float = DEFAULT_THETA2
     dim: int = DEFAULT_DIM
     embedder: str = HashedNgramEmbedder.name
     seed: int = DEFAULT_SEED
@@ -120,8 +123,8 @@ def _leave_percent(count: int, origin: int) -> float:
 def build_origin(
     docs: Iterable[BinaryDocument],
     *,
-    theta1: float = 0.8,
-    theta2: float = 0.2,
+    theta1: float = DEFAULT_THETA1,
+    theta2: float = DEFAULT_THETA2,
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
     vectors: Mapping = None,
@@ -293,36 +296,47 @@ def compute_weights(repo: TplRepository, theta1: float = None) -> TplRepository:
     return TplRepository(libraries, config, list(repo.stats))
 
 
-def build_repository(
+def build_steps(
     docs: Iterable[BinaryDocument],
     *,
-    theta1: float = 0.8,
-    theta2: float = 0.2,
+    theta1: float = DEFAULT_THETA1,
+    theta2: float = DEFAULT_THETA2,
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
     stages: Iterable[str] = ALL_STAGES,
     vectors: Mapping = None,
-) -> TplRepository:
-    """Origin extraction plus the requested purification stages, applied in
-    canonical order (export, then complexity filter, then weights)."""
+):
+    """Yield ("origin", repository), then (stage, repository) after each
+    requested stage, in canonical order: export, then complexity filter,
+    then weights.
+
+    Each stage reads its threshold from the origin's config, so a caller
+    only times or inspects the steps; the last one is the repository.
+    """
     stages = tuple(stages)
     unknown = set(stages) - set(ALL_STAGES)
     if unknown:
         raise ConfigError("unknown stages: %s" % sorted(unknown))
     repo = build_origin(
-        docs,
-        theta1=theta1,
-        theta2=theta2,
-        dim=dim,
-        seed=seed,
-        vectors=vectors,
+        docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed, vectors=vectors,
     )
+    yield "origin", repo
     if STAGE_EXPORT in stages:
         repo = purify_export(repo)
+        yield STAGE_EXPORT, repo
     if STAGE_MI in stages:
         repo = purify_mi(repo)
+        yield STAGE_MI, repo
     if STAGE_WEIGHTS in stages:
         repo = compute_weights(repo)
+        yield STAGE_WEIGHTS, repo
+
+
+def build_repository(docs: Iterable[BinaryDocument], **options) -> TplRepository:
+    """The last step of `build_steps(docs, **options)`: origin extraction
+    plus the requested stages."""
+    for _, repo in build_steps(docs, **options):
+        pass
     return repo
 
 

@@ -6,7 +6,16 @@ import zlib
 import numpy as np
 import pytest
 
-from libsift import ConfigError, load_manifest, load_repository, read_reports, score_metrics
+from libsift import (
+    ConfigError,
+    build_repository,
+    load_document,
+    load_manifest,
+    load_repository,
+    read_reports,
+    save_repository,
+    score_metrics,
+)
 from libsift import cli
 from libsift.cli import PipelineConfig, main
 
@@ -91,6 +100,22 @@ def test_build_stage_selection(corpus_dir, tmp_path):
     assert load_repository(out2).config.stages == ("export", "weights")
 
 
+@pytest.mark.parametrize("stages", ["none", "export", "mi", "weights", "weights,export", None])
+def test_build_writes_what_build_repository_builds(corpus_dir, tmp_path, stages):
+    out = tmp_path / "cli.lsr"
+    flags = [] if stages is None else ["--stages", stages]
+    assert main([
+        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
+        "--dim", "64", "--theta1", "0.9", "--theta2", "0.4", "--quiet",
+    ] + flags) == 0
+    docs = (load_document(corpus_dir / "tpls" / name)
+            for name in sorted(os.listdir(corpus_dir / "tpls")))
+    kwargs = {} if stages is None else {"stages": cli._parse_stages(stages)}
+    api = tmp_path / "api.lsr"
+    save_repository(build_repository(docs, dim=64, theta1=0.9, theta2=0.4, **kwargs), api)
+    assert out.read_bytes() == api.read_bytes()
+
+
 def test_build_prints_stage_table(corpus_dir, tmp_path, capsys):
     out = tmp_path / "r.lsr"
     assert main([
@@ -134,6 +159,7 @@ def test_detect_reports_and_summary(corpus_dir, repo_path, tmp_path, capsys):
     ("detect", ["--dim", "192"]),
     ("detect", ["--seed", "3"]),
     ("detect", ["--jobs", "2"]),
+    ("detect", ["--batch", "4"]),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(corpus_dir, repo_path, tmp_path,
                                                         capsys, command, flag):
@@ -249,7 +275,7 @@ def test_exit_code_two_on_bad_config(corpus_dir, tmp_path, capsys):
     capsys.readouterr()
     cfg_path = tmp_path / "cfg.json"
     for bad in (b'{"theta1": "x"}', b'{"stages": 5}', b'{"stages": [["export"]]}',
-                b'{"dim": true}', b'\xff\xfe{}'):
+                b'{"dim": true}', b'{"batch": 4}', b'\xff\xfe{}'):
         cfg_path.write_bytes(bad)
         code = main([
             "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
@@ -259,6 +285,22 @@ def test_exit_code_two_on_bad_config(corpus_dir, tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_and_ablate_exit_one_on_a_target_missing_from_the_manifest(corpus_dir, tmp_path,
+                                                                         capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"bin000": ["lib000"]}))
+    for command in ("sweep", "ablate"):
+        out = tmp_path / (command + ".csv")
+        assert main([
+            command, "--tpls", str(corpus_dir / "tpls"),
+            "--targets", str(corpus_dir / "targets"), "--manifest", str(manifest),
+            "--out", str(out), "--dim", "64", "--quiet",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "missing from manifest" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_seed_outside_signed_64_bits_is_a_config_error(corpus_dir, tmp_path, capsys):
@@ -326,8 +368,6 @@ def _vector_file(path, doc_id, names, dim):
 
 def test_external_vectors_end_to_end(corpus_dir, tmp_path):
     # same name -> same vector, so planted copies still match exactly
-    from libsift import load_document
-
     dim = 32
     vec_dir = tmp_path / "vectors"
     vec_dir.mkdir()
@@ -367,8 +407,6 @@ def test_external_vectors_end_to_end(corpus_dir, tmp_path):
 
 def test_detect_refuses_vectors_for_a_hashed_repository(corpus_dir, repo_path, tmp_path,
                                                          capsys):
-    from libsift import load_document
-
     vec_dir = tmp_path / "vectors"
     vec_dir.mkdir()
     for fname in os.listdir(corpus_dir / "targets"):
@@ -390,8 +428,6 @@ def test_commands_parse_one_document_at_a_time(corpus_dir, repo_path, tmp_path, 
     # each document is dropped once it is used; while the next one is
     # parsed, loop variables may still name the previous one, and loading
     # every document first would keep all of them alive
-    from libsift import load_document
-
     vec_dir = tmp_path / "vectors"
     if command == "build-vectors":
         vec_dir.mkdir()

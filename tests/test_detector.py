@@ -22,7 +22,6 @@ from libsift import (
     detect,
     detect_many,
     read_reports,
-    score_pairwise,
     write_reports,
 )
 
@@ -174,12 +173,6 @@ def test_aggregate_rejects_bad_inputs():
         aggregate(np.zeros((1, 4)), ["q"], feats)
 
 
-def test_score_pairwise_is_weight_times_cosine():
-    f = _feature("f", [1.0, 0.0, 0.0, 0.0], 0.25)
-    v = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2)
-    assert score_pairwise(v, f) == pytest.approx(0.25 / math.sqrt(2), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end detection
 
@@ -199,7 +192,7 @@ def test_detect_full_copy_scores_near_one():
 def test_detect_entries_are_sorted_and_echo_config():
     docs = _corpus(seed=2)
     repo = build_repository(docs, dim=DIM, stages=("export", "weights"))
-    report = detect(_copy_target(docs[1]), repo, theta3=0.9, batch=32)
+    report = detect(_copy_target(docs[1]), repo, theta3=0.9)
     assert [e.library_id for e in report.entries] == ["lib000", "lib001", "lib002"]
     assert report.config == {
         "theta1": 0.8,
@@ -209,7 +202,7 @@ def test_detect_entries_are_sorted_and_echo_config():
         "dim": DIM,
         "embedder": repo.config.embedder,
         "seed": repo.config.seed,
-        "batch": 32,
+        "batch": 128,
     }
 
 

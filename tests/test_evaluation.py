@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import weakref
 
 import pytest
 
@@ -18,10 +19,12 @@ from libsift import (
     SweepCell,
     SweepGrid,
     SyntheticCorpusSpec,
+    ValidationError,
     build_repository,
     detect,
     generate_corpus,
     metrics_from_counts,
+    parse_document,
     random_reuse_plan,
     read_timings,
     run_ablation,
@@ -106,13 +109,13 @@ def test_score_metrics_missing_report_counts_as_missed():
 
 
 def test_score_metrics_rejects_unknown_binary():
-    with pytest.raises(ValueError, match="unknown binary"):
+    with pytest.raises(ValidationError, match="unknown binary"):
         score_metrics([_report("ghost", [])], {"b0": set()})
 
 
 def test_score_metrics_rejects_duplicate_reports():
     reports = [_report("b0", []), _report("b0", [])]
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValidationError, match="duplicate"):
         score_metrics(reports, {"b0": set()})
 
 
@@ -292,7 +295,7 @@ def test_sweep_validates_inputs():
         sweep(tpl_docs, target_docs, manifest, theta1_values=())
     with pytest.raises(ConfigError, match="mode"):
         sweep(tpl_docs, target_docs, manifest, mode="vote")
-    with pytest.raises(ValueError, match="missing from manifest"):
+    with pytest.raises(ValidationError, match="missing from manifest"):
         sweep(tpl_docs, target_docs, {"bin000": {"lib000"}})
 
 
@@ -433,6 +436,25 @@ def test_time_stages_returns_positive_durations():
         timings.export_s + timings.mi_s + timings.weights_s
     )
     assert repo.config.stages == ("export", "mi", "weights")
+
+
+def test_time_stages_holds_at_most_two_parsed_documents():
+    # while the next document is parsed, the loop over the previous one
+    # may still name it; materializing the input would keep every one alive
+    tpl_docs, _, _ = generate_corpus(_mini_spec(library_count=5, planted_reuse={}))
+    data = [serialize_document(doc) for doc in tpl_docs]
+    parsed, alive_at_parse = [], []
+
+    def lazy():
+        for blob in data:
+            alive_at_parse.append(sum(ref() is not None for ref in parsed))
+            doc = parse_document(blob)
+            parsed.append(weakref.ref(doc))
+            yield doc
+
+    _, repo = time_stages(lazy(), dim=64)
+    assert len(parsed) == 5 and len(repo.libraries) == 5
+    assert max(alive_at_parse) <= 2, alive_at_parse
 
 
 def test_timings_round_trip(tmp_path):
