@@ -14,16 +14,16 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .detector import (
     AGG_WEIGHTED_MEAN,
     AGGREGATION_MODES,
     DEFAULT_THETA3,
+    check_scoring,
     detect,
     write_reports,
 )
-from .embedding import DEFAULT_DIM, DEFAULT_SEED, MAX_SEED, MIN_SEED, import_embeddings
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, import_embeddings
 from .errors import ConfigError, LibsiftError
 from .evaluation import (
     DEFAULT_THETA1_GRID,
@@ -50,40 +50,15 @@ from .repository import (
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Effective thresholds and knobs after merging defaults, the config
-    file, and explicit flags (flags win)."""
-    theta1: float = DEFAULT_THETA1
-    theta2: float = DEFAULT_THETA2
-    theta3: float = DEFAULT_THETA3
-    dim: int = DEFAULT_DIM
-    mode: str = AGG_WEIGHTED_MEAN
-    seed: int = DEFAULT_SEED
-    stages: tuple = ALL_STAGES
-
-    def validate(self) -> None:
-        if not -1.0 <= self.theta1 <= 1.0:
-            raise ConfigError("theta1 must be in [-1, 1]")
-        if not 0.0 < self.theta2 <= 1.0:
-            raise ConfigError("theta2 must be in (0, 1]")
-        if not -1.0 <= self.theta3 <= 1.0:
-            raise ConfigError("theta3 must be in [-1, 1]")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
-        if not MIN_SEED <= self.seed <= MAX_SEED:
-            raise ConfigError("seed must be a signed 64-bit integer")
-        if self.mode not in AGGREGATION_MODES:
-            raise ConfigError("unknown aggregation mode %r" % self.mode)
-        unknown = set(self.stages) - set(ALL_STAGES)
-        if unknown:
-            raise ConfigError("unknown stages: %s" % sorted(unknown))
-
-
-# config-file key -> the JSON type its value must have (never a bool)
-_CONFIG_KEYS = {
-    "theta1": (int, float), "theta2": (int, float), "theta3": (int, float),
-    "dim": int, "mode": str, "seed": int, "stages": list,
+# setting -> (default, the JSON type of its config-file value; never a bool)
+_SETTINGS = {
+    "theta1": (DEFAULT_THETA1, (int, float)),
+    "theta2": (DEFAULT_THETA2, (int, float)),
+    "theta3": (DEFAULT_THETA3, (int, float)),
+    "dim": (DEFAULT_DIM, int),
+    "mode": (AGG_WEIGHTED_MEAN, str),
+    "seed": (DEFAULT_SEED, int),
+    "stages": (ALL_STAGES, list),
 }
 
 
@@ -99,11 +74,11 @@ def _load_config_file(path) -> dict:
         raise ConfigError("config file %s is nested too deeply" % path) from None
     if not isinstance(raw, dict):
         raise ConfigError("config file %s must hold a JSON object" % path)
-    unknown = set(raw) - set(_CONFIG_KEYS)
+    unknown = set(raw) - set(_SETTINGS)
     if unknown:
         raise ConfigError("config file %s has unknown keys: %s" % (path, sorted(unknown)))
     for key, value in raw.items():
-        if (not isinstance(value, _CONFIG_KEYS[key]) or isinstance(value, bool)
+        if (not isinstance(value, _SETTINGS[key][1]) or isinstance(value, bool)
                 or (key == "stages" and not all(isinstance(v, str) for v in value))):
             raise ConfigError("config file %s: %r has the wrong type" % (path, key))
     if "stages" in raw:
@@ -111,18 +86,17 @@ def _load_config_file(path) -> dict:
     return raw
 
 
-def resolve_config(args) -> PipelineConfig:
-    """defaults < config file < flags, with range validation."""
-    merged = {}
+def resolve_config(args) -> argparse.Namespace:
+    """defaults < config file < flags; the library call that takes a
+    setting checks its range."""
+    merged = {key: default for key, (default, _) in _SETTINGS.items()}
     if getattr(args, "config", None):
         merged.update(_load_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = tuple(value) if key == "stages" else value
-    cfg = PipelineConfig(**merged)
-    cfg.validate()
-    return cfg
+    return argparse.Namespace(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +147,13 @@ def _write_meta(path, payload: dict) -> None:
 
 
 def _parse_grid(text: str) -> tuple:
+    """A grid flag's values; `sweep` checks their ranges."""
     try:
         values = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise ConfigError("bad grid %r; expected comma-separated floats" % text)
+        values = ()
     if not values:
-        raise ConfigError("bad grid %r; expected comma-separated floats" % text)
+        raise argparse.ArgumentTypeError("bad grid %r; expected comma-separated floats" % text)
     return values
 
 
@@ -277,6 +252,7 @@ def cmd_build(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = resolve_config(args)
+    check_scoring(cfg.mode, cfg.theta3)
     repo = load_repository(args.repo)
     reports = []
     for doc in _load_docs(args.targets):

@@ -64,6 +64,16 @@ class DetectionReport:
         return {e.library_id for e in self.entries if e.decision}
 
 
+def check_scoring(mode: str, *theta3_values) -> None:
+    """The one check of an aggregation mode and of reuse thresholds; every
+    scoring entry point calls it before it reads a document."""
+    if mode not in AGGREGATION_MODES:
+        raise ConfigError("unknown aggregation mode %r" % (mode,))
+    for theta3 in theta3_values:
+        if not -1.0 <= theta3 <= 1.0:
+            raise ConfigError("theta3 must be in [-1, 1]")
+
+
 def _unit_rows(mat) -> np.ndarray:
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=1)
@@ -77,8 +87,7 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
 
     Evidence contributions always sum to the unnormalized aggregate.
     """
-    if mode not in AGGREGATION_MODES:
-        raise ConfigError("unknown aggregation mode %r" % mode)
+    check_scoring(mode)
     features = list(features)
     bin_vectors = np.asarray(bin_vectors, dtype=np.float64)
     if len(features) == 0 or bin_vectors.shape[0] == 0:
@@ -190,11 +199,7 @@ def detect(
     `vectors` maps function name -> embedding for the target; required when
     the repository was built from external vectors and refused otherwise.
     """
-    if mode not in AGGREGATION_MODES:
-        raise ConfigError("unknown aggregation mode %r" % mode)
-    if not -1.0 <= theta3 <= 1.0:
-        raise ConfigError("theta3 must be in [-1, 1]")
-
+    check_scoring(mode, theta3)
     echo = {
         "theta1": repo.config.theta1,
         "theta2": repo.config.theta2,

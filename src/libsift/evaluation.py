@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 
 from .detector import (
     AGG_WEIGHTED_MEAN,
-    AGGREGATION_MODES,
     DEFAULT_THETA3,
+    check_scoring,
     embed_target,
     score_libraries,
 )
@@ -34,6 +34,7 @@ from .repository import (
     DEFAULT_THETA2,
     STAGE_EXPORT,
     STAGE_MI,
+    RepoConfig,
     TplRepository,
     build_origin,
     build_steps,
@@ -116,11 +117,11 @@ def score_metrics(reports, manifest: Mapping) -> EvalResult:
 # ---------------------------------------------------------------------------
 # shared scoring plumbing: detect's embedding and per-library loop
 
-def _origin_and_targets(tpl_docs, target_docs, manifest, dim, seed):
+def _origin_and_targets(tpl_docs, target_docs, manifest, **options):
     """The origin repository and every embedded target, taking one document
     at a time; thresholds never change embeddings, so sweep and ablation
     only rescore these.  Every target must be in the manifest."""
-    origin = build_origin(tpl_docs, dim=dim, seed=seed)
+    origin = build_origin(tpl_docs, **options)
     targets = []
     for doc in target_docs:
         if doc.binary_id not in manifest:
@@ -208,13 +209,16 @@ def sweep(
 
     Embeddings are computed once (they do not depend on thresholds);
     purification and weights are rebuilt per (theta1, theta2); theta3 only
-    re-thresholds the cached aggregate scores.
+    re-thresholds the cached aggregate scores.  Every grid value is checked
+    before the first document is read.
     """
     if not theta1_values or not theta2_values or not theta3_values:
         raise ConfigError("sweep grids must be non-empty")
-    if mode not in AGGREGATION_MODES:
-        raise ConfigError("unknown aggregation mode %r" % mode)
-    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, dim, seed)
+    check_scoring(mode, *theta3_values)
+    for t1 in theta1_values:
+        for t2 in theta2_values:
+            RepoConfig(theta1=t1, theta2=t2, dim=dim, seed=seed)
+    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, dim=dim, seed=seed)
     exported = purify_export(origin)
 
     cells = []
@@ -302,8 +306,11 @@ def run_ablation(
     mode: str = AGG_WEIGHTED_MEAN,
 ) -> AblationTable:
     """Eight rows: four purification configs, each with weights off (all
-    1.0) and on, at fixed thresholds."""
-    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, dim, seed)
+    1.0) and on, at fixed thresholds; every stage reads theta1 and theta2
+    from the origin's config."""
+    check_scoring(mode, theta3)
+    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, theta1=theta1,
+                                          theta2=theta2, dim=dim, seed=seed)
 
     rows = []
     for label, stages in ABLATION_CONFIGS:
@@ -311,9 +318,9 @@ def run_ablation(
         if STAGE_EXPORT in stages:
             staged = purify_export(staged)
         if STAGE_MI in stages:
-            staged = purify_mi(staged, theta2)
+            staged = purify_mi(staged)
         for weights_on in (False, True):
-            repo = compute_weights(staged, theta1) if weights_on else staged
+            repo = compute_weights(staged) if weights_on else staged
             table = _score_targets(targets, repo, mode)
             result = metrics_from_counts(_counts_at(table, manifest, theta3))
             rows.append(
@@ -525,6 +532,9 @@ def random_reuse_plan(
 ) -> dict:
     """Deterministic random plan: each binary reuses min..max libraries at
     one uniform fraction."""
+    if not library_ids or not 0 <= min_libs <= min(max_libs, len(library_ids)):
+        raise ConfigError("min_libs must be in [0, min(max_libs, %d libraries)]"
+                          % len(library_ids))
     plan = {}
     for bin_id in binary_ids:
         k = rng.randint(min_libs, min(max_libs, len(library_ids)))

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedNgramEmbedder, function_vectors
+from .embedding import MAX_SEED, MIN_SEED
 from .errors import (
     ConfigError,
     ParseError,
@@ -80,6 +81,17 @@ class RepoConfig:
     seed: int = DEFAULT_SEED
     stages: tuple = ()
 
+    def __post_init__(self):
+        """The only range check of theta1, theta2, dim and seed."""
+        if not -1.0 <= self.theta1 <= 1.0:
+            raise ConfigError("theta1 must be in [-1, 1]")
+        if not 0.0 < self.theta2 <= 1.0:
+            raise ConfigError("theta2 must be in (0, 1]")
+        if self.dim < 1:
+            raise ConfigError("dim must be >= 1")
+        if not MIN_SEED <= self.seed <= MAX_SEED:
+            raise ConfigError("seed must be a signed 64-bit integer")
+
 
 @dataclass(frozen=True)
 class StageStats:
@@ -137,6 +149,13 @@ def build_origin(
     embedder for (dim, seed) embeds every library.  Documents are taken one
     at a time, so `docs` may parse them lazily.
     """
+    config = RepoConfig(
+        theta1=theta1,
+        theta2=theta2,
+        dim=dim,
+        embedder=HashedNgramEmbedder.name if vectors is None else EMBEDDER_EXTERNAL,
+        seed=seed,
+    )
     libraries = {}
     for doc in docs:
         if doc.kind != "tpl":
@@ -161,13 +180,6 @@ def build_origin(
     if not libraries:
         raise RepositoryError("empty corpus: no library documents")
 
-    config = RepoConfig(
-        theta1=theta1,
-        theta2=theta2,
-        dim=dim,
-        embedder=HashedNgramEmbedder.name if vectors is None else EMBEDDER_EXTERNAL,
-        seed=seed,
-    )
     repo = TplRepository(libraries, config, [])
     repo.stats.append(StageStats("origin", repo.feature_count(), 1.0))
     return repo
@@ -208,10 +220,11 @@ def purify_mi(repo: TplRepository, theta2: float = None) -> TplRepository:
     fraction stays within theta2; functions AT the cutoff are dropped too,
     so retention can undershoot theta2 when values tie.
     """
-    if theta2 is None:
-        theta2 = repo.config.theta2
-    if not 0.0 < theta2 <= 1.0:
-        raise ConfigError("theta2 must be in (0, 1]")
+    config = replace(
+        repo.config,
+        theta2=repo.config.theta2 if theta2 is None else theta2,
+        stages=repo.config.stages + (STAGE_MI,),
+    )
     _require_stage_unapplied(repo, STAGE_MI)
 
     values = np.array(
@@ -226,7 +239,7 @@ def purify_mi(repo: TplRepository, theta2: float = None) -> TplRepository:
         ordered = np.sort(values)
         distinct = np.unique(values)
         below = np.searchsorted(ordered, distinct, side="left")
-        eligible = distinct[below / values.size <= theta2]
+        eligible = distinct[below / values.size <= config.theta2]
         m_star = float(eligible[-1])  # below[0] == 0, so this always exists
         for lib_id, feats in repo.libraries.items():
             libraries[lib_id] = [f for f in feats if f.profile.mi < m_star]
@@ -235,11 +248,6 @@ def purify_mi(repo: TplRepository, theta2: float = None) -> TplRepository:
                 "complexity filter retained nothing (all values tie at the cutoff)"
             )
 
-    config = replace(
-        repo.config,
-        theta2=theta2,
-        stages=repo.config.stages + (STAGE_MI,),
-    )
     stats = list(repo.stats)
     count = sum(len(v) for v in libraries.values())
     stats.append(
@@ -257,8 +265,11 @@ def compute_weights(repo: TplRepository, theta1: float = None) -> TplRepository:
     library count taken over ALL libraries, including purification-emptied
     ones.
     """
-    if theta1 is None:
-        theta1 = repo.config.theta1
+    config = replace(
+        repo.config,
+        theta1=repo.config.theta1 if theta1 is None else theta1,
+        stages=repo.config.stages + (STAGE_WEIGHTS,),
+    )
     _require_stage_unapplied(repo, STAGE_WEIGHTS)
 
     nonempty = [(lib_id, feats) for lib_id, feats in repo.libraries.items() if feats]
@@ -271,7 +282,7 @@ def compute_weights(repo: TplRepository, theta1: float = None) -> TplRepository:
         lib_ids = np.concatenate(
             [np.full(len(feats), i, dtype=np.int64) for i, (_, feats) in enumerate(nonempty)]
         )
-        n_arr, df_arr = _kernels.theta_counts(stack, lib_ids, len(nonempty), theta1)
+        n_arr, df_arr = _kernels.theta_counts(stack, lib_ids, len(nonempty), config.theta1)
         pos = 0
         for lib_id, feats in nonempty:
             size = len(feats)
@@ -287,12 +298,6 @@ def compute_weights(repo: TplRepository, theta1: float = None) -> TplRepository:
             pos += size
     else:
         log.warning("weighting ran on an empty repository")
-
-    config = replace(
-        repo.config,
-        theta1=theta1,
-        stages=repo.config.stages + (STAGE_WEIGHTS,),
-    )
     return TplRepository(libraries, config, list(repo.stats))
 
 
@@ -457,16 +462,17 @@ def _read_header(header):
     stages = _field(cfg, "stages", list)
     if not all(isinstance(stage, str) for stage in stages):
         raise RepositoryError("repository header field 'stages' has the wrong type")
-    config = RepoConfig(
-        theta1=_field(cfg, "theta1", _NUMBER),
-        theta2=_field(cfg, "theta2", _NUMBER),
-        dim=_field(cfg, "dim", int),
-        embedder=_field(cfg, "embedder", str),
-        seed=_field(cfg, "seed", int),
-        stages=tuple(stages),
-    )
-    if config.dim < 1:
-        raise RepositoryError("repository dimension must be >= 1")
+    try:
+        config = RepoConfig(
+            theta1=_field(cfg, "theta1", _NUMBER),
+            theta2=_field(cfg, "theta2", _NUMBER),
+            dim=_field(cfg, "dim", int),
+            embedder=_field(cfg, "embedder", str),
+            seed=_field(cfg, "seed", int),
+            stages=tuple(stages),
+        )
+    except ConfigError as exc:
+        raise RepositoryError("repository header config: %s" % exc) from None
     stats = [
         StageStats(
             _field(s, "stage", str),

@@ -8,6 +8,7 @@ import pytest
 
 from libsift import (
     ConfigError,
+    RepoConfig,
     build_repository,
     load_document,
     load_manifest,
@@ -17,7 +18,7 @@ from libsift import (
     score_metrics,
 )
 from libsift import cli
-from libsift.cli import PipelineConfig, main
+from libsift.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -304,11 +305,11 @@ def test_sweep_and_ablate_exit_one_on_a_target_missing_from_the_manifest(corpus_
 
 
 def test_seed_outside_signed_64_bits_is_a_config_error(corpus_dir, tmp_path, capsys):
-    PipelineConfig(seed=-(2 ** 63)).validate()
-    PipelineConfig(seed=2 ** 63 - 1).validate()
+    RepoConfig(seed=-(2 ** 63))
+    RepoConfig(seed=2 ** 63 - 1)
     for seed in (2 ** 63, -(2 ** 63) - 1):
         with pytest.raises(ConfigError, match="seed"):
-            PipelineConfig(seed=seed).validate()
+            RepoConfig(seed=seed)
     out = tmp_path / "r.lsr"
     assert main(["build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
                  "--seed", "100000000000000000000", "--quiet"]) == 2

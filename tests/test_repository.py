@@ -387,10 +387,10 @@ def test_compute_weights_matches_double_loop():
             assert f.weight == pytest.approx(w, abs=1e-12)
 
 
-def test_compute_weights_self_only_when_theta1_above_one():
+def test_compute_weights_self_only_when_theta1_is_one():
     docs = _small_corpus(seed=2)
     repo = build_origin(docs, dim=DIM)
-    weighted = compute_weights(repo, 1.5)
+    weighted = compute_weights(repo, 1.0)
     for lib_id, feats in weighted.libraries.items():
         size = len(feats)
         for f in feats:

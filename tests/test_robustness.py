@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from libsift import (
@@ -23,18 +23,23 @@ from libsift import (
     RepositoryError,
     build_origin,
     build_repository,
+    compute_weights,
     detect,
     import_embeddings,
     load_manifest,
     load_repository,
     parse_document,
+    purify_mi,
     read_reports,
     read_timings,
+    run_ablation,
     save_manifest,
     save_repository,
     serialize_document,
+    sweep,
     write_reports,
 )
+from libsift import cli
 from libsift.cli import build_parser, main, resolve_config
 
 from corpora import random_document
@@ -350,3 +355,138 @@ def test_load_repository_raises_only_libsift_errors_on_mutated_headers(scratch, 
     header = data.draw(_edits(valid_lsr[12 : 12 + header_len]))
     (scratch / "in.lsr").write_bytes(_rewrite_header(valid_lsr, header))
     _only_libsift_errors(load_repository, scratch / "in.lsr")
+
+
+# ---------------------------------------------------------------------------
+# one range check per setting, whichever entry point or command takes it
+
+_BAD_SETTINGS = [
+    ("theta1", 1.5), ("theta1", float("nan")), ("theta1", float("inf")),
+    ("theta2", 0.0), ("theta2", 1.5), ("theta2", float("nan")),
+    ("theta3", 1.5), ("theta3", float("nan")),
+    ("seed", 2 ** 63), ("dim", 0),
+]
+_GRIDS = ("theta1", "theta2", "theta3")
+
+
+def _entry_points(setting, value, reads):
+    """name -> call for every library entry point that takes `setting`;
+    the calls that parse documents append each one they take to `reads`."""
+    libs = [_library("liba", 0), _library("libb", 1)]
+    target = _target(libs)
+    manifest = {"bin": {"liba", "libb"}}
+
+    def docs(items):
+        for doc in items:
+            reads.append(doc.binary_id)
+            yield doc
+
+    opts = {"dim": DIM, setting: value}
+    grids = {"theta1_values": (0.8,), "theta2_values": (0.4,), "theta3_values": (0.9,), "dim": DIM}
+    if setting in _GRIDS:
+        grids[setting + "_values"] = (0.5, value)
+    else:
+        grids[setting] = value
+    calls = {
+        "sweep": lambda: sweep(docs(libs), docs([target]), manifest, **grids),
+        "run_ablation": lambda: run_ablation(docs(libs), docs([target]), manifest, **opts),
+    }
+    if setting == "theta3":
+        repo = build_repository(libs, dim=DIM)
+        calls["detect"] = lambda: detect(target, repo, theta3=value)
+    else:
+        calls["build_repository"] = lambda: build_repository(docs(libs), **opts)
+        calls["build_repository(stages=())"] = lambda: build_repository(
+            docs(libs), stages=(), **opts)
+    if setting == "theta1":
+        calls["compute_weights"] = lambda: compute_weights(build_origin(libs, dim=DIM), value)
+    if setting == "theta2":
+        calls["purify_mi"] = lambda: purify_mi(build_origin(libs, dim=DIM), value)
+    return calls
+
+
+@pytest.mark.parametrize("setting,value", _BAD_SETTINGS)
+def test_every_entry_point_refuses_an_out_of_range_setting(setting, value):
+    reads = []
+    for name, call in _entry_points(setting, value, reads).items():
+        reads.clear()
+        with pytest.raises(ConfigError, match=setting):
+            call()
+        assert reads == [], "%s read a document before checking %s" % (name, setting)
+
+
+_SETTING_COMMANDS = {
+    "build": ("build --tpls {d}/tpls --out {d}/out --quiet", ("theta1", "theta2", "dim", "seed")),
+    "detect": ("detect --repo {d}/repo.lsr --targets {d}/targets --out {d}/out --quiet",
+               ("theta3",)),
+    "sweep": ("sweep --tpls {d}/tpls --targets {d}/targets --manifest {d}/manifest.json "
+              "--out {d}/out --theta1-grid 0.8 --theta2-grid 0.4 --theta3-grid 0.9 --quiet",
+              _GRIDS + ("dim", "seed")),
+    "ablate": ("ablate --tpls {d}/tpls --targets {d}/targets --manifest {d}/manifest.json "
+               "--out {d}/out --quiet", _GRIDS + ("dim", "seed")),
+}
+
+
+@pytest.mark.parametrize("command,setting,value", [
+    (command, setting, value) for command, (_, taken) in sorted(_SETTING_COMMANDS.items())
+    for setting, value in _BAD_SETTINGS if setting in taken
+])
+def test_every_command_refuses_an_out_of_range_setting_before_parsing(
+        command, setting, value, cli_inputs, monkeypatch, capsys):
+    base = _SETTING_COMMANDS[command][0]
+    parsed = []
+    monkeypatch.setattr(cli, "load_document", lambda path: parsed.append(path))
+    flag = setting + "-grid" if command == "sweep" and setting in _GRIDS else setting
+    argv = base.format(d=cli_inputs).split() + ["--%s=%r" % (flag, value)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and setting in err and "Traceback" not in err
+    assert parsed == []
+    assert not list(cli_inputs.glob("out*"))
+
+
+@pytest.mark.parametrize("setting,value", [("theta1", float("nan")), ("theta1", 5),
+                                           ("theta2", 0), ("dim", 0), ("seed", 2 ** 63)])
+def test_load_repository_refuses_an_out_of_range_header_config(setting, value, tmp_path):
+    path = tmp_path / "repo.lsr"
+    data = _saved_repository(path)
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12 : 12 + header_len])
+    header["config"][setting] = value
+    path.write_bytes(_rewrite_header(data, json.dumps(header).encode()))
+    with pytest.raises(RepositoryError, match=setting):
+        load_repository(path)
+
+
+@pytest.mark.parametrize("args", [
+    "sweep --tpls {d}/tpls --targets {d}/targets --manifest {d}/manifest.json "
+    "--out {d}/out --theta1-grid abc",
+    "sweep --tpls {d}/tpls --targets {d}/targets --manifest {d}/manifest.json "
+    "--out {d}/out --theta3-grid ,",
+    "gen --out {d}/out --min-libs 3 --max-libs 1",
+    "gen --out {d}/out --libraries 0",
+])
+def test_bad_grid_and_gen_flags_exit_two_without_a_traceback(args, cli_inputs, capsys):
+    assert main(args.format(d=cli_inputs).split()) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(cli_inputs.glob("out*"))
+
+
+_NUMBER_TEXT = st.one_of(st.floats(-1, 1).map(repr), st.floats().map(repr), st.text(max_size=8))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(
+    st.tuples(st.sampled_from([("build", "theta1"), ("build", "theta2"), ("detect", "theta3"),
+                               ("ablate", "theta1"), ("ablate", "theta3")]), _NUMBER_TEXT),
+    st.tuples(st.sampled_from([("sweep", "theta1-grid"), ("sweep", "theta2-grid"),
+                               ("sweep", "theta3-grid")]),
+              st.one_of(st.lists(_NUMBER_TEXT, max_size=3).map(",".join), st.text(max_size=12))),
+))
+def test_cli_flag_values_never_end_in_a_traceback(case, cli_inputs, capsys):
+    (command, flag), value = case
+    argv = _SETTING_COMMANDS[command][0].format(d=cli_inputs).split()
+    assert main(argv + ["--%s=%s" % (flag, value)]) in (0, 1, 2)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
