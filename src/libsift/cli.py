@@ -8,6 +8,7 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -47,18 +48,34 @@ from .repository import (
     save_repository,
 )
 
-log = logging.getLogger(__name__)
+
+def _parse_stages(text: str) -> tuple:
+    if text == "none":
+        return ()
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-# setting -> (default, the JSON type of its config-file value; never a bool)
+# setting -> (default, the JSON type of its config-file value (never a bool),
+# its flag's argparse settings); a flag defaults to None so that
+# `resolve_config` can tell a given flag from an absent one
 _SETTINGS = {
-    "theta1": (DEFAULT_THETA1, (int, float)),
-    "theta2": (DEFAULT_THETA2, (int, float)),
-    "theta3": (DEFAULT_THETA3, (int, float)),
-    "dim": (DEFAULT_DIM, int),
-    "mode": (AGG_WEIGHTED_MEAN, str),
-    "seed": (DEFAULT_SEED, int),
-    "stages": (ALL_STAGES, list),
+    "theta1": (DEFAULT_THETA1, (int, float), {"type": float}),
+    "theta2": (DEFAULT_THETA2, (int, float), {"type": float}),
+    "theta3": (DEFAULT_THETA3, (int, float), {"type": float}),
+    "dim": (DEFAULT_DIM, int, {"type": int}),
+    "mode": (AGG_WEIGHTED_MEAN, str, {"choices": AGGREGATION_MODES}),
+    "seed": (DEFAULT_SEED, int, {"type": int}),
+    "stages": (ALL_STAGES, list, {"type": _parse_stages,
+                                  "help": "comma list of export,mi,weights or 'none'"}),
+}
+
+# command -> the settings it reads: its flags, the keywords of its library
+# call and, for sweep and ablate, its sidecar
+_READS = {
+    "build": ("theta1", "theta2", "dim", "seed", "stages"),
+    "detect": ("theta3", "mode"),
+    "sweep": ("dim", "seed", "mode"),
+    "ablate": ("theta1", "theta2", "theta3", "dim", "seed", "mode"),
 }
 
 
@@ -86,17 +103,19 @@ def _load_config_file(path) -> dict:
     return raw
 
 
-def resolve_config(args) -> argparse.Namespace:
-    """defaults < config file < flags; the library call that takes a
-    setting checks its range."""
-    merged = {key: default for key, (default, _) in _SETTINGS.items()}
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
-    for key in _SETTINGS:
-        value = getattr(args, key, None)
+def resolve_config(args) -> dict:
+    """The settings `args.command` reads: defaults < config file < flags.
+    The library call that takes a setting checks its range."""
+    names = _READS[args.command]
+    merged = {name: _SETTINGS[name][0] for name in names}
+    if args.config:
+        from_file = _load_config_file(args.config)
+        merged.update((name, from_file[name]) for name in names if name in from_file)
+    for name in names:
+        value = getattr(args, name)
         if value is not None:
-            merged[key] = tuple(value) if key == "stages" else value
-    return argparse.Namespace(**merged)
+            merged[name] = value
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +176,27 @@ def _parse_grid(text: str) -> tuple:
     return values
 
 
-def _parse_stages(text: str) -> tuple:
-    if text == "none":
-        return ()
-    return tuple(part.strip() for part in text.split(",") if part.strip())
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen(args) -> int:
-    rng = random.Random(args.seed)
-    lib_ids = ["lib%03d" % i for i in range(args.libraries)]
-    bin_ids = ["bin%03d" % i for i in range(args.targets)]
-    plan = random_reuse_plan(
-        rng, bin_ids, lib_ids,
-        min_libs=args.min_libs, max_libs=args.max_libs,
-        min_fraction=args.min_fraction, max_fraction=args.max_fraction,
-    )
+    if args.targets < 0:
+        raise ConfigError("--targets must be >= 0")
     spec = SyntheticCorpusSpec(
         library_count=args.libraries,
         functions_per_library=args.functions,
         clone_rate=args.clone_rate,
         simple_fn_rate=args.simple_rate,
         export_rate=args.export_rate,
-        planted_reuse=plan,
         distractor_functions=args.distractors,
         rng_seed=args.seed,
     )
+    spec = dataclasses.replace(spec, planted_reuse=random_reuse_plan(
+        random.Random(args.seed), ["bin%03d" % i for i in range(args.targets)],
+        spec.library_ids(),
+        min_libs=args.min_libs, max_libs=args.max_libs,
+        min_fraction=args.min_fraction, max_fraction=args.max_fraction,
+    ))
     tpl_docs, target_docs, manifest = generate_corpus(spec)
 
     tpl_dir = os.path.join(args.out, "tpls")
@@ -196,23 +208,13 @@ def cmd_gen(args) -> int:
     for doc in target_docs:
         save_document(doc, os.path.join(target_dir, doc.binary_id + ".jsonl"))
     save_manifest(manifest, os.path.join(args.out, "manifest.json"))
+    payload = dataclasses.asdict(spec)
+    payload["planted_reuse"] = {
+        b: {"libraries": list(libs), "fraction": frac}
+        for b, (libs, frac) in spec.planted_reuse.items()
+    }
     with open(os.path.join(args.out, "corpus_spec.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "library_count": spec.library_count,
-                "functions_per_library": spec.functions_per_library,
-                "clone_rate": spec.clone_rate,
-                "simple_fn_rate": spec.simple_fn_rate,
-                "export_rate": spec.export_rate,
-                "distractor_functions": spec.distractor_functions,
-                "rng_seed": spec.rng_seed,
-                "planted_reuse": {
-                    b: {"libraries": list(libs), "fraction": frac}
-                    for b, (libs, frac) in sorted(plan.items())
-                },
-            },
-            fh, indent=2, sort_keys=True,
-        )
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _say(args, "wrote %d library docs, %d targets, manifest under %s",
          len(tpl_docs), len(target_docs), args.out)
@@ -225,14 +227,11 @@ def cmd_build(args) -> int:
     vectors = None
     if args.vectors_dir:
         vectors = {}
-        docs = _with_vector_table(docs, vectors, args.vectors_dir, cfg.dim)
+        docs = _with_vector_table(docs, vectors, args.vectors_dir, cfg["dim"])
 
     times = []
     t0 = time.perf_counter()
-    for stage, repo in build_steps(
-        docs, theta1=cfg.theta1, theta2=cfg.theta2, dim=cfg.dim,
-        seed=cfg.seed, stages=cfg.stages, vectors=vectors,
-    ):
+    for stage, repo in build_steps(docs, vectors=vectors, **cfg):
         t1 = time.perf_counter()
         times.append((stage, t1 - t0))
         t0 = t1
@@ -252,16 +251,14 @@ def cmd_build(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = resolve_config(args)
-    check_scoring(cfg.mode, cfg.theta3)
+    check_scoring(cfg["mode"], cfg["theta3"])
     repo = load_repository(args.repo)
     reports = []
     for doc in _load_docs(args.targets):
         vectors = None
         if args.vectors_dir:
             vectors = _vector_table(args.vectors_dir, doc, repo.config.dim)
-        reports.append(detect(
-            doc, repo, theta3=cfg.theta3, mode=cfg.mode, vectors=vectors,
-        ))
+        reports.append(detect(doc, repo, vectors=vectors, **cfg))
     reports.sort(key=lambda r: r.binary_id)
     write_reports(reports, args.out)
 
@@ -278,23 +275,20 @@ def cmd_detect(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
-    tpl_docs = _load_docs(args.tpls)
-    target_docs = _load_docs(args.targets)
-    manifest = load_manifest(args.manifest)
     grid = sweep(
-        tpl_docs, target_docs, manifest,
+        _load_docs(args.tpls), _load_docs(args.targets), load_manifest(args.manifest),
         theta1_values=args.theta1_grid,
         theta2_values=args.theta2_grid,
         theta3_values=args.theta3_grid,
-        dim=cfg.dim, seed=cfg.seed, mode=cfg.mode,
+        **cfg,
     )
     grid.write_csv(args.out)
-    _write_meta(args.out, {
-        "theta1_grid": list(args.theta1_grid),
-        "theta2_grid": list(args.theta2_grid),
-        "theta3_grid": list(args.theta3_grid),
-        "dim": cfg.dim, "seed": cfg.seed, "mode": cfg.mode,
-    })
+    _write_meta(args.out, dict(
+        cfg,
+        theta1_grid=list(args.theta1_grid),
+        theta2_grid=list(args.theta2_grid),
+        theta3_grid=list(args.theta3_grid),
+    ))
     best = grid.best()
     _say(args, "%d cells written to %s", len(grid.cells), args.out)
     _say(args, "best: theta1=%r theta2=%r theta3=%r f1=%.4f precision=%.4f "
@@ -306,20 +300,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
-    tpl_docs = _load_docs(args.tpls)
-    target_docs = _load_docs(args.targets)
-    manifest = load_manifest(args.manifest)
     table = run_ablation(
-        tpl_docs, target_docs, manifest,
-        theta1=cfg.theta1, theta2=cfg.theta2, theta3=cfg.theta3,
-        dim=cfg.dim, seed=cfg.seed, mode=cfg.mode,
+        _load_docs(args.tpls), _load_docs(args.targets), load_manifest(args.manifest),
+        **cfg,
     )
     with open(args.out, "wb") as fh:
         fh.write(table.to_csv_bytes())
-    _write_meta(args.out, {
-        "theta1": cfg.theta1, "theta2": cfg.theta2, "theta3": cfg.theta3,
-        "dim": cfg.dim, "seed": cfg.seed, "mode": cfg.mode,
-    })
+    _write_meta(args.out, cfg)
     _say(args, "%s", table)
     _say(args, "ablation written to %s", args.out)
     return 0
@@ -364,25 +351,12 @@ def cmd_inspect(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p) -> None:
+def _add_common(p, command) -> None:
+    """--config, --quiet and the flags of the settings `command` reads."""
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    p.add_argument("--verbose", action="store_true", help="log at INFO level")
-
-
-# flag -> its argparse settings; every flag defaults to None so that
-# `resolve_config` can tell a given flag from an absent one
-_PIPELINE_FLAGS = {
-    "theta1": {"type": float}, "theta2": {"type": float}, "theta3": {"type": float},
-    "dim": {"type": int}, "seed": {"type": int},
-    "mode": {"choices": AGGREGATION_MODES},
-}
-
-
-def _add_thresholds(p, *names) -> None:
-    """Add the pipeline flags `names`, the ones the command reads."""
-    for name in names:
-        p.add_argument("--" + name, default=None, **_PIPELINE_FLAGS[name])
+    for name in _READS[command]:
+        p.add_argument("--" + name, default=None, **_SETTINGS[name][2])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,19 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-fraction", type=float, default=1.0)
     p.add_argument("--distractors", type=int, default=40)
     p.add_argument("--quiet", action="store_true")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("build", help="build a library feature repository")
     p.add_argument("--tpls", required=True, help="document file or directory")
     p.add_argument("--out", required=True)
-    p.add_argument("--stages", type=_parse_stages, default=None,
-                   help="comma list of export,mi,weights or 'none'")
     p.add_argument("--vectors-dir",
                    help="external embedding files, one <binary_id>.jsonl per doc")
     p.add_argument("--no-timing", action="store_true")
-    _add_thresholds(p, "theta1", "theta2", "dim", "seed")
-    _add_common(p)
+    _add_common(p, "build")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("detect", help="score target binaries against a repository")
@@ -427,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="document file or directory")
     p.add_argument("--out", required=True, help="report JSONL path")
     p.add_argument("--vectors-dir")
-    _add_thresholds(p, "theta3", "mode")
-    _add_common(p)
+    _add_common(p, "detect")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("sweep", help="grid-evaluate thresholds against a manifest")
@@ -439,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta1-grid", type=_parse_grid, default=DEFAULT_THETA1_GRID)
     p.add_argument("--theta2-grid", type=_parse_grid, default=DEFAULT_THETA2_GRID)
     p.add_argument("--theta3-grid", type=_parse_grid, default=DEFAULT_THETA3_GRID)
-    _add_thresholds(p, "dim", "seed", "mode")
-    _add_common(p)
+    _add_common(p, "sweep")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ablate", help="purification/weighting ablation matrix")
@@ -448,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="CSV path")
-    _add_thresholds(p, "theta1", "theta2", "theta3", "dim", "seed", "mode")
-    _add_common(p)
+    _add_common(p, "ablate")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("inspect", help="dump repository configuration and stats")
@@ -466,12 +433,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    logging.basicConfig(
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    if not hasattr(args, "quiet"):
-        args.quiet = False
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except ConfigError as exc:

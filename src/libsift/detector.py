@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .embedding import HashedNgramEmbedder, function_vectors
 from .errors import ConfigError, EmbeddingError, ParseError
-from .interchange import BinaryDocument, json_records
+from .interchange import BinaryDocument, json_field, json_records
 from .repository import EMBEDDER_EXTERNAL, RepoConfig, TplRepository
 
 log = logging.getLogger(__name__)
@@ -260,33 +260,37 @@ def _report_dict(report: DetectionReport) -> dict:
     }
 
 
+def _report_field(obj, key, kind, line):
+    return json_field(obj, key, kind, lambda msg: ParseError("report " + msg, line=line))
+
+
 def read_reports(path) -> list:
+    """Reports from a JSON Lines file; a missing or mistyped field raises
+    ParseError with its line number."""
+    number = (int, float)
     reports = []
     with open(path, "rb") as fh:
-        for lineno, obj in json_records(fh.read()):
-            try:
-                entries = [
-                    LibraryScore(
-                        e["library_id"],
-                        e["score"],
-                        e["decision"],
-                        [
-                            MatchEvidence(
-                                m["binary_function"],
-                                m["library_function"],
-                                m["cosine"],
-                                m["weight"],
-                                m["contribution"],
-                            )
-                            for m in e["evidence"]
-                        ],
-                    )
-                    for e in obj["entries"]
-                ]
-                report = DetectionReport(obj["binary_id"], entries, obj["config"])
-            except (KeyError, TypeError) as exc:
-                raise ParseError(
-                    "malformed report record: %s" % exc, line=lineno
-                ) from exc
-            reports.append(report)
+        for line, obj in json_records(fh.read()):
+            entries = [
+                LibraryScore(
+                    _report_field(e, "library_id", str, line),
+                    _report_field(e, "score", number, line),
+                    _report_field(e, "decision", bool, line),
+                    [
+                        MatchEvidence(
+                            _report_field(m, "binary_function", str, line),
+                            _report_field(m, "library_function", str, line),
+                            _report_field(m, "cosine", number, line),
+                            _report_field(m, "weight", number, line),
+                            _report_field(m, "contribution", number, line),
+                        )
+                        for m in _report_field(e, "evidence", list, line)
+                    ],
+                )
+                for e in _report_field(obj, "entries", list, line)
+            ]
+            reports.append(DetectionReport(
+                _report_field(obj, "binary_id", str, line), entries,
+                _report_field(obj, "config", dict, line),
+            ))
     return reports

@@ -140,6 +140,17 @@ def _validate_function(fn: FunctionRecord, empty_mnemonic: bool) -> None:
         seen_edges.add(edge)
 
 
+def json_field(obj, key, kind, fail):
+    """obj[key], which must exist and be an instance of `kind` (a bool only
+    where `kind` is bool); otherwise raises fail(message)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise fail("lacks field %r" % key)
+    value = obj[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise fail("field %r has the wrong type" % key)
+    return value
+
+
 def json_records(data) -> list:
     """(1-based line number, object) for every non-blank line of JSON Lines
     `data`, UTF-8 bytes or str; any other line raises ParseError."""

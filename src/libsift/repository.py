@@ -27,7 +27,7 @@ from .errors import (
     RepositoryError,
     RepositoryVersionError,
 )
-from .interchange import BinaryDocument
+from .interchange import BinaryDocument, json_field
 from .metrics import ComplexityProfile, compute_profile
 
 log = logging.getLogger(__name__)
@@ -82,13 +82,15 @@ class RepoConfig:
     stages: tuple = ()
 
     def __post_init__(self):
-        """The only range check of theta1, theta2, dim and seed."""
+        """The only range check of theta1, theta2, dim and seed; the
+        built-in embedder needs two dimensions, external vectors one."""
         if not -1.0 <= self.theta1 <= 1.0:
             raise ConfigError("theta1 must be in [-1, 1]")
         if not 0.0 < self.theta2 <= 1.0:
             raise ConfigError("theta2 must be in (0, 1]")
-        if self.dim < 1:
-            raise ConfigError("dim must be >= 1")
+        min_dim = 1 if self.embedder == EMBEDDER_EXTERNAL else 2
+        if self.dim < min_dim:
+            raise ConfigError("dim must be >= %d with the %s embedder" % (min_dim, self.embedder))
         if not MIN_SEED <= self.seed <= MAX_SEED:
             raise ConfigError("seed must be a signed 64-bit integer")
 
@@ -444,14 +446,7 @@ _NUMBER = (int, float)
 
 
 def _field(obj, key, kind):
-    """obj[key], which must exist and be an instance of `kind` (bools only
-    where `kind` is bool)."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise RepositoryError("repository header lacks field %r" % key)
-    value = obj[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise RepositoryError("repository header field %r has the wrong type" % key)
-    return value
+    return json_field(obj, key, kind, lambda msg: RepositoryError("repository header " + msg))
 
 
 def _read_header(header):
