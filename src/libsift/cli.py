@@ -36,11 +36,12 @@ from .evaluation import (
     run_ablation,
     sweep,
 )
-from .interchange import load_document, save_document
+from .interchange import json_field, json_object, load_document, save_document, save_json
 from .repository import (
     ALL_STAGES,
     DEFAULT_THETA1,
     DEFAULT_THETA2,
+    _header_dict,
     build_steps,
     load_manifest,
     load_repository,
@@ -80,25 +81,19 @@ _READS = {
 
 
 def _load_config_file(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config file %s is not valid JSON: %s" % (path, exc.msg))
-    except UnicodeDecodeError as exc:
-        raise ConfigError("config file %s is not UTF-8: %s" % (path, exc.reason))
-    except RecursionError:
-        raise ConfigError("config file %s is nested too deeply" % path) from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config file %s must hold a JSON object" % path)
+    def fail(message):
+        return ConfigError("config file %s: %s" % (path, message))
+
+    with open(path, "rb") as fh:
+        raw = json_object(fh.read(), fail)
     unknown = set(raw) - set(_SETTINGS)
     if unknown:
-        raise ConfigError("config file %s has unknown keys: %s" % (path, sorted(unknown)))
-    for key, value in raw.items():
-        if (not isinstance(value, _SETTINGS[key][1]) or isinstance(value, bool)
-                or (key == "stages" and not all(isinstance(v, str) for v in value))):
-            raise ConfigError("config file %s: %r has the wrong type" % (path, key))
+        raise fail("unknown keys: %s" % sorted(unknown))
+    for key in raw:
+        json_field(raw, key, _SETTINGS[key][1], fail)
     if "stages" in raw:
+        if not all(isinstance(stage, str) for stage in raw["stages"]):
+            raise fail("field 'stages' has the wrong type")
         raw["stages"] = tuple(raw["stages"])
     return raw
 
@@ -159,12 +154,6 @@ def _say(args, msg, *fmt) -> None:
         print(msg % fmt if fmt else msg)
 
 
-def _write_meta(path, payload: dict) -> None:
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _parse_grid(text: str) -> tuple:
     """A grid flag's values; `sweep` checks their ranges."""
     try:
@@ -182,6 +171,8 @@ def _parse_grid(text: str) -> tuple:
 def cmd_gen(args) -> int:
     if args.targets < 0:
         raise ConfigError("--targets must be >= 0")
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        raise ConfigError("--out %s is not empty" % args.out)
     spec = SyntheticCorpusSpec(
         library_count=args.libraries,
         functions_per_library=args.functions,
@@ -213,9 +204,7 @@ def cmd_gen(args) -> int:
         b: {"libraries": list(libs), "fraction": frac}
         for b, (libs, frac) in spec.planted_reuse.items()
     }
-    with open(os.path.join(args.out, "corpus_spec.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(payload, os.path.join(args.out, "corpus_spec.json"))
     _say(args, "wrote %d library docs, %d targets, manifest under %s",
          len(tpl_docs), len(target_docs), args.out)
     return 0
@@ -283,12 +272,12 @@ def cmd_sweep(args) -> int:
         **cfg,
     )
     grid.write_csv(args.out)
-    _write_meta(args.out, dict(
+    save_json(dict(
         cfg,
         theta1_grid=list(args.theta1_grid),
         theta2_grid=list(args.theta2_grid),
         theta3_grid=list(args.theta3_grid),
-    ))
+    ), args.out + ".meta.json")
     best = grid.best()
     _say(args, "%d cells written to %s", len(grid.cells), args.out)
     _say(args, "best: theta1=%r theta2=%r theta3=%r f1=%.4f precision=%.4f "
@@ -306,7 +295,7 @@ def cmd_ablate(args) -> int:
     )
     with open(args.out, "wb") as fh:
         fh.write(table.to_csv_bytes())
-    _write_meta(args.out, cfg)
+    save_json(cfg, args.out + ".meta.json")
     _say(args, "%s", table)
     _say(args, "ablation written to %s", args.out)
     return 0
@@ -315,23 +304,13 @@ def cmd_ablate(args) -> int:
 def cmd_inspect(args) -> int:
     repo = load_repository(args.repo)
     cfg = repo.config
-    payload = {
-        "embedder": cfg.embedder,
-        "dim": cfg.dim,
-        "seed": cfg.seed,
-        "theta1": cfg.theta1,
-        "theta2": cfg.theta2,
-        "stages": list(cfg.stages),
-        "stats": [
-            {"stage": s.stage, "functions": s.functions,
-             "leave_percent": s.leave_percent}
-            for s in repo.stats
-        ],
-        "libraries": {
-            lib_id: len(feats) for lib_id, feats in sorted(repo.libraries.items())
-        },
-        "feature_count": repo.feature_count(),
-    }
+    header = _header_dict(repo)
+    payload = dict(
+        header["config"],
+        stats=header["stats"],
+        libraries={lib_id: len(feats) for lib_id, feats in sorted(repo.libraries.items())},
+        feature_count=repo.feature_count(),
+    )
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _gc, _kernels
 from .errors import EmbeddingError, ParseError
-from .interchange import BinaryDocument, FunctionRecord, filter_sections, json_records
+from .interchange import BinaryDocument, FunctionRecord, filter_sections, json_field, json_records
 
 log = logging.getLogger(__name__)
 
@@ -296,16 +296,18 @@ def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:
     records = json_records(data)
     if not records:
         raise ParseError("empty vector file", line=1)
-    header = records[0][1]
-    if header.get("doc_id") != doc.binary_id:
-        raise EmbeddingError(
-            "vector file is for %r, not %r" % (header.get("doc_id"), doc.binary_id)
-        )
-    if header.get("dim") != dim:
-        raise EmbeddingError(
-            "vector dimension %r does not match repository dimension %d"
-            % (header.get("dim"), dim)
-        )
+    header_line, header = records[0]
+
+    def fail(message):
+        return ParseError("vector header " + message, line=header_line)
+
+    doc_id = json_field(header, "doc_id", str, fail)
+    if doc_id != doc.binary_id:
+        raise EmbeddingError("vector file is for %r, not %r" % (doc_id, doc.binary_id))
+    if json_field(header, "dim", int, fail) != dim:
+        raise EmbeddingError("vector dimension %r does not match repository dimension %d"
+                             % (header["dim"], dim))
+    count = json_field(header, "count", int, fail) if "count" in header else None
     known = {fn.name for fn in doc.functions}
     out = {}
     for _, rec in records[1:]:
@@ -315,11 +317,8 @@ def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:
         if name in out:
             raise EmbeddingError("duplicate vector for function %r" % name)
         out[name] = _unit_vector(name, rec.get("values"), dim)
-    count = header.get("count")
     if count is not None and count != len(out):
-        raise EmbeddingError(
-            "header count %r does not match %d records" % (count, len(out))
-        )
+        raise EmbeddingError("header count %r does not match %d records" % (count, len(out)))
     return out
 
 

@@ -11,7 +11,6 @@ lands.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -28,6 +27,7 @@ from .detector import (
 from .embedding import DEFAULT_DIM, DEFAULT_SEED
 from .errors import ConfigError, ParseError, ValidationError
 from .interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction
+from .interchange import json_field, json_object, save_json
 from .metrics import compute_profile
 from .repository import (
     DEFAULT_THETA1,
@@ -535,6 +535,8 @@ def random_reuse_plan(
     if not library_ids or not 0 <= min_libs <= min(max_libs, len(library_ids)):
         raise ConfigError("min_libs must be in [0, min(max_libs, %d libraries)]"
                           % len(library_ids))
+    if not 0.0 < min_fraction <= max_fraction <= 1.0:
+        raise ConfigError("reuse fractions must satisfy 0 < min_fraction <= max_fraction <= 1")
     plan = {}
     for bin_id in binary_ids:
         k = rng.randint(min_libs, min(max_libs, len(library_ids)))
@@ -693,34 +695,16 @@ def write_timings(timings: StageTimings, path) -> None:
     payload = {key: getattr(timings, key) for key in _TIMING_FIELDS
                if getattr(timings, key) is not None}
     payload["total_s"] = timings.total_s
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    save_json(payload, path)
 
 
 def read_timings(path) -> StageTimings:
     """Timings from a file written by `write_timings`; `origin_s` may be
     absent.  Anything else malformed raises ParseError."""
+    def fail(message):
+        return ParseError("timing file: " + message)
+
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        raw = json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError("timing file is not UTF-8: %s" % exc.reason) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError("invalid timing file: %s" % exc.msg) from exc
-    except RecursionError:
-        raise ParseError("timing file is nested too deeply") from None
-    if not isinstance(raw, dict):
-        raise ParseError("timing file must hold a JSON object")
-    fields = {}
-    for key in _TIMING_FIELDS:
-        if key not in raw:
-            if key == "origin_s":
-                continue
-            raise ParseError("timing file missing field %r" % key)
-        value = raw[key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError("timing file field %r is not a number" % key)
-        fields[key] = value
-    return StageTimings(**fields)
+        raw = json_object(fh.read(), fail)
+    return StageTimings(**{key: json_field(raw, key, (int, float), fail)
+                           for key in _TIMING_FIELDS if key != "origin_s" or key in raw})

@@ -54,18 +54,6 @@ class BinaryDocument:
     format_version: int = FORMAT_VERSION
 
 
-def _expect(record, key, typ, line):
-    if key not in record:
-        raise ParseError("missing field %r" % key, line=line)
-    value = record[key]
-    ok = isinstance(value, typ)
-    if ok and typ is not bool and isinstance(value, bool):
-        ok = False  # bool is an int subclass; never accept it for int fields
-    if not ok:
-        raise ParseError("field %r has wrong type" % key, line=line)
-    return value
-
-
 def _decode_function(record: dict, line: int, shared: dict):
     """(FunctionRecord, whether an instruction it holds first has an empty
     mnemonic).
@@ -75,22 +63,23 @@ def _decode_function(record: dict, line: int, shared: dict):
     and built once.  An instruction with an empty mnemonic fails its first
     function's validation, so only a first sighting can carry one.
     """
-    name = _expect(record, "name", str, line)
-    section = _expect(record, "section", str, line)
-    is_export = _expect(record, "is_export", bool, line)
-    raw_blocks = _expect(record, "blocks", list, line)
-    raw_edges = _expect(record, "edges", list, line)
+    def fail(message):
+        return ParseError(message, line=line)
+
+    name = json_field(record, "name", str, fail)
+    section = json_field(record, "section", str, fail)
+    is_export = json_field(record, "is_export", bool, fail)
+    raw_blocks = json_field(record, "blocks", list, fail)
+    raw_edges = json_field(record, "edges", list, fail)
 
     blocks = []
     empty_mnemonic = False
     for rb in raw_blocks:
-        if not isinstance(rb, dict):
-            raise ParseError("block record is not an object", line=line)
-        bid = _expect(rb, "id", int, line)
+        bid = json_field(rb, "id", int, fail)
         instrs = []
-        for ri in _expect(rb, "instructions", list, line):
+        for ri in json_field(rb, "instructions", list, fail):
             if ri.__class__ is not list or not ri:
-                raise ParseError("instruction must be a non-empty array", line=line)
+                raise fail("instruction must be a non-empty array")
             key = tuple(ri)
             try:
                 ins = shared.get(key)  # TypeError: a nested array or object
@@ -99,7 +88,7 @@ def _decode_function(record: dict, line: int, shared: dict):
                     ins = shared[key] = Instruction(key[0], key[1:])
                     empty_mnemonic = empty_mnemonic or not key[0]
             except TypeError:
-                raise ParseError("instruction tokens must be strings", line=line) from None
+                raise fail("instruction tokens must be strings") from None
             instrs.append(ins)
         blocks.append(BasicBlock(bid, instrs))
 
@@ -110,7 +99,7 @@ def _decode_function(record: dict, line: int, shared: dict):
             or len(re_) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in re_)
         ):
-            raise ParseError("edge must be a [from, to] integer pair", line=line)
+            raise fail("edge must be a [from, to] integer pair")
         edges.append((re_[0], re_[1]))
 
     return FunctionRecord(name, section, is_export, blocks, edges), empty_mnemonic
@@ -151,6 +140,34 @@ def json_field(obj, key, kind, fail):
     return value
 
 
+def json_object(text, fail) -> dict:
+    """The JSON object that UTF-8 bytes (or str) `text` hold; text that is
+    not UTF-8, not JSON, nested too deeply or not an object raises
+    fail(message)."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise fail("not UTF-8: %s" % exc.reason) from None
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise fail("invalid JSON: %s" % exc.msg) from None
+    except RecursionError:
+        raise fail("JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise fail("not a JSON object")
+    return obj
+
+
+def save_json(obj, path) -> None:
+    """Write `obj` to `path` as indented, key-sorted UTF-8 JSON and a
+    newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def json_records(data) -> list:
     """(1-based line number, object) for every non-blank line of JSON Lines
     `data`, UTF-8 bytes or str; any other line raises ParseError."""
@@ -160,20 +177,11 @@ def json_records(data) -> list:
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ParseError("not UTF-8: %s" % exc.reason, line=line) from exc
-    records = []
-    for lineno, raw in enumerate(data.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON: %s" % exc.msg, line=lineno) from exc
-        except RecursionError:
-            raise ParseError("JSON nested too deeply", line=lineno) from None
-        if not isinstance(obj, dict):
-            raise ParseError("record is not an object", line=lineno)
-        records.append((lineno, obj))
-    return records
+    return [
+        (lineno, json_object(raw, lambda message: ParseError(message, line=lineno)))
+        for lineno, raw in enumerate(data.splitlines(), start=1)
+        if raw.strip()
+    ]
 
 
 def parse_document(data) -> BinaryDocument:
@@ -192,19 +200,20 @@ def _parse_records(records) -> BinaryDocument:
         raise ParseError("empty document: header record missing", line=1)
 
     header_line, header = records[0]
-    binary_id = _expect(header, "binary_id", str, header_line)
-    kind = _expect(header, "kind", str, header_line)
-    version = _expect(header, "format_version", int, header_line)
+
+    def fail(message):
+        return ParseError(message, line=header_line)
+
+    binary_id = json_field(header, "binary_id", str, fail)
+    kind = json_field(header, "kind", str, fail)
+    version = json_field(header, "format_version", int, fail)
     if kind not in DOCUMENT_KINDS:
-        raise ParseError("kind must be one of %s" % (DOCUMENT_KINDS,), line=header_line)
+        raise fail("kind must be one of %s" % (DOCUMENT_KINDS,))
     if version != FORMAT_VERSION:
-        raise ParseError(
-            "unsupported format_version %d (this build writes %d)"
-            % (version, FORMAT_VERSION),
-            line=header_line,
-        )
+        raise fail("unsupported format_version %d (this build writes %d)"
+                   % (version, FORMAT_VERSION))
     if not binary_id:
-        raise ParseError("binary_id must be non-empty", line=header_line)
+        raise fail("binary_id must be non-empty")
 
     functions = []
     names = set()

@@ -27,7 +27,7 @@ from .errors import (
     RepositoryError,
     RepositoryVersionError,
 )
-from .interchange import BinaryDocument, json_field
+from .interchange import BinaryDocument, json_field, json_object, save_json
 from .metrics import ComplexityProfile, compute_profile
 
 log = logging.getLogger(__name__)
@@ -422,12 +422,7 @@ def load_repository(path) -> TplRepository:
     if hashlib.sha256(payload).digest() != digest:
         raise RepositoryChecksumError("repository checksum mismatch")
 
-    try:
-        header = json.loads(payload[body_start : body_start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise RepositoryError("repository header is not UTF-8 JSON") from exc
-    except RecursionError:
-        raise RepositoryError("repository header is nested too deeply") from None
+    header = json_object(payload[body_start : body_start + header_len], _header_error)
     config, stats, libraries = _read_header(header)
     blob = payload[body_start + header_len :]
     if len(blob) != sum(len(recs) for _, recs in libraries) * config.dim * 8:
@@ -445,8 +440,12 @@ def load_repository(path) -> TplRepository:
 _NUMBER = (int, float)
 
 
+def _header_error(message):
+    return RepositoryError("repository header: " + message)
+
+
 def _field(obj, key, kind):
-    return json_field(obj, key, kind, lambda msg: RepositoryError("repository header " + msg))
+    return json_field(obj, key, kind, _header_error)
 
 
 def _read_header(header):
@@ -456,7 +455,7 @@ def _read_header(header):
     cfg = _field(header, "config", dict)
     stages = _field(cfg, "stages", list)
     if not all(isinstance(stage, str) for stage in stages):
-        raise RepositoryError("repository header field 'stages' has the wrong type")
+        raise _header_error("field 'stages' has the wrong type")
     try:
         config = RepoConfig(
             theta1=_field(cfg, "theta1", _NUMBER),
@@ -467,7 +466,7 @@ def _read_header(header):
             stages=tuple(stages),
         )
     except ConfigError as exc:
-        raise RepositoryError("repository header config: %s" % exc) from None
+        raise _header_error("config: %s" % exc) from None
     stats = [
         StageStats(
             _field(s, "stage", str),
@@ -502,24 +501,12 @@ def _read_header(header):
 
 def save_manifest(manifest: Mapping, path) -> None:
     """JSON map binary_id -> sorted list of library ids."""
-    payload = {bin_id: sorted(libs) for bin_id, libs in manifest.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json({bin_id: sorted(libs) for bin_id, libs in manifest.items()}, path)
 
 
 def load_manifest(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError("manifest is not UTF-8: %s" % exc.reason) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError("invalid JSON manifest: %s" % exc.msg) from exc
-    except RecursionError:
-        raise ParseError("manifest JSON is nested too deeply") from None
-    if not isinstance(raw, dict):
-        raise ParseError("manifest must be an object")
+    with open(path, "rb") as fh:
+        raw = json_object(fh.read(), lambda message: ParseError("manifest: " + message))
     out = {}
     for bin_id, libs in raw.items():
         if not isinstance(libs, list) or not all(isinstance(x, str) for x in libs):

@@ -281,6 +281,25 @@ def test_import_embeddings_rejects_bad_files(mutate, err):
         assert info.value.line is not None
 
 
+@pytest.mark.parametrize("header,dim", [
+    ({"doc_id": "bin", "dim": 4.0}, 4),
+    ({"doc_id": "bin", "dim": True}, 1),
+    ({"doc_id": "bin", "dim": 4, "count": 1.0}, 4),
+    ({"doc_id": "bin", "dim": 4, "count": None}, 4),
+    ({"doc_id": "bin", "dim": "4"}, 4),
+    ({"doc_id": ["bin"], "dim": 4}, 4),
+    ({"dim": 4}, 4),
+    ({"doc_id": "bin"}, 4),
+], ids=["float-dim", "bool-dim", "float-count", "null-count", "string-dim", "list-doc-id",
+        "no-doc-id", "no-dim"])
+def test_import_embeddings_refuses_a_mistyped_header_at_its_line(header, dim):
+    doc = BinaryDocument("bin", "tpl", [_fn("f", [["ret"]])])
+    data = "\n".join([json.dumps(header), json.dumps({"function": "f", "values": [1.0] * dim})])
+    with pytest.raises(ParseError, match="vector header") as info:
+        import_embeddings(doc, data, dim)
+    assert info.value.line == 1
+
+
 def test_import_accepts_bytes():
     doc = BinaryDocument("bin", "tpl", [_fn("f", [["ret"]])])
     data = _vector_file("bin", 4, [("f", [0, 0, 5.0, 0])]).encode("utf-8")

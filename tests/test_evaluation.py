@@ -229,6 +229,19 @@ def test_spec_validation(overrides, needle):
         generate_corpus(_mini_spec(**overrides))
 
 
+@pytest.mark.parametrize("fractions", [
+    dict(max_fraction=1.3), dict(min_fraction=0.0), dict(min_fraction=-0.1),
+    dict(min_fraction=0.9, max_fraction=0.5),
+], ids=["max-above-one", "min-zero", "min-negative", "min-above-max"])
+def test_random_reuse_plan_checks_fractions_before_drawing(fractions):
+    for seed in range(1, 7):
+        rng = random.Random(seed)
+        state = rng.getstate()
+        with pytest.raises(ConfigError, match="fraction"):
+            random_reuse_plan(rng, ["bin000", "bin001"], ["lib000", "lib001"], **fractions)
+        assert rng.getstate() == state
+
+
 def test_random_reuse_plan_respects_bounds():
     rng = random.Random(3)
     libs = ["lib%03d" % i for i in range(6)]
@@ -480,6 +493,15 @@ def test_timings_file_carries_origin_and_keeps_total_meaning(tmp_path):
     assert raw["origin_s"] == 2.5
     assert raw["total_s"] == 0.125 + 0.0625 + 0.03125  # origin is not a stage
     assert read_timings(path) == timings
+
+
+def test_timing_file_is_indented_with_sorted_keys(tmp_path):
+    path = tmp_path / "timings.json"
+    write_timings(StageTimings(0.5, 0.25, 1.0, origin_s=2.0), path)
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "export_s": 0.5,\n  "mi_s": 0.25,\n  "origin_s": 2.0,\n'
+        '  "total_s": 1.75,\n  "weights_s": 1.0\n}\n'
+    )
 
 
 def test_read_timings_accepts_a_file_without_origin(tmp_path):

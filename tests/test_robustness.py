@@ -138,8 +138,18 @@ def _saved_repository(path):
     return path.read_bytes()
 
 
+_FILE_READERS = {"read_reports": read_reports, "load_manifest": load_manifest,
+                 "read_timings": read_timings}
+
+
+def _resolve_build_config(path):
+    return resolve_config(build_parser().parse_args(
+        ["build", "--tpls", "t", "--out", "o", "--config", str(path)]))
+
+
 @pytest.mark.parametrize("reader", ["parse_document", "read_reports", "load_manifest",
-                                    "load_repository"])
+                                    "load_repository", "import_embeddings", "config",
+                                    "read_timings"])
 def test_readers_refuse_non_utf8_input(reader, tmp_path):
     path = tmp_path / "input"
     if reader == "parse_document":
@@ -150,10 +160,51 @@ def test_readers_refuse_non_utf8_input(reader, tmp_path):
         path.write_bytes(_rewrite_header(_saved_repository(path), header))
         with pytest.raises(RepositoryError, match="not UTF-8"):
             load_repository(path)
+    elif reader == "import_embeddings":
+        with pytest.raises(ParseError, match="line 2: not UTF-8"):
+            import_embeddings(_library("liba", 0), _vector_file("liba", []) + NOT_UTF8, DIM)
+    elif reader == "config":
+        path.write_bytes(NOT_UTF8 + b"{}")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            _resolve_build_config(path)
     else:
         path.write_bytes(NOT_UTF8 + b"{}\n")
         with pytest.raises(ParseError, match="not UTF-8"):
-            (read_reports if reader == "read_reports" else load_manifest)(path)
+            _FILE_READERS[reader](path)
+
+
+# the error each reader raises for JSON text it cannot take
+_READER_ERRORS = dict({reader: ParseError for reader in _FILE_READERS},
+                      parse_document=ParseError, import_embeddings=ParseError,
+                      load_repository=RepositoryError, config=ConfigError)
+
+
+def _read_json(reader, text, path):
+    """Hand `text` to `reader` as the JSON it decodes first: a document's,
+    vector file's or report file's first line, a repository header, or a
+    whole manifest, config or timing file."""
+    if reader == "parse_document":
+        return parse_document(text)
+    if reader == "import_embeddings":
+        return import_embeddings(_library("liba", 0), text, DIM)
+    if reader == "load_repository":
+        path.write_bytes(_rewrite_header(_saved_repository(path), text))
+        return load_repository(path)
+    path.write_bytes(text)
+    if reader == "config":
+        return _resolve_build_config(path)
+    return _FILE_READERS[reader](path)
+
+
+@pytest.mark.parametrize("text,message", [(b'{"a": ', "invalid JSON"),
+                                          (b"[1]", "not a JSON object")],
+                         ids=["invalid-json", "not-an-object"])
+@pytest.mark.parametrize("reader", sorted(_READER_ERRORS))
+def test_readers_refuse_invalid_json_and_non_objects(reader, text, message, tmp_path):
+    with pytest.raises(_READER_ERRORS[reader], match=message) as err:
+        _read_json(reader, text, tmp_path / "input")
+    if reader in ("parse_document", "import_embeddings", "read_reports"):
+        assert err.value.line == 1
 
 
 @pytest.fixture

@@ -249,3 +249,33 @@ def test_gen_accepts_zero_targets(tmp_path):
     assert os.listdir(out / "targets") == []
     assert json.loads((out / "manifest.json").read_text()) == {}
     assert json.loads((out / "corpus_spec.json").read_text())["planted_reuse"] == {}
+
+
+def _files(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_gen_refuses_a_non_empty_out_and_changes_nothing(tmp_path, capsys):
+    out = tmp_path / "c"
+    argv = ["gen", "--out", str(out), "--libraries", "2", "--functions", "6",
+            "--distractors", "4", "--quiet", "--targets"]
+    assert main(argv + ["4"]) == 0
+    before = _files(out)
+    assert main(argv + ["2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "not empty" in err and "Traceback" not in err
+    assert _files(out) == before
+
+
+@pytest.mark.parametrize("flags", [["--max-fraction", "1.3"], ["--min-fraction", "0"],
+                                   ["--min-fraction", "0.9", "--max-fraction", "0.5"]],
+                         ids=["max-above-one", "min-zero", "min-above-max"])
+def test_gen_refuses_reuse_fractions_out_of_range_for_every_seed(flags, tmp_path, capsys):
+    for seed in range(1, 7):
+        out = tmp_path / str(seed)
+        assert main(["gen", "--out", str(out), "--libraries", "3", "--functions", "10",
+                     "--targets", "1", "--distractors", "5", "--seed", str(seed),
+                     "--quiet"] + flags) == 2, seed
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "fraction" in err and "Traceback" not in err
+        assert not out.exists()
