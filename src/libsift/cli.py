@@ -36,7 +36,7 @@ from .evaluation import (
     run_ablation,
     sweep,
 )
-from .interchange import json_field, json_object, load_document, save_document, save_json
+from .interchange import NUMBER, json_field, json_object, load_document, save_document, save_json
 from .repository import (
     ALL_STAGES,
     DEFAULT_THETA1,
@@ -60,9 +60,9 @@ def _parse_stages(text: str) -> tuple:
 # its flag's argparse settings); a flag defaults to None so that
 # `resolve_config` can tell a given flag from an absent one
 _SETTINGS = {
-    "theta1": (DEFAULT_THETA1, (int, float), {"type": float}),
-    "theta2": (DEFAULT_THETA2, (int, float), {"type": float}),
-    "theta3": (DEFAULT_THETA3, (int, float), {"type": float}),
+    "theta1": (DEFAULT_THETA1, NUMBER, {"type": float}),
+    "theta2": (DEFAULT_THETA2, NUMBER, {"type": float}),
+    "theta3": (DEFAULT_THETA3, NUMBER, {"type": float}),
     "dim": (DEFAULT_DIM, int, {"type": int}),
     "mode": (AGG_WEIGHTED_MEAN, str, {"choices": AGGREGATION_MODES}),
     "seed": (DEFAULT_SEED, int, {"type": int}),

@@ -22,7 +22,9 @@ import numpy as np
 from . import _kernels
 from .embedding import HashedNgramEmbedder, function_vectors
 from .errors import ConfigError, EmbeddingError, ParseError
-from .interchange import BinaryDocument, json_field, json_records
+from .interchange import (
+    NUMBER, BinaryDocument, field_values, json_field, json_fields, json_records,
+)
 from .repository import EMBEDDER_EXTERNAL, RepoConfig, TplRepository
 
 log = logging.getLogger(__name__)
@@ -235,62 +237,40 @@ def write_reports(reports: Iterable[DetectionReport], path) -> None:
             fh.write("\n")
 
 
+# the fields of each report record, in the order they are written; a
+# record's nested list follows its fields
+_REPORT_FIELDS = (("binary_id", str), ("config", dict))
+_ENTRY_FIELDS = (("library_id", str), ("score", NUMBER), ("decision", bool))
+_EVIDENCE_FIELDS = (("binary_function", str), ("library_function", str),
+                    ("cosine", NUMBER), ("weight", NUMBER), ("contribution", NUMBER))
+
+
 def _report_dict(report: DetectionReport) -> dict:
-    return {
-        "binary_id": report.binary_id,
-        "config": report.config,
-        "entries": [
-            {
-                "library_id": e.library_id,
-                "score": e.score,
-                "decision": e.decision,
-                "evidence": [
-                    {
-                        "binary_function": m.binary_function,
-                        "library_function": m.library_function,
-                        "cosine": m.cosine,
-                        "weight": m.weight,
-                        "contribution": m.contribution,
-                    }
-                    for m in e.evidence
-                ],
-            }
+    return dict(
+        field_values(report, _REPORT_FIELDS),
+        entries=[
+            dict(field_values(e, _ENTRY_FIELDS),
+                 evidence=[field_values(m, _EVIDENCE_FIELDS) for m in e.evidence])
             for e in report.entries
         ],
-    }
-
-
-def _report_field(obj, key, kind, line):
-    return json_field(obj, key, kind, lambda msg: ParseError("report " + msg, line=line))
+    )
 
 
 def read_reports(path) -> list:
     """Reports from a JSON Lines file; a missing or mistyped field raises
     ParseError with its line number."""
-    number = (int, float)
     reports = []
     with open(path, "rb") as fh:
         for line, obj in json_records(fh.read()):
-            entries = [
-                LibraryScore(
-                    _report_field(e, "library_id", str, line),
-                    _report_field(e, "score", number, line),
-                    _report_field(e, "decision", bool, line),
-                    [
-                        MatchEvidence(
-                            _report_field(m, "binary_function", str, line),
-                            _report_field(m, "library_function", str, line),
-                            _report_field(m, "cosine", number, line),
-                            _report_field(m, "weight", number, line),
-                            _report_field(m, "contribution", number, line),
-                        )
-                        for m in _report_field(e, "evidence", list, line)
-                    ],
-                )
-                for e in _report_field(obj, "entries", list, line)
-            ]
-            reports.append(DetectionReport(
-                _report_field(obj, "binary_id", str, line), entries,
-                _report_field(obj, "config", dict, line),
-            ))
+            def fail(message):
+                return ParseError("report " + message, line=line)
+
+            entries = []
+            for e in json_field(obj, "entries", list, fail):
+                evidence = [MatchEvidence(**json_fields(m, _EVIDENCE_FIELDS, fail))
+                            for m in json_field(e, "evidence", list, fail)]
+                entries.append(LibraryScore(**json_fields(e, _ENTRY_FIELDS, fail),
+                                            evidence=evidence))
+            reports.append(DetectionReport(**json_fields(obj, _REPORT_FIELDS, fail),
+                                           entries=entries))
     return reports

@@ -27,7 +27,7 @@ from .detector import (
 from .embedding import DEFAULT_DIM, DEFAULT_SEED
 from .errors import ConfigError, ParseError, ValidationError
 from .interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction
-from .interchange import json_field, json_object, save_json
+from .interchange import NUMBER, json_field, json_object, save_json
 from .metrics import compute_profile
 from .repository import (
     DEFAULT_THETA1,
@@ -706,5 +706,5 @@ def read_timings(path) -> StageTimings:
 
     with open(path, "rb") as fh:
         raw = json_object(fh.read(), fail)
-    return StageTimings(**{key: json_field(raw, key, (int, float), fail)
+    return StageTimings(**{key: json_field(raw, key, NUMBER, fail)
                            for key in _TIMING_FIELDS if key != "origin_s" or key in raw})

@@ -8,6 +8,7 @@ and never mutates its input.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -129,15 +130,34 @@ def _validate_function(fn: FunctionRecord, empty_mnemonic: bool) -> None:
         seen_edges.add(edge)
 
 
+# the JSON type of a number field: an int or a finite float, never a bool
+NUMBER = (int, float)
+
+
 def json_field(obj, key, kind, fail):
     """obj[key], which must exist and be an instance of `kind` (a bool only
-    where `kind` is bool); otherwise raises fail(message)."""
+    where `kind` is bool, a float only when finite); otherwise raises
+    fail(message)."""
     if not isinstance(obj, dict) or key not in obj:
         raise fail("lacks field %r" % key)
     value = obj[key]
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise fail("field %r has the wrong type" % key)
+    if value.__class__ is float and not math.isfinite(value):
+        raise fail("field %r is not a finite number" % key)
     return value
+
+
+def json_fields(obj, fields, fail) -> dict:
+    """key -> json_field(obj, key, kind, fail) for each (key, kind) of a
+    record's field table, in table order."""
+    return {key: json_field(obj, key, kind, fail) for key, kind in fields}
+
+
+def field_values(obj, fields) -> dict:
+    """key -> obj.key for each (key, kind) of a record's field table, in
+    table order: the record as a writer dumps it."""
+    return {key: getattr(obj, key) for key, _ in fields}
 
 
 def json_object(text, fail) -> dict:

@@ -27,7 +27,9 @@ from .errors import (
     RepositoryError,
     RepositoryVersionError,
 )
-from .interchange import BinaryDocument, json_field, json_object, save_json
+from .interchange import (
+    NUMBER, BinaryDocument, field_values, json_field, json_fields, json_object, save_json,
+)
 from .metrics import ComplexityProfile, compute_profile
 
 log = logging.getLogger(__name__)
@@ -350,38 +352,27 @@ def build_repository(docs: Iterable[BinaryDocument], **options) -> TplRepository
 # ---------------------------------------------------------------------------
 # persistence
 
+# the fields of each header record, in the order they are written; a
+# record's nested objects and lists follow its fields
+_CONFIG_FIELDS = (("theta1", NUMBER), ("theta2", NUMBER), ("dim", int),
+                  ("embedder", str), ("seed", int), ("stages", list))
+_STATS_FIELDS = (("stage", str), ("functions", int), ("leave_percent", NUMBER))
+_FEATURE_FIELDS = (("function_name", str), ("is_export", bool), ("weight", NUMBER),
+                   ("df", int), ("n_in_library", int))
+_PROFILE_FIELDS = (("hv", NUMBER), ("loc", NUMBER), ("cc", NUMBER), ("mi", NUMBER))
+
+
 def _header_dict(repo: TplRepository) -> dict:
     return {
         "format_version": REPO_FORMAT_VERSION,
-        "config": {
-            "theta1": repo.config.theta1,
-            "theta2": repo.config.theta2,
-            "dim": repo.config.dim,
-            "embedder": repo.config.embedder,
-            "seed": repo.config.seed,
-            "stages": list(repo.config.stages),
-        },
-        "stats": [
-            {"stage": s.stage, "functions": s.functions, "leave_percent": s.leave_percent}
-            for s in repo.stats
-        ],
+        "config": field_values(repo.config, _CONFIG_FIELDS),
+        "stats": [field_values(s, _STATS_FIELDS) for s in repo.stats],
         "libraries": [
             {
                 "library_id": lib_id,
                 "features": [
-                    {
-                        "function_name": f.function_name,
-                        "is_export": f.is_export,
-                        "weight": f.weight,
-                        "df": f.df,
-                        "n_in_library": f.n_in_library,
-                        "profile": {
-                            "hv": f.profile.hv,
-                            "loc": f.profile.loc,
-                            "cc": f.profile.cc,
-                            "mi": f.profile.mi,
-                        },
-                    }
+                    dict(field_values(f, _FEATURE_FIELDS),
+                         profile=field_values(f.profile, _PROFILE_FIELDS))
                     for f in feats
                 ],
             }
@@ -437,60 +428,34 @@ def load_repository(path) -> TplRepository:
     )
 
 
-_NUMBER = (int, float)
-
-
 def _header_error(message):
     return RepositoryError("repository header: " + message)
-
-
-def _field(obj, key, kind):
-    return json_field(obj, key, kind, _header_error)
 
 
 def _read_header(header):
     """(config, stats, [(library_id, [feature fields])]) from a decoded
     header; every field is read here and a missing or mistyped one raises
     RepositoryError."""
-    cfg = _field(header, "config", dict)
-    stages = _field(cfg, "stages", list)
-    if not all(isinstance(stage, str) for stage in stages):
-        raise _header_error("field 'stages' has the wrong type")
+    cfg = json_fields(json_field(header, "config", dict, _header_error), _CONFIG_FIELDS,
+                      _header_error)
+    stages = cfg["stages"]
+    if not all(stage in ALL_STAGES for stage in stages) or len(set(stages)) != len(stages):
+        raise _header_error("field 'stages' must list distinct names among %s"
+                            % ", ".join(ALL_STAGES))
     try:
-        config = RepoConfig(
-            theta1=_field(cfg, "theta1", _NUMBER),
-            theta2=_field(cfg, "theta2", _NUMBER),
-            dim=_field(cfg, "dim", int),
-            embedder=_field(cfg, "embedder", str),
-            seed=_field(cfg, "seed", int),
-            stages=tuple(stages),
-        )
+        config = RepoConfig(**dict(cfg, stages=tuple(stages)))
     except ConfigError as exc:
         raise _header_error("config: %s" % exc) from None
-    stats = [
-        StageStats(
-            _field(s, "stage", str),
-            _field(s, "functions", int),
-            _field(s, "leave_percent", _NUMBER),
-        )
-        for s in _field(header, "stats", list)
-    ]
+    stats = [StageStats(**json_fields(s, _STATS_FIELDS, _header_error))
+             for s in json_field(header, "stats", list, _header_error)]
     libraries = []
-    for lib in _field(header, "libraries", list):
+    for lib in json_field(header, "libraries", list, _header_error):
         recs = []
-        for rec in _field(lib, "features", list):
-            prof = _field(rec, "profile", dict)
-            recs.append({
-                "function_name": _field(rec, "function_name", str),
-                "profile": ComplexityProfile(
-                    *(_field(prof, key, _NUMBER) for key in ("hv", "loc", "cc", "mi"))
-                ),
-                "is_export": _field(rec, "is_export", bool),
-                "weight": _field(rec, "weight", _NUMBER),
-                "df": _field(rec, "df", int),
-                "n_in_library": _field(rec, "n_in_library", int),
-            })
-        libraries.append((_field(lib, "library_id", str), recs))
+        for rec in json_field(lib, "features", list, _header_error):
+            prof = json_field(rec, "profile", dict, _header_error)
+            profile = ComplexityProfile(**json_fields(prof, _PROFILE_FIELDS, _header_error))
+            recs.append(dict(json_fields(rec, _FEATURE_FIELDS, _header_error), profile=profile))
+        libraries.append((json_field(lib, "library_id", str, _header_error), recs))
     if len({lib_id for lib_id, _ in libraries}) != len(libraries):
         raise RepositoryError("repository header repeats a library_id")
     return config, stats, libraries

@@ -276,7 +276,7 @@ def test_exit_code_two_on_bad_config(corpus_dir, tmp_path, capsys):
     capsys.readouterr()
     cfg_path = tmp_path / "cfg.json"
     for bad in (b'{"theta1": "x"}', b'{"stages": 5}', b'{"stages": [["export"]]}',
-                b'{"dim": true}', b'{"batch": 4}', b'\xff\xfe{}'):
+                b'{"dim": true}', b'{"batch": 4}', b'\xff\xfe{}', b'{"theta3": NaN}'):
         cfg_path.write_bytes(bad)
         code = main([
             "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),

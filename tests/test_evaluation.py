@@ -477,7 +477,8 @@ def test_timings_round_trip(tmp_path):
     assert read_timings(path) == timings
 
 
-@pytest.mark.parametrize("text", ["{broken", '{"export_s": 1.0}'])
+@pytest.mark.parametrize("text", ["{broken", '{"export_s": 1.0}',
+                                  '{"export_s": NaN, "mi_s": 0, "weights_s": 0}'])
 def test_read_timings_rejects_malformed(tmp_path, text):
     path = tmp_path / "timings.json"
     path.write_text(text, encoding="utf-8")

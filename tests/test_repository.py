@@ -552,8 +552,17 @@ def _first_feature(header):
         (lambda h: h.pop("config"), "lacks field 'config'"),
         (lambda h: _first_feature(h).pop("profile"), "lacks field 'profile'"),
         (lambda h: h.update(libraries={}), "'libraries' has the wrong type"),
+        (lambda h: _first_feature(h).update(weight=float("nan")),
+         "field 'weight' is not a finite number"),
+        (lambda h: h["stats"][0].update(leave_percent=float("inf")),
+         "field 'leave_percent' is not a finite number"),
+        (lambda h: _first_feature(h)["profile"].update(mi=float("nan")),
+         "field 'mi' is not a finite number"),
+        (lambda h: h["config"].update(stages=["bogus"]), "field 'stages' must list distinct"),
+        (lambda h: h["config"].update(stages=["mi", "mi"]), "field 'stages' must list distinct"),
     ],
-    ids=["no-config", "feature-without-profile", "libraries-not-a-list"],
+    ids=["no-config", "feature-without-profile", "libraries-not-a-list", "nan-weight",
+         "infinite-leave-percent", "nan-profile-mi", "unknown-stage", "repeated-stage"],
 )
 def test_load_rejects_malformed_header(tmp_path, capsys, edit, needle):
     path = tmp_path / "repo.lsr"

@@ -209,7 +209,8 @@ _REPORT = {
     ("entry", "decision", "no"), ("entry", "decision", 1), ("entry", "evidence", {}),
     ("evidence", "binary_function", None), ("evidence", "library_function", 2),
     ("evidence", "cosine", "0.5"), ("evidence", "weight", False),
-    ("evidence", "contribution", [0.5]),
+    ("evidence", "contribution", [0.5]), ("entry", "score", float("nan")),
+    ("evidence", "cosine", float("inf")),
 ])
 def test_read_reports_refuses_a_mistyped_field(where, field, value, tmp_path):
     bad = json.loads(json.dumps(_REPORT))
