@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -98,48 +99,30 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
     bin_mat = _unit_rows(bin_vectors)
     lib_mat = _unit_rows(np.vstack([f.vector for f in features]))
 
-    evidence = []
+    # (binary row, library column, clipped cosine) per evidence row
     if mode == AGG_WEIGHTED_MEAN:
         # streaming max avoids materializing the full score matrix
         best, arg = _kernels.best_match(bin_mat, lib_mat)
-        best = np.clip(best, -1.0, 1.0)
-        total_weight = 0.0
-        total = 0.0
-        for j, f in enumerate(features):
-            contribution = f.weight * float(best[j])
-            evidence.append(
-                MatchEvidence(
-                    binary_function=bin_names[int(arg[j])],
-                    library_function=f.function_name,
-                    cosine=float(best[j]),
-                    weight=f.weight,
-                    contribution=contribution,
-                )
-            )
-            total += contribution
-            total_weight += f.weight
-        score = total / total_weight if total_weight > 0.0 else 0.0
-        return score, evidence
-
-    sims = np.clip(_kernels.sim_matrix(bin_mat, lib_mat, DEFAULT_BATCH), -1.0, 1.0)
-    weights = np.array([f.weight for f in features], dtype=np.float64)
-    scored = sims * weights[None, :]
-    arg = scored.argmax(axis=1)
-    total = 0.0
-    for i, name in enumerate(bin_names):
-        j = int(arg[i])
-        contribution = float(scored[i, j])
-        evidence.append(
-            MatchEvidence(
-                binary_function=name,
-                library_function=features[j].function_name,
-                cosine=float(sims[i, j]),
-                weight=features[j].weight,
-                contribution=contribution,
-            )
-        )
-        total += contribution
-    return total, evidence
+        matches = zip(arg.tolist(), range(len(features)), np.clip(best, -1.0, 1.0).tolist())
+    else:
+        sims = np.clip(_kernels.sim_matrix(bin_mat, lib_mat, DEFAULT_BATCH), -1.0, 1.0)
+        weights = np.array([f.weight for f in features], dtype=np.float64)
+        arg = (sims * weights[None, :]).argmax(axis=1)
+        matches = zip(range(len(bin_names)), arg.tolist(),
+                      sims[np.arange(len(arg)), arg].tolist())
+    evidence = [
+        MatchEvidence(bin_names[i], features[j].function_name, cosine, features[j].weight,
+                      features[j].weight * cosine)
+        for i, j, cosine in matches
+    ]
+    # left-to-right sums: reports print scores with repr
+    total = total_weight = 0.0
+    for m in evidence:
+        total += m.contribution
+        total_weight += m.weight
+    if mode == AGG_MATCH_SUM:
+        return total, evidence
+    return (total / total_weight if total_weight > 0.0 else 0.0), evidence
 
 
 def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
@@ -202,16 +185,8 @@ def detect(
     the repository was built from external vectors and refused otherwise.
     """
     check_scoring(mode, theta3)
-    echo = {
-        "theta1": repo.config.theta1,
-        "theta2": repo.config.theta2,
-        "theta3": theta3,
-        "mode": mode,
-        "dim": repo.config.dim,
-        "embedder": repo.config.embedder,
-        "seed": repo.config.seed,
-        "batch": DEFAULT_BATCH,
-    }
+    echo = field_values(SimpleNamespace(**vars(repo.config), theta3=theta3, mode=mode,
+                                        batch=DEFAULT_BATCH), _ECHO_FIELDS)
     names, mat = embed_target(doc, repo.config, vectors=vectors)
     entries = []
     for lib_id, score, evidence in score_libraries(names, mat, repo, mode=mode):
@@ -240,6 +215,9 @@ def write_reports(reports: Iterable[DetectionReport], path) -> None:
 # the fields of each report record, in the order they are written; a
 # record's nested list follows its fields
 _REPORT_FIELDS = (("binary_id", str), ("config", dict))
+# the settings a report's config echoes; a reader accepts any subset
+_ECHO_FIELDS = (("theta1", NUMBER), ("theta2", NUMBER), ("theta3", NUMBER), ("mode", str),
+                ("dim", int), ("embedder", str), ("seed", int), ("batch", int))
 _ENTRY_FIELDS = (("library_id", str), ("score", NUMBER), ("decision", bool))
 _EVIDENCE_FIELDS = (("binary_function", str), ("library_function", str),
                     ("cosine", NUMBER), ("weight", NUMBER), ("contribution", NUMBER))
@@ -257,8 +235,8 @@ def _report_dict(report: DetectionReport) -> dict:
 
 
 def read_reports(path) -> list:
-    """Reports from a JSON Lines file; a missing or mistyped field raises
-    ParseError with its line number."""
+    """Reports from a JSON Lines file; a missing or mistyped field, or an
+    unknown config echo key, raises ParseError with its line number."""
     reports = []
     with open(path, "rb") as fh:
         for line, obj in json_records(fh.read()):
@@ -271,6 +249,11 @@ def read_reports(path) -> list:
                             for m in json_field(e, "evidence", list, fail)]
                 entries.append(LibraryScore(**json_fields(e, _ENTRY_FIELDS, fail),
                                             evidence=evidence))
-            reports.append(DetectionReport(**json_fields(obj, _REPORT_FIELDS, fail),
-                                           entries=entries))
+            report = json_fields(obj, _REPORT_FIELDS, fail)
+            kinds = dict(_ECHO_FIELDS)
+            for key in report["config"]:
+                if key not in kinds:
+                    raise fail("config has unknown field %r" % key)
+                json_field(report["config"], key, kinds[key], fail)
+            reports.append(DetectionReport(**report, entries=entries))
     return reports

@@ -41,6 +41,7 @@ from .repository import (
     compute_weights,
     purify_export,
     purify_mi,
+    stage_steps,
 )
 
 DEFAULT_THETA1_GRID = (0.75, 0.8, 0.85, 0.9, 0.95)
@@ -315,10 +316,8 @@ def run_ablation(
     rows = []
     for label, stages in ABLATION_CONFIGS:
         staged = origin
-        if STAGE_EXPORT in stages:
-            staged = purify_export(staged)
-        if STAGE_MI in stages:
-            staged = purify_mi(staged)
+        for _, staged in stage_steps(origin, stages):
+            pass
         for weights_on in (False, True):
             repo = compute_weights(staged) if weights_on else staged
             table = _score_targets(targets, repo, mode)

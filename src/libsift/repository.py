@@ -7,6 +7,7 @@ common across libraries stop driving scores.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -189,78 +190,80 @@ def build_origin(
     return repo
 
 
-def _require_stage_unapplied(repo: TplRepository, stage: str) -> None:
-    if stage in repo.config.stages:
-        raise RepositoryError("stage %r already applied" % stage)
+def _in_stage_order(stages) -> bool:
+    """The stage rule, kept by every stage and checked on every loaded
+    header: names from ALL_STAGES, each at most once, in that order."""
+    return list(stages) == [stage for stage in ALL_STAGES if stage in stages]
 
 
-def purify_export(repo: TplRepository) -> TplRepository:
+def _stage(name):
+    """Turn `body(repo, ...) -> (libraries, config)` into the stage `name`:
+    it refuses to run when that would break the stage rule, and its new
+    repository lists `name` in config.stages and, for a purification, in
+    one more stats row."""
+    def decorate(body):
+        @functools.wraps(body)
+        def run(repo, *args, **kwargs):
+            applied = repo.config.stages
+            if not _in_stage_order(applied + (name,)):
+                reason = ("already applied" if name in applied
+                          else "must run before %r" % applied[-1])
+                raise RepositoryError("stage %r %s" % (name, reason))
+            libraries, config = body(repo, *args, **kwargs)
+            stats = list(repo.stats)
+            if name != STAGE_WEIGHTS:
+                count = sum(len(feats) for feats in libraries.values())
+                stats.append(StageStats(name, count, _leave_percent(count, stats[0].functions)))
+            return TplRepository(libraries, replace(config, stages=applied + (name,)), stats)
+
+        return run
+
+    return decorate
+
+
+@_stage(STAGE_EXPORT)
+def purify_export(repo: TplRepository):
     """Keep only export-table functions; they are what a reusing binary can
     actually link against."""
-    _require_stage_unapplied(repo, STAGE_EXPORT)
-    if STAGE_MI in repo.config.stages:
-        raise RepositoryError(
-            "export purification must run before the complexity filter"
-        )
     libraries = {}
     for lib_id, feats in repo.libraries.items():
         kept = [f for f in feats if f.is_export]
         if feats and not kept:
             log.warning("library %r has no exported functions", lib_id)
         libraries[lib_id] = kept
-    config = replace(repo.config, stages=repo.config.stages + (STAGE_EXPORT,))
-    stats = list(repo.stats)
-    count = sum(len(v) for v in libraries.values())
-    stats.append(
-        StageStats(STAGE_EXPORT, count, _leave_percent(count, repo.stats[0].functions))
-    )
-    return TplRepository(libraries, config, stats)
+    return libraries, repo.config
 
 
-def purify_mi(repo: TplRepository, theta2: float = None) -> TplRepository:
+@_stage(STAGE_MI)
+def purify_mi(repo: TplRepository, theta2: float = None):
     """Drop simple functions by a global complexity-index percentile.
 
     The cutoff m* is the largest observed index value whose strictly-below
     fraction stays within theta2; functions AT the cutoff are dropped too,
     so retention can undershoot theta2 when values tie.
     """
-    config = replace(
-        repo.config,
-        theta2=repo.config.theta2 if theta2 is None else theta2,
-        stages=repo.config.stages + (STAGE_MI,),
-    )
-    _require_stage_unapplied(repo, STAGE_MI)
-
+    config = replace(repo.config, theta2=repo.config.theta2 if theta2 is None else theta2)
     values = np.array(
         [f.profile.mi for feats in repo.libraries.values() for f in feats],
         dtype=np.float64,
     )
-    libraries = {}
     if values.size == 0:
         log.warning("complexity filter ran on an empty repository")
-        libraries = {lib_id: [] for lib_id in repo.libraries}
-    else:
-        ordered = np.sort(values)
-        distinct = np.unique(values)
-        below = np.searchsorted(ordered, distinct, side="left")
-        eligible = distinct[below / values.size <= config.theta2]
-        m_star = float(eligible[-1])  # below[0] == 0, so this always exists
-        for lib_id, feats in repo.libraries.items():
-            libraries[lib_id] = [f for f in feats if f.profile.mi < m_star]
-        if sum(len(v) for v in libraries.values()) == 0:
-            log.warning(
-                "complexity filter retained nothing (all values tie at the cutoff)"
-            )
-
-    stats = list(repo.stats)
-    count = sum(len(v) for v in libraries.values())
-    stats.append(
-        StageStats(STAGE_MI, count, _leave_percent(count, repo.stats[0].functions))
-    )
-    return TplRepository(libraries, config, stats)
+        return {lib_id: [] for lib_id in repo.libraries}, config
+    ordered = np.sort(values)
+    distinct = np.unique(values)
+    below = np.searchsorted(ordered, distinct, side="left")
+    eligible = distinct[below / values.size <= config.theta2]
+    m_star = float(eligible[-1])  # below[0] == 0, so this always exists
+    libraries = {lib_id: [f for f in feats if f.profile.mi < m_star]
+                 for lib_id, feats in repo.libraries.items()}
+    if not any(libraries.values()):
+        log.warning("complexity filter retained nothing (all values tie at the cutoff)")
+    return libraries, config
 
 
-def compute_weights(repo: TplRepository, theta1: float = None) -> TplRepository:
+@_stage(STAGE_WEIGHTS)
+def compute_weights(repo: TplRepository, theta1: float = None):
     """Frequency-weight every retained feature.
 
     n counts same-library functions within theta1 similarity (self always
@@ -269,20 +272,12 @@ def compute_weights(repo: TplRepository, theta1: float = None) -> TplRepository:
     library count taken over ALL libraries, including purification-emptied
     ones.
     """
-    config = replace(
-        repo.config,
-        theta1=repo.config.theta1 if theta1 is None else theta1,
-        stages=repo.config.stages + (STAGE_WEIGHTS,),
-    )
-    _require_stage_unapplied(repo, STAGE_WEIGHTS)
-
+    config = replace(repo.config, theta1=repo.config.theta1 if theta1 is None else theta1)
     nonempty = [(lib_id, feats) for lib_id, feats in repo.libraries.items() if feats]
     library_count = len(repo.libraries)
     libraries = {lib_id: [] for lib_id in repo.libraries}
     if nonempty:
-        stack = np.vstack(
-            [f.vector for _, feats in nonempty for f in feats]
-        )
+        stack = np.vstack([f.vector for _, feats in nonempty for f in feats])
         lib_ids = np.concatenate(
             [np.full(len(feats), i, dtype=np.int64) for i, (_, feats) in enumerate(nonempty)]
         )
@@ -290,19 +285,27 @@ def compute_weights(repo: TplRepository, theta1: float = None) -> TplRepository:
         pos = 0
         for lib_id, feats in nonempty:
             size = len(feats)
-            for f, n, df in zip(feats, n_arr[pos : pos + size], df_arr[pos : pos + size]):
-                libraries[lib_id].append(
-                    replace(
-                        f,
-                        weight=tfidf_weight(int(n), size, library_count, int(df)),
-                        df=int(df),
-                        n_in_library=int(n),
-                    )
-                )
+            counts = zip(n_arr[pos : pos + size].tolist(), df_arr[pos : pos + size].tolist())
+            libraries[lib_id] = [
+                replace(f, weight=tfidf_weight(n, size, library_count, df), df=df, n_in_library=n)
+                for f, (n, df) in zip(feats, counts)
+            ]
             pos += size
     else:
         log.warning("weighting ran on an empty repository")
-    return TplRepository(libraries, config, list(repo.stats))
+    return libraries, config
+
+
+def stage_steps(repo: TplRepository, stages: Iterable[str] = ALL_STAGES):
+    """Yield (stage, repository) after each of `stages` applied to `repo`,
+    in ALL_STAGES order whatever order `stages` lists them in."""
+    # looked up as the loop runs, so a rebound module attribute is the one
+    # that runs
+    steps = {STAGE_EXPORT: purify_export, STAGE_MI: purify_mi, STAGE_WEIGHTS: compute_weights}
+    for stage in ALL_STAGES:
+        if stage in stages:
+            repo = steps[stage](repo)
+            yield stage, repo
 
 
 def build_steps(
@@ -315,9 +318,8 @@ def build_steps(
     stages: Iterable[str] = ALL_STAGES,
     vectors: Mapping = None,
 ):
-    """Yield ("origin", repository), then (stage, repository) after each
-    requested stage, in canonical order: export, then complexity filter,
-    then weights.
+    """Yield ("origin", repository), then the `stage_steps` of the requested
+    stages: export, then complexity filter, then weights.
 
     Each stage reads its threshold from the origin's config, so a caller
     only times or inspects the steps; the last one is the repository.
@@ -330,15 +332,7 @@ def build_steps(
         docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed, vectors=vectors,
     )
     yield "origin", repo
-    if STAGE_EXPORT in stages:
-        repo = purify_export(repo)
-        yield STAGE_EXPORT, repo
-    if STAGE_MI in stages:
-        repo = purify_mi(repo)
-        yield STAGE_MI, repo
-    if STAGE_WEIGHTS in stages:
-        repo = compute_weights(repo)
-        yield STAGE_WEIGHTS, repo
+    yield from stage_steps(repo, stages)
 
 
 def build_repository(docs: Iterable[BinaryDocument], **options) -> TplRepository:
@@ -434,13 +428,15 @@ def _header_error(message):
 
 def _read_header(header):
     """(config, stats, [(library_id, [feature fields])]) from a decoded
-    header; every field is read here and a missing or mistyped one raises
-    RepositoryError."""
+    header; every field is read here, and a missing or mistyped one, or
+    stages and stats that break the stage rule, raise RepositoryError."""
+    if json_field(header, "format_version", int, _header_error) != REPO_FORMAT_VERSION:
+        raise _header_error("field 'format_version' must be %d" % REPO_FORMAT_VERSION)
     cfg = json_fields(json_field(header, "config", dict, _header_error), _CONFIG_FIELDS,
                       _header_error)
     stages = cfg["stages"]
-    if not all(stage in ALL_STAGES for stage in stages) or len(set(stages)) != len(stages):
-        raise _header_error("field 'stages' must list distinct names among %s"
+    if not _in_stage_order(stages):
+        raise _header_error("field 'stages' must list distinct names among %s, in that order"
                             % ", ".join(ALL_STAGES))
     try:
         config = RepoConfig(**dict(cfg, stages=tuple(stages)))
@@ -458,6 +454,12 @@ def _read_header(header):
         libraries.append((json_field(lib, "library_id", str, _header_error), recs))
     if len({lib_id for lib_id, _ in libraries}) != len(libraries):
         raise RepositoryError("repository header repeats a library_id")
+    rows = ["origin"] + [stage for stage in stages if stage != STAGE_WEIGHTS]
+    leave = [1.0] + [_leave_percent(s.functions, stats[0].functions) for s in stats[1:]]
+    if ([s.stage for s in stats] != rows or [s.leave_percent for s in stats] != leave
+            or stats[-1].functions != sum(len(recs) for _, recs in libraries)):
+        raise _header_error("field 'stats' must hold origin, then the purifications in 'stages', "
+                            "each leave_percent count / origin, ending at the feature count")
     return config, stats, libraries
 
 

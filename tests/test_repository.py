@@ -7,8 +7,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from libsift import (
+    ALL_STAGES,
     BasicBlock,
     BinaryDocument,
     ConfigError,
@@ -223,18 +226,47 @@ def test_purify_export_warns_when_library_empties(caplog):
     assert any("no exported" in r.message for r in caplog.records)
 
 
-def test_stage_order_is_enforced():
+@pytest.mark.parametrize(
+    "stages, needle",
+    [
+        ((purify_export, purify_export), "already applied"),
+        ((purify_export, purify_mi, purify_mi), "already applied"),
+        ((purify_mi, purify_export), "before"),
+        ((purify_export, purify_mi, compute_weights, compute_weights), "already applied"),
+        ((purify_export, compute_weights, purify_mi), "before"),
+        ((compute_weights, purify_export), "before"),
+    ],
+    ids=["export-twice", "mi-twice", "export-after-mi", "weights-twice", "mi-after-weights",
+         "export-after-weights"],
+)
+def test_stage_order_is_enforced(stages, needle):
     repo = build_origin(_small_corpus(), dim=DIM)
-    staged = purify_mi(purify_export(repo))
-    with pytest.raises(RepositoryError, match="already applied"):
-        purify_export(purify_export(repo))
-    with pytest.raises(RepositoryError, match="already applied"):
-        purify_mi(staged)
-    with pytest.raises(RepositoryError, match="before"):
-        purify_export(purify_mi(repo))
-    weighted = compute_weights(staged)
-    with pytest.raises(RepositoryError, match="already applied"):
-        compute_weights(weighted)
+    *applied, last = stages
+    for stage in applied:
+        repo = stage(repo)
+    with pytest.raises(RepositoryError, match=needle):
+        last(repo)
+
+
+_STAGE_CALLS = {"export": purify_export, "mi": purify_mi, "weights": compute_weights}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from(sorted(_STAGE_CALLS)), max_size=5))
+def test_any_stage_sequence_keeps_the_stage_rule(tmp_path_factory, calls):
+    repo = build_origin(_small_corpus(), dim=DIM)
+    path = tmp_path_factory.mktemp("staged") / "repo.lsr"
+    for name in calls:
+        try:
+            repo = _STAGE_CALLS[name](repo)
+        except RepositoryError:
+            continue
+        stages = list(repo.config.stages)
+        assert stages == [s for s in ALL_STAGES if s in stages]
+        assert [s.stage for s in repo.stats] == ["origin"] + [s for s in stages if s != "weights"]
+        assert repo.stats[-1].functions == repo.feature_count()
+        save_repository(repo, path)
+        assert load_repository(path) == repo
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +592,19 @@ def _first_feature(header):
          "field 'mi' is not a finite number"),
         (lambda h: h["config"].update(stages=["bogus"]), "field 'stages' must list distinct"),
         (lambda h: h["config"].update(stages=["mi", "mi"]), "field 'stages' must list distinct"),
+        (lambda h: h["config"].update(stages=["weights", "export", "mi"]),
+         "field 'stages' must list distinct"),
+        (lambda h: h["stats"][1].update(stage="bogus"), "field 'stats' must hold"),
+        (lambda h: h.update(stats=[]), "field 'stats' must hold"),
+        (lambda h: h["stats"][-1].update(functions=h["stats"][-1]["functions"] + 1),
+         "field 'stats' must hold"),
+        (lambda h: h.update(format_version="x"), "'format_version' has the wrong type"),
+        (lambda h: h.update(format_version=2), "field 'format_version' must be 1"),
     ],
     ids=["no-config", "feature-without-profile", "libraries-not-a-list", "nan-weight",
-         "infinite-leave-percent", "nan-profile-mi", "unknown-stage", "repeated-stage"],
+         "infinite-leave-percent", "nan-profile-mi", "unknown-stage", "repeated-stage",
+         "stages-out-of-order", "bogus-stats-row", "empty-stats", "wrong-last-count",
+         "format-version-not-int", "format-version-2"],
 )
 def test_load_rejects_malformed_header(tmp_path, capsys, edit, needle):
     path = tmp_path / "repo.lsr"

@@ -210,11 +210,12 @@ _REPORT = {
     ("evidence", "binary_function", None), ("evidence", "library_function", 2),
     ("evidence", "cosine", "0.5"), ("evidence", "weight", False),
     ("evidence", "contribution", [0.5]), ("entry", "score", float("nan")),
-    ("evidence", "cosine", float("inf")),
+    ("evidence", "cosine", float("inf")), ("config", "theta3", float("nan")),
+    ("config", "mode", 5), ("config", "bogus", 1),
 ])
 def test_read_reports_refuses_a_mistyped_field(where, field, value, tmp_path):
     bad = json.loads(json.dumps(_REPORT))
-    record = {"report": bad, "entry": bad["entries"][0],
+    record = {"report": bad, "entry": bad["entries"][0], "config": bad["config"],
               "evidence": bad["entries"][0]["evidence"][0]}[where]
     record[field] = value
     path = tmp_path / "reports.jsonl"
