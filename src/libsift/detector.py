@@ -85,6 +85,45 @@ def _unit_rows(mat) -> np.ndarray:
     return mat / norms[:, None]
 
 
+def match_library(bin_mat, lib_mat, mode: str = AGG_WEIGHTED_MEAN):
+    """The kernel step of scoring one binary against one library, on
+    unit-row matrices; weights play no part, so any number of weightings
+    of the same features reuse its result through `reduce_matches`.
+
+    core-weighted-mean: (clipped best cosine, first binary row attaining
+    it) per library feature.  match-sum: (clipped binary x library cosine
+    matrix, None).
+    """
+    if mode == AGG_WEIGHTED_MEAN:
+        # streaming max avoids materializing the full score matrix
+        best, arg = _kernels.best_match(bin_mat, lib_mat)
+        return np.clip(best, -1.0, 1.0), arg
+    return np.clip(_kernels.sim_matrix(bin_mat, lib_mat, DEFAULT_BATCH), -1.0, 1.0), None
+
+
+def reduce_matches(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
+    """(score, binary rows, library columns, cosines, contributions) for
+    the `match_library` result `matches` under one weight per library
+    feature; one evidence row per entry of the four arrays."""
+    sims, arg = matches
+    if mode == AGG_WEIGHTED_MEAN:
+        rows, cols, cosines = arg, np.arange(len(weights)), sims
+        contributions = weights * cosines
+    else:
+        cols = (sims * weights[None, :]).argmax(axis=1)
+        rows = np.arange(len(cols))
+        cosines = sims[rows, cols]
+        contributions = weights[cols] * cosines
+    # left-to-right sums, as a += loop from 0.0 makes them: reports print
+    # scores with repr
+    total = 0.0 + float(np.add.accumulate(contributions)[-1])
+    if mode == AGG_MATCH_SUM:
+        return total, rows, cols, cosines, contributions
+    total_weight = 0.0 + float(np.add.accumulate(weights)[-1])
+    score = total / total_weight if total_weight > 0.0 else 0.0
+    return score, rows, cols, cosines, contributions
+
+
 def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
     """(score, evidence rows) for one binary against one library.
 
@@ -96,33 +135,16 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
     if len(features) == 0 or bin_vectors.shape[0] == 0:
         raise ValueError("aggregate needs a non-empty binary and library")
 
-    bin_mat = _unit_rows(bin_vectors)
-    lib_mat = _unit_rows(np.vstack([f.vector for f in features]))
-
-    # (binary row, library column, clipped cosine) per evidence row
-    if mode == AGG_WEIGHTED_MEAN:
-        # streaming max avoids materializing the full score matrix
-        best, arg = _kernels.best_match(bin_mat, lib_mat)
-        matches = zip(arg.tolist(), range(len(features)), np.clip(best, -1.0, 1.0).tolist())
-    else:
-        sims = np.clip(_kernels.sim_matrix(bin_mat, lib_mat, DEFAULT_BATCH), -1.0, 1.0)
-        weights = np.array([f.weight for f in features], dtype=np.float64)
-        arg = (sims * weights[None, :]).argmax(axis=1)
-        matches = zip(range(len(bin_names)), arg.tolist(),
-                      sims[np.arange(len(arg)), arg].tolist())
+    matches = match_library(_unit_rows(bin_vectors),
+                            _unit_rows(np.vstack([f.vector for f in features])), mode)
+    weights = np.array([f.weight for f in features], dtype=np.float64)
+    score, *rows = reduce_matches(matches, weights, mode)
     evidence = [
         MatchEvidence(bin_names[i], features[j].function_name, cosine, features[j].weight,
-                      features[j].weight * cosine)
-        for i, j, cosine in matches
+                      contribution)
+        for i, j, cosine, contribution in zip(*(a.tolist() for a in rows))
     ]
-    # left-to-right sums: reports print scores with repr
-    total = total_weight = 0.0
-    for m in evidence:
-        total += m.contribution
-        total_weight += m.weight
-    if mode == AGG_MATCH_SUM:
-        return total, evidence
-    return (total / total_weight if total_weight > 0.0 else 0.0), evidence
+    return score, evidence
 
 
 def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):

@@ -17,12 +17,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .detector import (
     AGG_WEIGHTED_MEAN,
     DEFAULT_THETA3,
+    _unit_rows,
     check_scoring,
     embed_target,
-    score_libraries,
+    match_library,
+    reduce_matches,
 )
 from .embedding import DEFAULT_DIM, DEFAULT_SEED
 from .errors import ConfigError, ParseError, ValidationError
@@ -116,33 +120,57 @@ def score_metrics(reports, manifest: Mapping) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# shared scoring plumbing: detect's embedding and per-library loop
+# grouped scoring: one pass over the targets serves every cell
 
-def _origin_and_targets(tpl_docs, target_docs, manifest, **options):
-    """The origin repository and every embedded target, taking one document
-    at a time; thresholds never change embeddings, so sweep and ablation
-    only rescore these.  Every target must be in the manifest."""
-    origin = build_origin(tpl_docs, **options)
-    targets = []
+def _group(staged: TplRepository, weightings) -> tuple:
+    """(weighting count, [(library id, unit-row feature matrix, one weight
+    row per weighting)]) over the libraries of `staged` that kept
+    features, in library id order.
+
+    `weightings` are repositories over exactly the features of `staged`
+    that differ from it only in weights; each is read once, in turn, so a
+    generator holds one at a time.  Each matrix holds one library's rows,
+    as `aggregate` stacks them: BLAS results depend on the key count, so
+    one product over every library would move cosines in the last bit.
+    """
+    lib_ids = [lib_id for lib_id in sorted(staged.libraries) if staged.libraries[lib_id]]
+    per_weighting = [[[f.weight for f in repo.libraries[lib_id]] for lib_id in lib_ids]
+                     for repo in weightings]
+    return len(per_weighting), [
+        (lib_id, _unit_rows(np.vstack([f.vector for f in staged.libraries[lib_id]])),
+         np.array([weights[n] for weights in per_weighting], dtype=np.float64))
+        for n, lib_id in enumerate(lib_ids)
+    ]
+
+
+def _score_groups(target_docs, manifest, config: RepoConfig, groups, mode) -> list:
+    """tables[g][k]: bin_id -> {library_id: aggregate score} under
+    weighting k of group g, over the libraries detect could decide:
+    emptied libraries and empty targets contribute none.
+
+    Targets are taken one document at a time: each is embedded and
+    normalized once, matched once per (group, library), re-weighted per
+    weighting and dropped before the next is read.  Every target must be
+    in the manifest.
+    """
+    tables = [[{} for _ in range(count)] for count, _ in groups]
     for doc in target_docs:
-        if doc.binary_id not in manifest:
-            raise ValidationError("target %r missing from manifest" % doc.binary_id)
-        targets.append((doc.binary_id, embed_target(doc, origin.config)))
-    return origin, targets
-
-
-def _score_targets(targets, repo: TplRepository, mode):
-    """bin_id -> {library_id: aggregate score} for (bin_id, (names, mat))
-    targets, over the libraries detect could decide: emptied libraries and
-    empty targets contribute none."""
-    return {
-        bin_id: {
-            lib_id: score
-            for lib_id, score, _ in score_libraries(names, mat, repo, mode=mode)
-            if score is not None
-        }
-        for bin_id, (names, mat) in targets
-    }
+        bin_id = doc.binary_id
+        if bin_id not in manifest:
+            raise ValidationError("target %r missing from manifest" % bin_id)
+        for group_tables in tables:
+            for table in group_tables:
+                table[bin_id] = {}
+        _, mat = embed_target(doc, config)
+        if mat is None:
+            continue
+        bin_mat = _unit_rows(mat)
+        for (_, libraries), group_tables in zip(groups, tables):
+            for lib_id, lib_mat, weights in libraries:
+                matches = match_library(bin_mat, lib_mat, mode)
+                for table, row in zip(group_tables, weights):
+                    table[bin_id][lib_id] = reduce_matches(matches, row, mode)[0]
+    return tables
 
 
 def _counts_at(score_table, manifest, theta3) -> ConfusionCounts:
@@ -208,10 +236,11 @@ def sweep(
 ) -> SweepGrid:
     """Full grid evaluation.
 
-    Embeddings are computed once (they do not depend on thresholds);
-    purification and weights are rebuilt per (theta1, theta2); theta3 only
-    re-thresholds the cached aggregate scores.  Every grid value is checked
-    before the first document is read.
+    theta2 alone fixes the retained features: the complexity filter runs
+    once per theta2 and weights once per (theta1, theta2).  Each target is
+    embedded once, matched once per theta2 and re-weighted per theta1;
+    theta3 only re-thresholds the cached aggregate scores.  Every grid
+    value is checked before the first document is read.
     """
     if not theta1_values or not theta2_values or not theta3_values:
         raise ConfigError("sweep grids must be non-empty")
@@ -219,20 +248,23 @@ def sweep(
     for t1 in theta1_values:
         for t2 in theta2_values:
             RepoConfig(theta1=t1, theta2=t2, dim=dim, seed=seed)
-    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, dim=dim, seed=seed)
+    origin = build_origin(tpl_docs, dim=dim, seed=seed)
     exported = purify_export(origin)
+    retained, groups = [], []
+    for t2 in theta2_values:
+        staged = purify_mi(exported, t2)
+        retained.append(staged.stats[-1].leave_percent)
+        groups.append(_group(staged, (compute_weights(staged, t1) for t1 in theta1_values)))
+    tables = _score_groups(target_docs, manifest, origin.config, groups, mode)
 
     cells = []
-    for t1 in theta1_values:
-        for t2 in theta2_values:
-            repo = compute_weights(purify_mi(exported, t2), t1)
-            retained = repo.stats[-1].leave_percent
-            table = _score_targets(targets, repo, mode)
+    for i1, t1 in enumerate(theta1_values):
+        for i2, t2 in enumerate(theta2_values):
             for t3 in theta3_values:
-                result = metrics_from_counts(_counts_at(table, manifest, t3))
+                result = metrics_from_counts(_counts_at(tables[i2][i1], manifest, t3))
                 cells.append(
                     SweepCell(
-                        float(t1), float(t2), float(t3), retained,
+                        float(t1), float(t2), float(t3), retained[i2],
                         result.precision, result.recall, result.f1,
                     )
                 )
@@ -308,26 +340,30 @@ def run_ablation(
 ) -> AblationTable:
     """Eight rows: four purification configs, each with weights off (all
     1.0) and on, at fixed thresholds; every stage reads theta1 and theta2
-    from the origin's config."""
+    from the origin's config.  Each target is matched once per config and
+    re-weighted for weights off and on."""
     check_scoring(mode, theta3)
-    origin, targets = _origin_and_targets(tpl_docs, target_docs, manifest, theta1=theta1,
-                                          theta2=theta2, dim=dim, seed=seed)
-
-    rows = []
-    for label, stages in ABLATION_CONFIGS:
+    origin = build_origin(tpl_docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed)
+    sizes, groups = [], []
+    for _, stages in ABLATION_CONFIGS:
         staged = origin
         for _, staged in stage_steps(origin, stages):
             pass
-        for weights_on in (False, True):
-            repo = compute_weights(staged) if weights_on else staged
-            table = _score_targets(targets, repo, mode)
+        sizes.append((staged.feature_count(), staged.stats[-1].leave_percent))
+        groups.append(_group(staged, (staged, compute_weights(staged))))
+    tables = _score_groups(target_docs, manifest, origin.config, groups, mode)
+
+    rows = []
+    for (label, _), (func_count, leave_percent), group_tables in zip(ABLATION_CONFIGS, sizes,
+                                                                     tables):
+        for weights_on, table in zip((False, True), group_tables):
             result = metrics_from_counts(_counts_at(table, manifest, theta3))
             rows.append(
                 AblationRow(
                     config=label,
                     weights=weights_on,
-                    func_count=staged.feature_count(),
-                    leave_percent=staged.stats[-1].leave_percent,
+                    func_count=func_count,
+                    leave_percent=leave_percent,
                     precision=result.precision,
                     recall=result.recall,
                     f1=result.f1,

@@ -85,8 +85,9 @@ class RepoConfig:
     stages: tuple = ()
 
     def __post_init__(self):
-        """The only range check of theta1, theta2, dim and seed; the
-        built-in embedder needs two dimensions, external vectors one."""
+        """The only range check of theta1, theta2, dim and seed, and the
+        check that `stages` keeps the stage rule; the built-in embedder
+        needs two dimensions, external vectors one."""
         if not -1.0 <= self.theta1 <= 1.0:
             raise ConfigError("theta1 must be in [-1, 1]")
         if not 0.0 < self.theta2 <= 1.0:
@@ -96,6 +97,9 @@ class RepoConfig:
             raise ConfigError("dim must be >= %d with the %s embedder" % (min_dim, self.embedder))
         if not MIN_SEED <= self.seed <= MAX_SEED:
             raise ConfigError("seed must be a signed 64-bit integer")
+        if not _in_stage_order(self.stages):
+            raise ConfigError("stages must list distinct names among %s, in that order"
+                              % ", ".join(ALL_STAGES))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Byte-level equivalence gate for refactors.
 
-One small fixed corpus goes through build, detect (in both aggregation
-modes), sweep and ablate, and the sha256 of each output file must equal
+One small fixed corpus goes through build, and detect, sweep and ablate
+in both aggregation modes, and the sha256 of each output file must equal
 the digest recorded here.  A change meant only to restructure code must
 leave all of them unchanged; a change meant to alter results updates the
 digests and says why.  The digests were recorded with numpy and OpenBLAS
@@ -31,6 +31,8 @@ RECORDED = {
     "repository": "b1a11082fdf458a4ca2230b26bd2fd464756681c93abc7ba2cc00b5a3bb7d91c",
     "sweep": "14db16bf79fbff09d949bb34ea080f39bf391790b64ccdd45f0d756174dab0a7",
     "ablation": "0d86ec5a08a7152a2affb09c2fd1b157158ebfcdd25f903d1fd5858f072582bc",
+    "sweep-match-sum": "7918c4812ac82e727fd6710ec463a939257a4dc608722cf7616539c00bf09239",
+    "ablation-match-sum": "66ef6b4445e3452e11a80ac04313aeb7f129e321cbe6dc65c5ff2f170eb880fe",
     "reports-weighted-mean": "735e4fd1bb5c938a2a838ca8cd9d34e165fd1c5e102ae5604b2c7c7305e52e08",
     "reports-match-sum": "37a58128dd94d2e247d8a8a799eea7eb9a49de94c346741835f74c83efb6a271",
 }
@@ -57,6 +59,10 @@ def outputs(tmp_path_factory):
         "reports-match-sum": (out / "match-sum.jsonl").read_bytes(),
         "sweep": sweep(tpl_docs, target_docs, manifest, dim=DIM).to_csv_bytes(),
         "ablation": run_ablation(tpl_docs, target_docs, manifest, dim=DIM).to_csv_bytes(),
+        "sweep-match-sum": sweep(tpl_docs, target_docs, manifest, dim=DIM,
+                                 mode="match-sum").to_csv_bytes(),
+        "ablation-match-sum": run_ablation(tpl_docs, target_docs, manifest, dim=DIM,
+                                           mode="match-sum").to_csv_bytes(),
     }
 
 

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from libsift import (
+    AGGREGATION_MODES,
     BasicBlock,
     BinaryDocument,
     ConfigError,
@@ -20,11 +21,15 @@ from libsift import (
     SweepGrid,
     SyntheticCorpusSpec,
     ValidationError,
+    build_origin,
     build_repository,
+    compute_weights,
     detect,
     generate_corpus,
     metrics_from_counts,
     parse_document,
+    purify_export,
+    purify_mi,
     random_reuse_plan,
     read_timings,
     run_ablation,
@@ -34,10 +39,15 @@ from libsift import (
     time_stages,
     write_timings,
 )
+from libsift import evaluation
+from libsift.detector import embed_target, score_libraries
 from libsift.evaluation import (
+    ABLATION_CONFIGS,
     DEFAULT_THETA1_GRID,
     DEFAULT_THETA2_GRID,
     DEFAULT_THETA3_GRID,
+    _group,
+    _score_groups,
 )
 
 
@@ -436,6 +446,88 @@ def test_ablation_rows_equal_detect_at_every_theta3():
 
 
 # ---------------------------------------------------------------------------
+# grouped scoring: sweep and ablation score each retained feature set once
+
+def _scoring_corpus():
+    """_emptying_corpus plus a target of more than 512 functions after
+    section filtering, so best_match crosses a block boundary."""
+    tpl_docs, target_docs, manifest = _emptying_corpus()
+    big_tpls, (big,), _ = generate_corpus(_mini_spec(
+        planted_reuse={"binbig": (["lib000", "lib002"], 1.0)}, distractor_functions=530))
+    assert [serialize_document(d) for d in big_tpls] == [serialize_document(d)
+                                                         for d in tpl_docs[:-1]]
+    return tpl_docs, target_docs + [big], dict(manifest, binbig={"lib000", "lib002"})
+
+
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+def test_grouped_scores_equal_score_libraries_bit_for_bit(mode):
+    tpl_docs, target_docs, manifest = _scoring_corpus()
+    origin = build_origin(tpl_docs, dim=128)
+    exported = purify_export(origin)
+    # the sweep's groups (one per theta2, weighted per theta1), then the
+    # ablation's (one per config, weights off and on)
+    cells, groups = [], []
+    for t2 in (0.1, 0.3, 0.6):
+        staged = purify_mi(exported, t2)
+        cells.append([compute_weights(staged, t1) for t1 in (0.75, 0.9)])
+        groups.append(_group(staged, cells[-1]))
+    for _, stages in ABLATION_CONFIGS:
+        staged = build_repository(tpl_docs, dim=128, stages=stages)
+        cells.append([staged, compute_weights(staged)])
+        groups.append(_group(staged, cells[-1]))
+
+    tables = _score_groups(target_docs, manifest, origin.config, groups, mode)
+    embedded = {doc.binary_id: embed_target(doc, origin.config) for doc in target_docs}
+    assert embedded["binstub"][1] is None
+    assert embedded["binbig"][1].shape[0] > 512
+    emptied = 0
+    for repos, group_tables in zip(cells, tables):
+        for repo, table in zip(repos, group_tables):
+            assert list(table) == list(embedded)
+            for bin_id, (names, mat) in embedded.items():
+                rows = score_libraries(names, mat, repo, mode=mode)
+                emptied += sum(score is None for _, score, _ in rows)
+                assert table[bin_id] == {lib_id: score for lib_id, score, _ in rows
+                                         if score is not None}, (bin_id, repo.config)
+    assert emptied > 0
+
+
+def _lazy(docs, parsed, alive_at_parse):
+    """Parse each document only when it is asked for, and record how many
+    parsed ones are still alive at each parse."""
+    for blob in [serialize_document(doc) for doc in docs]:
+        alive_at_parse.append(sum(ref() is not None for ref in parsed))
+        doc = parse_document(blob)
+        parsed.append(weakref.ref(doc))
+        yield doc
+
+
+@pytest.mark.parametrize("run", [sweep, run_ablation])
+def test_evaluation_streams_its_targets(run, monkeypatch):
+    tpl_docs, target_docs, manifest = generate_corpus(_mini_spec(
+        planted_reuse={"bin%03d" % i: (["lib%03d" % (i % 3)], 1.0) for i in range(5)}))
+    embedded, alive_at_embed = [], []
+
+    def embed(doc, config):
+        alive_at_embed.append(sum(ref() is not None for ref in embedded))
+        names, mat = embed_target(doc, config)
+        embedded.append(weakref.ref(mat))
+        return names, mat
+
+    monkeypatch.setattr(evaluation, "embed_target", embed)
+    parsed, alive_at_parse = [], []
+    streamed = run(tpl_docs, _lazy(target_docs, parsed, alive_at_parse), manifest, dim=64)
+    assert len(parsed) == len(embedded) == 5
+    assert max(alive_at_parse) <= 2, alive_at_parse
+    assert max(alive_at_embed) <= 1, alive_at_embed
+    assert streamed.to_csv_bytes() == run(tpl_docs, target_docs, manifest,
+                                          dim=64).to_csv_bytes()
+    # streaming still checks every target against the manifest
+    with pytest.raises(ValidationError, match="'bin001' missing from manifest"):
+        run(tpl_docs, _lazy(target_docs, [], []), {"bin000": manifest["bin000"]}, dim=64)
+
+
+# ---------------------------------------------------------------------------
 # stage timing
 
 def test_time_stages_returns_positive_durations():
@@ -455,17 +547,8 @@ def test_time_stages_holds_at_most_two_parsed_documents():
     # while the next document is parsed, the loop over the previous one
     # may still name it; materializing the input would keep every one alive
     tpl_docs, _, _ = generate_corpus(_mini_spec(library_count=5, planted_reuse={}))
-    data = [serialize_document(doc) for doc in tpl_docs]
     parsed, alive_at_parse = [], []
-
-    def lazy():
-        for blob in data:
-            alive_at_parse.append(sum(ref() is not None for ref in parsed))
-            doc = parse_document(blob)
-            parsed.append(weakref.ref(doc))
-            yield doc
-
-    _, repo = time_stages(lazy(), dim=64)
+    _, repo = time_stages(_lazy(tpl_docs, parsed, alive_at_parse), dim=64)
     assert len(parsed) == 5 and len(repo.libraries) == 5
     assert max(alive_at_parse) <= 2, alive_at_parse
 

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import logging
 import math
 import random
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from libsift import (
     RepositoryChecksumError,
     RepositoryError,
     RepositoryVersionError,
+    RepoConfig,
     build_origin,
     build_repository,
     compute_weights,
@@ -615,6 +618,33 @@ def test_load_rejects_malformed_header(tmp_path, capsys, edit, needle):
     assert main(["inspect", "--repo", str(path)]) == 1
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stages", [("weights", "export"), ("mi", "export"), ("mi", "mi"),
+                                    ("bogus",), ("export", "weights", "mi")])
+def test_config_refuses_stages_that_break_the_stage_rule(stages):
+    # a config the loader would refuse can never be built, so it is never saved
+    repo = _full_repo()
+    with pytest.raises(ConfigError, match="stages must list distinct names"):
+        replace(repo.config, stages=stages)
+    with pytest.raises(ConfigError, match="stages must list distinct names"):
+        RepoConfig(stages=stages)
+
+
+def test_config_accepts_every_stage_order_a_build_can_reach():
+    for k in range(len(ALL_STAGES) + 1):
+        for stages in itertools.combinations(ALL_STAGES, k):
+            assert RepoConfig(stages=stages).stages == stages
+
+
+def test_loader_keeps_its_stage_message_for_a_header_config_would_refuse(tmp_path):
+    path = tmp_path / "repo.lsr"
+    save_repository(_full_repo(), path)
+    _rewrite_header(path, lambda h: h["config"].update(stages=["weights", "export"]))
+    with pytest.raises(RepositoryError) as err:
+        load_repository(path)
+    assert str(err.value) == ("repository header: field 'stages' must list distinct names "
+                              "among export, mi, weights, in that order")
 
 
 def test_round_trip_random_repositories(tmp_path):
