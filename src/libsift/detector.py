@@ -21,8 +21,8 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
-from .embedding import HashedNgramEmbedder, function_vectors
-from .errors import ConfigError, EmbeddingError, ParseError
+from .embedding import HashedNgramEmbedder, function_vectors, unit_rows
+from .errors import ConfigError, ParseError
 from .interchange import (
     NUMBER, BinaryDocument, field_values, json_field, json_fields, json_records,
 )
@@ -77,12 +77,13 @@ def check_scoring(mode: str, *theta3_values) -> None:
             raise ConfigError("theta3 must be in [-1, 1]")
 
 
-def _unit_rows(mat) -> np.ndarray:
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
-    norms = np.linalg.norm(mat, axis=1)
-    if (norms == 0.0).any():
-        raise EmbeddingError("zero-norm vector in similarity input")
-    return mat / norms[:, None]
+def library_block(features):
+    """(unit-row block, weights) for one library's features, in order: the
+    one place a library becomes a scoring block.  A block holds one
+    library's rows: BLAS results depend on the key count, so one product
+    over every library would move cosines in the last bit."""
+    return (unit_rows(np.vstack([f.vector for f in features])),
+            np.array([f.weight for f in features], dtype=np.float64))
 
 
 def match_library(bin_mat, lib_mat, mode: str = AGG_WEIGHTED_MEAN):
@@ -135,10 +136,9 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
     if len(features) == 0 or bin_vectors.shape[0] == 0:
         raise ValueError("aggregate needs a non-empty binary and library")
 
-    matches = match_library(_unit_rows(bin_vectors),
-                            _unit_rows(np.vstack([f.vector for f in features])), mode)
-    weights = np.array([f.weight for f in features], dtype=np.float64)
-    score, *rows = reduce_matches(matches, weights, mode)
+    lib_mat, weights = library_block(features)
+    score, *rows = reduce_matches(match_library(unit_rows(bin_vectors), lib_mat, mode),
+                                  weights, mode)
     evidence = [
         MatchEvidence(bin_names[i], features[j].function_name, cosine, features[j].weight,
                       contribution)
@@ -172,26 +172,6 @@ def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
     return [fn.name for fn in functions], mat
 
 
-def score_libraries(names, mat, repo: TplRepository, *, mode=AGG_WEIGHTED_MEAN) -> list:
-    """(library_id, score, evidence) per library, in library id order, for
-    one embedded target.
-
-    Neither empty case is ever decided: a target with no functions
-    (`mat` is None) yields no rows, and a library with no retained features
-    yields score None.
-    """
-    if mat is None:
-        return []
-    rows = []
-    for lib_id in sorted(repo.libraries):
-        feats = repo.libraries[lib_id]
-        if feats:
-            rows.append((lib_id, *aggregate(mat, names, feats, mode=mode)))
-        else:
-            rows.append((lib_id, None, []))
-    return rows
-
-
 def detect(
     doc: BinaryDocument,
     repo: TplRepository,
@@ -201,7 +181,9 @@ def detect(
     vectors=None,
 ) -> DetectionReport:
     """One report entry per library, sorted by library id; decision is
-    score >= theta3 (inclusive).
+    score >= theta3 (inclusive).  Neither empty case is ever decided: a
+    target that section filtering empties gets no entries, and a library
+    with no retained features scores 0.
 
     `vectors` maps function name -> embedding for the target; required when
     the repository was built from external vectors and refused otherwise.
@@ -210,13 +192,17 @@ def detect(
     echo = field_values(SimpleNamespace(**vars(repo.config), theta3=theta3, mode=mode,
                                         batch=DEFAULT_BATCH), _ECHO_FIELDS)
     names, mat = embed_target(doc, repo.config, vectors=vectors)
+    if mat is None:
+        return DetectionReport(doc.binary_id, [], echo)
     entries = []
-    for lib_id, score, evidence in score_libraries(names, mat, repo, mode=mode):
-        if score is None:
+    for lib_id in sorted(repo.libraries):
+        feats = repo.libraries[lib_id]
+        if feats:
+            score, evidence = aggregate(mat, names, feats, mode=mode)
+            entries.append(LibraryScore(lib_id, score, score >= theta3, evidence))
+        else:
             log.warning("library %r has no retained features; scoring 0", lib_id)
             entries.append(LibraryScore(lib_id, 0.0, False, []))
-        else:
-            entries.append(LibraryScore(lib_id, score, score >= theta3, evidence))
     return DetectionReport(doc.binary_id, entries, echo)
 
 

@@ -8,7 +8,9 @@ instead, as long as the dimension matches the repository.
 
 `function_vectors` is the one way a document's functions become vectors,
 for library builds and targets alike, and `_unit_vector` is the one check
-on vectors that come from outside the package.
+on vectors that come from outside the package.  `check_norms` is the one
+rule for what may enter a cosine: `row_norms` and `unit_rows` apply it to
+matrices, and every similarity input and the saved vector block pass it.
 """
 from __future__ import annotations
 
@@ -322,16 +324,41 @@ def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:
     return out
 
 
+def check_norms(norms) -> None:
+    """Raise EmbeddingError unless every norm is finite and greater than
+    zero.  A NaN or infinite entry makes its row's norm NaN or infinite,
+    and so does an overflowing sum of squares, so reading the norms
+    checks every entry at O(rows) cost."""
+    norms = np.asarray(norms)
+    if not ((norms > 0.0) & (norms < math.inf)).all():
+        raise EmbeddingError("a vector has a zero, non-finite or overflowing norm")
+
+
+def row_norms(mat) -> np.ndarray:
+    """The L2 norms of a 2-D matrix's rows, passed through `check_norms`."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
+    check_norms(norms)
+    return norms
+
+
+def unit_rows(mat) -> np.ndarray:
+    """`mat` as float64 with each row divided by its norm; every matrix
+    that enters a cosine goes through here."""
+    mat = np.ascontiguousarray(mat, dtype=np.float64)
+    return mat / row_norms(mat)[:, None]
+
+
 def cosine(a, b) -> float:
     """cos(a, b) in [-1, 1]; identical arrays compare to exactly 1.0."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise EmbeddingError("dimension mismatch")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise EmbeddingError("cosine of a zero vector is undefined")
+    with np.errstate(over="ignore"):
+        na = float(np.linalg.norm(a))
+        nb = float(np.linalg.norm(b))
+    check_norms((na, nb))
     if np.array_equal(a, b):
         return 1.0
     value = float(a @ b) / (na * nb)
@@ -347,10 +374,4 @@ def batched_similarity(queries, keys, batch: int = 128) -> np.ndarray:
         raise EmbeddingError("dimension mismatch")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    qn = np.linalg.norm(q, axis=1)
-    kn = np.linalg.norm(k, axis=1)
-    if (qn == 0.0).any() or (kn == 0.0).any():
-        raise EmbeddingError("cosine of a zero vector is undefined")
-    q = q / qn[:, None]
-    k = k / kn[:, None]
-    return _kernels.sim_matrix(q, k, int(batch))
+    return _kernels.sim_matrix(unit_rows(q), unit_rows(k), int(batch))

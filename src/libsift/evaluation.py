@@ -22,13 +22,13 @@ import numpy as np
 from .detector import (
     AGG_WEIGHTED_MEAN,
     DEFAULT_THETA3,
-    _unit_rows,
     check_scoring,
     embed_target,
+    library_block,
     match_library,
     reduce_matches,
 )
-from .embedding import DEFAULT_DIM, DEFAULT_SEED
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, unit_rows
 from .errors import ConfigError, ParseError, ValidationError
 from .interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction
 from .interchange import NUMBER, json_field, json_object, save_json
@@ -123,21 +123,19 @@ def score_metrics(reports, manifest: Mapping) -> EvalResult:
 # grouped scoring: one pass over the targets serves every cell
 
 def _group(staged: TplRepository, weightings) -> tuple:
-    """(weighting count, [(library id, unit-row feature matrix, one weight
+    """(weighting count, [(library id, `library_block` matrix, one weight
     row per weighting)]) over the libraries of `staged` that kept
     features, in library id order.
 
     `weightings` are repositories over exactly the features of `staged`
     that differ from it only in weights; each is read once, in turn, so a
-    generator holds one at a time.  Each matrix holds one library's rows,
-    as `aggregate` stacks them: BLAS results depend on the key count, so
-    one product over every library would move cosines in the last bit.
+    generator holds one at a time.
     """
     lib_ids = [lib_id for lib_id in sorted(staged.libraries) if staged.libraries[lib_id]]
     per_weighting = [[[f.weight for f in repo.libraries[lib_id]] for lib_id in lib_ids]
                      for repo in weightings]
     return len(per_weighting), [
-        (lib_id, _unit_rows(np.vstack([f.vector for f in staged.libraries[lib_id]])),
+        (lib_id, library_block(staged.libraries[lib_id])[0],
          np.array([weights[n] for weights in per_weighting], dtype=np.float64))
         for n, lib_id in enumerate(lib_ids)
     ]
@@ -164,7 +162,7 @@ def _score_groups(target_docs, manifest, config: RepoConfig, groups, mode) -> li
         _, mat = embed_target(doc, config)
         if mat is None:
             continue
-        bin_mat = _unit_rows(mat)
+        bin_mat = unit_rows(mat)
         for (_, libraries), group_tables in zip(groups, tables):
             for lib_id, lib_mat, weights in libraries:
                 matches = match_library(bin_mat, lib_mat, mode)

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import _kernels
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedNgramEmbedder, function_vectors
-from .embedding import MAX_SEED, MIN_SEED
+from .embedding import MAX_SEED, MIN_SEED, row_norms
 from .errors import (
     ConfigError,
+    EmbeddingError,
     ParseError,
     RepositoryChecksumError,
     RepositoryError,
@@ -387,6 +388,7 @@ def save_repository(repo: TplRepository, path) -> None:
     for feats in repo.libraries.values():
         for f in feats:
             blob += np.ascontiguousarray(f.vector, dtype="<f8").tobytes()
+    _vector_rows(blob, repo.feature_count(), repo.config.dim)
     payload = _MAGIC + struct.pack("<HI", REPO_FORMAT_VERSION, len(header)) + header + bytes(blob)
     digest = hashlib.sha256(payload).digest()
     with open(path, "wb") as fh:
@@ -414,16 +416,28 @@ def load_repository(path) -> TplRepository:
     header = json_object(payload[body_start : body_start + header_len], _header_error)
     config, stats, libraries = _read_header(header)
     blob = payload[body_start + header_len :]
-    if len(blob) != sum(len(recs) for _, recs in libraries) * config.dim * 8:
-        raise RepositoryChecksumError("vector block has wrong length")
-
-    rows = iter(np.frombuffer(blob, dtype="<f8").reshape(-1, config.dim).copy())
+    count = sum(len(recs) for _, recs in libraries)
+    rows = iter(_vector_rows(blob, count, config.dim).copy())
     return TplRepository(
         {lib_id: [FunctionFeature(library_id=lib_id, vector=next(rows), **rec) for rec in recs]
          for lib_id, recs in libraries},
         config,
         stats,
     )
+
+
+def _vector_rows(blob, count: int, dim: int) -> np.ndarray:
+    """The (count, dim) matrix the vector block `blob` holds; save and load
+    both refuse a block of another length or with a row that fails
+    `row_norms`."""
+    if len(blob) != count * dim * 8:
+        raise RepositoryChecksumError("vector block has wrong length")
+    rows = np.frombuffer(blob, dtype="<f8").reshape(count, dim)
+    try:
+        row_norms(rows)
+    except EmbeddingError as exc:
+        raise RepositoryError("vector block: %s" % exc) from None
+    return rows
 
 
 def _header_error(message):

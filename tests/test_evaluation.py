@@ -40,7 +40,7 @@ from libsift import (
     write_timings,
 )
 from libsift import evaluation
-from libsift.detector import embed_target, score_libraries
+from libsift.detector import aggregate, embed_target
 from libsift.evaluation import (
     ABLATION_CONFIGS,
     DEFAULT_THETA1_GRID,
@@ -460,7 +460,7 @@ def _scoring_corpus():
 
 
 @pytest.mark.parametrize("mode", AGGREGATION_MODES)
-def test_grouped_scores_equal_score_libraries_bit_for_bit(mode):
+def test_grouped_scores_equal_aggregate_bit_for_bit(mode):
     tpl_docs, target_docs, manifest = _scoring_corpus()
     origin = build_origin(tpl_docs, dim=128)
     exported = purify_export(origin)
@@ -484,11 +484,12 @@ def test_grouped_scores_equal_score_libraries_bit_for_bit(mode):
     for repos, group_tables in zip(cells, tables):
         for repo, table in zip(repos, group_tables):
             assert list(table) == list(embedded)
+            emptied += sum(not feats for feats in repo.libraries.values())
             for bin_id, (names, mat) in embedded.items():
-                rows = score_libraries(names, mat, repo, mode=mode)
-                emptied += sum(score is None for _, score, _ in rows)
-                assert table[bin_id] == {lib_id: score for lib_id, score, _ in rows
-                                         if score is not None}, (bin_id, repo.config)
+                want = {} if mat is None else {
+                    lib_id: aggregate(mat, names, feats, mode=mode)[0]
+                    for lib_id, feats in sorted(repo.libraries.items()) if feats}
+                assert table[bin_id] == want, (bin_id, repo.config)
     assert emptied > 0
 
 

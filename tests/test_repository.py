@@ -32,6 +32,7 @@ from libsift import (
     load_repository,
     purify_export,
     purify_mi,
+    save_document,
     save_manifest,
     save_repository,
     tfidf_weight,
@@ -618,6 +619,77 @@ def test_load_rejects_malformed_header(tmp_path, capsys, edit, needle):
     assert main(["inspect", "--repo", str(path)]) == 1
     err = capsys.readouterr().err
     assert needle in err and "Traceback" not in err
+
+
+def _rewrite_vectors(path, edit):
+    """Apply `edit` to the vector block, as a (features, dim) matrix, and
+    rewrite the file with a valid checksum, so only the vectors are wrong."""
+    data = path.read_bytes()[:-32]
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    start = 12 + header_len
+    dim = json.loads(data[12:start])["config"]["dim"]
+    rows = np.frombuffer(data[start:], dtype="<f8").reshape(-1, dim).copy()
+    edit(rows)
+    payload = data[:start] + rows.astype("<f8").tobytes()
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def _nan_in_first_row(rows):
+    rows[0, 0] = float("nan")
+
+
+def _inf_in_last_row(rows):
+    rows[-1, 5] = float("inf")
+
+
+def _zero_row(rows):
+    rows[7] = 0.0
+
+
+_BAD_ROWS = [_nan_in_first_row, _inf_in_last_row, _zero_row]
+_BAD_ROW_IDS = ["nan", "inf", "all-zero"]
+
+
+@pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
+def test_load_rejects_a_vector_block_with_a_bad_row(tmp_path, capsys, edit):
+    path = tmp_path / "repo.lsr"
+    save_repository(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), path)
+    _rewrite_vectors(path, edit)
+    with pytest.raises(RepositoryError, match="vector block: .*zero, non-finite or overflowing"):
+        load_repository(path)
+    target = tmp_path / "bin.jsonl"
+    save_document(_doc("bin", _small_corpus(seed=8)[0].functions, kind="target"), target)
+    for args in (["inspect", "--repo", str(path)],
+                 ["detect", "--repo", str(path), "--targets", str(target),
+                  "--out", str(tmp_path / "out.jsonl"), "--quiet"]):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "vector block" in err and "Traceback" not in err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
+def test_save_refuses_a_vector_load_would_refuse(tmp_path, edit):
+    repo = build_repository(_small_corpus(seed=8), dim=DIM, stages=())
+    rows = np.array([f.vector for feats in repo.libraries.values() for f in feats])
+    edit(rows)
+    rows = iter(rows)
+    for lib_id, feats in repo.libraries.items():
+        repo.libraries[lib_id] = [replace(f, vector=next(rows)) for f in feats]
+    path = tmp_path / "repo.lsr"
+    with pytest.raises(RepositoryError, match="vector block: .*zero, non-finite or overflowing"):
+        save_repository(repo, path)
+    assert not path.exists()
+
+
+def test_save_refuses_a_vector_of_another_dimension(tmp_path):
+    repo = _full_repo()
+    lib_id, feats = next((lib_id, feats) for lib_id, feats in repo.libraries.items() if feats)
+    repo.libraries[lib_id] = [replace(feats[0], vector=np.ones(DIM + 1))] + feats[1:]
+    path = tmp_path / "repo.lsr"
+    with pytest.raises(RepositoryChecksumError, match="vector block has wrong length"):
+        save_repository(repo, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("stages", [("weights", "export"), ("mi", "export"), ("mi", "mi"),

@@ -2,6 +2,7 @@
 exit code, never a traceback."""
 import hashlib
 import json
+import math
 import random
 import struct
 from dataclasses import replace
@@ -12,19 +13,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from libsift import (
+    AGGREGATION_MODES,
     BasicBlock,
     BinaryDocument,
+    ComplexityProfile,
     ConfigError,
     EmbeddingError,
+    FunctionFeature,
     FunctionRecord,
     Instruction,
     LibsiftError,
     ParseError,
     RepositoryError,
+    SyntheticCorpusSpec,
+    aggregate,
+    batched_similarity,
     build_origin,
     build_repository,
     compute_weights,
+    cosine,
     detect,
+    generate_corpus,
     import_embeddings,
     load_manifest,
     load_repository,
@@ -310,6 +319,43 @@ def test_cli_exits_cleanly_on_deeply_nested_json(case, cli_inputs, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one rule for what may enter a cosine, whichever similarity helper takes it
+
+_BAD_SIMILARITY_ROWS = {
+    "nan": [math.nan, 1.0, 1.0, 1.0],
+    "inf": [math.inf, 1.0, 1.0, 1.0],
+    "-inf": [-math.inf, 1.0, 1.0, 1.0],
+    "overflowing-norm": [1e300] * 4,
+    "zero": [0.0] * 4,
+}
+
+
+def _similarity(entry, queries, keys):
+    """Run one similarity helper on two row stacks; `cosine` takes their
+    last rows."""
+    if entry == "cosine":
+        return cosine(queries[-1], keys[-1])
+    if entry == "batched_similarity":
+        return batched_similarity(queries, keys)
+    profile = ComplexityProfile(hv=10.0, loc=3, cc=1, mi=120.0)
+    features = [FunctionFeature("lib", "f%d" % i, row, profile, True, 1.0)
+                for i, row in enumerate(keys)]
+    return aggregate(queries, ["q%d" % i for i in range(len(queries))], features, mode=entry)
+
+
+@pytest.mark.parametrize("entry", ["cosine", "batched_similarity", *AGGREGATION_MODES])
+@pytest.mark.parametrize("side", ["query", "key"])
+@pytest.mark.parametrize("case", sorted(_BAD_SIMILARITY_ROWS))
+def test_every_similarity_input_passes_one_norm_check(entry, side, case):
+    good = np.array([[1.0, 0.5, 0.25, 0.125], [0.0, 1.0, 0.0, 2.0]])
+    bad = np.vstack([good, [_BAD_SIMILARITY_ROWS[case]]])
+    queries, keys = (bad, good) if side == "query" else (good, bad)
+    _similarity(entry, good, good)
+    with pytest.raises(EmbeddingError, match="zero, non-finite or overflowing norm"):
+        _similarity(entry, queries, keys)
+
+
+# ---------------------------------------------------------------------------
 # property: the readers raise nothing but LibsiftError on arbitrary or
 # mutated bytes
 
@@ -406,6 +452,59 @@ def test_load_repository_raises_only_libsift_errors_on_mutated_headers(scratch, 
     header = data.draw(_edits(valid_lsr[12 : 12 + header_len]))
     (scratch / "in.lsr").write_bytes(_rewrite_header(valid_lsr, header))
     _only_libsift_errors(load_repository, scratch / "in.lsr")
+
+
+# ---------------------------------------------------------------------------
+# property: detect does not depend on the order of functions or of blocks
+
+_INVARIANCE_SPEC = SyntheticCorpusSpec(
+    library_count=5, functions_per_library=12, clone_rate=0.1, export_rate=0.6,
+    planted_reuse={"bin000": (["lib000"], 1.0), "bin001": (["lib001", "lib002"], 0.8),
+                   "bin002": (["lib003"], 0.5), "bin003": (["lib004"], 0.3),
+                   "bin004": ([], 0.0)},
+    distractor_functions=8, rng_seed=5)
+
+
+def _shuffled(doc, rng):
+    """`doc` with its functions, and each function's block list, in a
+    random order; block ids and edges are kept."""
+    functions = [replace(fn, blocks=rng.sample(fn.blocks, len(fn.blocks)))
+                 for fn in doc.functions]
+    return replace(doc, functions=rng.sample(functions, len(functions)))
+
+
+def _scores(tpl_docs, target_docs):
+    """(stages, target, mode) -> [(library, score, decision)] for a fully
+    purified repository and for one that keeps every function."""
+    out = {}
+    for stages in (("export", "mi", "weights"), ("weights",)):
+        repo = build_repository(tpl_docs, dim=64, stages=stages)
+        for doc in target_docs:
+            for mode in AGGREGATION_MODES:
+                out[stages, doc.binary_id, mode] = [
+                    (e.library_id, e.score, e.decision)
+                    for e in detect(doc, repo, mode=mode).entries]
+    return out
+
+
+@pytest.fixture(scope="module")
+def invariance_corpus():
+    tpl_docs, target_docs, _ = generate_corpus(_INVARIANCE_SPEC)
+    return tpl_docs, target_docs, _scores(tpl_docs, target_docs)
+
+
+@settings(_PROPERTY, max_examples=10)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_detect_is_invariant_under_function_and_block_reordering(invariance_corpus, seed):
+    tpl_docs, target_docs, want = invariance_corpus
+    rng = random.Random(seed)
+    got = _scores([_shuffled(d, rng) for d in tpl_docs], [_shuffled(d, rng) for d in target_docs])
+    assert got.keys() == want.keys()
+    for key, entries in want.items():
+        assert [(lib, decision) for lib, _, decision in got[key]] == [
+            (lib, decision) for lib, _, decision in entries], key
+        for (_, score, _), (_, expected, _) in zip(got[key], entries):
+            assert abs(score - expected) <= 1e-12 * max(1.0, abs(expected)), key
 
 
 # ---------------------------------------------------------------------------
