@@ -14,7 +14,6 @@ import logging
 import os
 import random
 import sys
-import time
 
 from .detector import (
     AGG_WEIGHTED_MEAN,
@@ -35,6 +34,7 @@ from .evaluation import (
     random_reuse_plan,
     run_ablation,
     sweep,
+    time_stages,
 )
 from .interchange import NUMBER, json_field, json_object, load_document, save_document, save_json
 from .repository import (
@@ -42,7 +42,6 @@ from .repository import (
     DEFAULT_THETA1,
     DEFAULT_THETA2,
     _header_dict,
-    build_steps,
     load_manifest,
     load_repository,
     save_manifest,
@@ -218,21 +217,16 @@ def cmd_build(args) -> int:
         vectors = {}
         docs = _with_vector_table(docs, vectors, args.vectors_dir, cfg["dim"])
 
-    times = []
-    t0 = time.perf_counter()
-    for stage, repo in build_steps(docs, vectors=vectors, **cfg):
-        t1 = time.perf_counter()
-        times.append((stage, t1 - t0))
-        t0 = t1
+    timings, repo = time_stages(docs, vectors=vectors, **cfg)
     save_repository(repo, args.out)
 
     _say(args, "%-8s %10s %14s", "stage", "functions", "leave_percent")
     for row in repo.stats:
         _say(args, "%-8s %10d %14.3f", row.stage, row.functions, row.leave_percent)
     if not args.no_timing:
-        for stage, seconds in times:
-            _say(args, "timing %-8s %.3fs", stage, seconds)
-        _say(args, "timing %-8s %.3fs", "total", sum(s for _, s in times))
+        for stage in ("origin",) + repo.config.stages:
+            _say(args, "timing %-8s %.3fs", stage, getattr(timings, stage + "_s"))
+        _say(args, "timing %-8s %.3fs", "total", timings.origin_s + timings.total_s)
     _say(args, "repository written to %s (%d features, %d libraries)",
          args.out, repo.feature_count(), len(repo.libraries))
     return 0

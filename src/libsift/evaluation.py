@@ -149,13 +149,17 @@ def _score_groups(target_docs, manifest, config: RepoConfig, groups, mode) -> li
     Targets are taken one document at a time: each is embedded and
     normalized once, matched once per (group, library), re-weighted per
     weighting and dropped before the next is read.  Every target must be
-    in the manifest.
+    in the manifest, once.
     """
     tables = [[{} for _ in range(count)] for count, _ in groups]
+    seen = set()
     for doc in target_docs:
         bin_id = doc.binary_id
         if bin_id not in manifest:
             raise ValidationError("target %r missing from manifest" % bin_id)
+        if bin_id in seen:
+            raise ValidationError("target %r given twice" % bin_id)
+        seen.add(bin_id)
         for group_tables in tables:
             for table in group_tables:
                 table[bin_id] = {}
@@ -701,27 +705,21 @@ class StageTimings:
         return self.export_s + self.mi_s + self.weights_s
 
 
-def time_stages(
-    tpl_docs,
-    *,
-    theta1: float = DEFAULT_THETA1,
-    theta2: float = DEFAULT_THETA2,
-    dim: int = DEFAULT_DIM,
-    seed: int = DEFAULT_SEED,
-):
-    """Wall-clock each step of `build_steps` with every stage: the origin
-    and the three purification stages; returns (timings, final
-    repository)."""
-    seconds = {}
+_TIMING_FIELDS = ("origin_s", "export_s", "mi_s", "weights_s")
+
+
+def time_stages(tpl_docs, **options):
+    """Wall-clock each step of `build_steps(tpl_docs, **options)`, which
+    takes `build_repository`'s options: the origin and each requested
+    stage, and 0 for a stage the options leave out.  Returns (timings,
+    final repository)."""
+    seconds = dict.fromkeys(_TIMING_FIELDS, 0.0)
     t0 = time.perf_counter()
-    for stage, repo in build_steps(tpl_docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed):
+    for stage, repo in build_steps(tpl_docs, **options):
         t1 = time.perf_counter()
         seconds[stage + "_s"] = t1 - t0
         t0 = t1
     return StageTimings(**seconds), repo
-
-
-_TIMING_FIELDS = ("origin_s", "export_s", "mi_s", "weights_s")
 
 
 def write_timings(timings: StageTimings, path) -> None:

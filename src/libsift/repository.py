@@ -283,6 +283,7 @@ def compute_weights(repo: TplRepository, theta1: float = None):
     libraries = {lib_id: [] for lib_id in repo.libraries}
     if nonempty:
         stack = np.vstack([f.vector for _, feats in nonempty for f in feats])
+        row_norms(stack)  # the counts read the stored vectors, but only valid ones
         lib_ids = np.concatenate(
             [np.full(len(feats), i, dtype=np.int64) for i, (_, feats) in enumerate(nonempty)]
         )

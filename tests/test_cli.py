@@ -304,6 +304,25 @@ def test_sweep_and_ablate_exit_one_on_a_target_missing_from_the_manifest(corpus_
         assert not out.exists()
 
 
+def test_sweep_and_ablate_exit_one_on_a_target_given_twice(corpus_dir, tmp_path, capsys):
+    # a copy of bin001 under a second file name still holds binary id bin001
+    targets = tmp_path / "targets"
+    targets.mkdir()
+    for name in os.listdir(corpus_dir / "targets"):
+        (targets / name).write_bytes((corpus_dir / "targets" / name).read_bytes())
+    (targets / "copy.jsonl").write_bytes((targets / "bin001.jsonl").read_bytes())
+    for command in ("sweep", "ablate"):
+        out = tmp_path / (command + ".csv")
+        assert main([
+            command, "--tpls", str(corpus_dir / "tpls"), "--targets", str(targets),
+            "--manifest", str(corpus_dir / "manifest.json"),
+            "--out", str(out), "--dim", "64", "--quiet",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "'bin001' given twice" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_seed_outside_signed_64_bits_is_a_config_error(corpus_dir, tmp_path, capsys):
     RepoConfig(seed=-(2 ** 63))
     RepoConfig(seed=2 ** 63 - 1)

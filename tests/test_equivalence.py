@@ -9,8 +9,11 @@ on x86-64; vectors and weights in the repository file are only bit-exact
 where the float arithmetic is.
 """
 import hashlib
+import json
 import random
+import zlib
 
+import numpy as np
 import pytest
 
 from libsift import (
@@ -20,12 +23,15 @@ from libsift import (
     generate_corpus,
     random_reuse_plan,
     run_ablation,
+    save_document,
     save_repository,
     sweep,
     write_reports,
 )
+from libsift.cli import main
 
 DIM = 192
+EXTERNAL_DIM = 32
 
 RECORDED = {
     "repository": "b1a11082fdf458a4ca2230b26bd2fd464756681c93abc7ba2cc00b5a3bb7d91c",
@@ -38,8 +44,17 @@ RECORDED = {
 }
 
 
+# `libsift build --vectors-dir` and `libsift detect --vectors-dir` on the
+# same corpus, with vector files written by `_vector_files`
+RECORDED_EXTERNAL = {
+    "repository": "72b5e249a670eda0bfe6f36e8dc21a95876208f6876b6e74484811c3316e06f6",
+    "reports-weighted-mean": "8543b1703735a0786a4b7fd6324d3ccc65ebbf5379f4022415f69436675ff1c8",
+    "reports-match-sum": "8af66008031350e9ab575e9ebb1ef7b708655ee6c3fdd8fa58afad71e72ae533",
+}
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def corpus():
     rng = random.Random(21)
     libs = ["lib%03d" % i for i in range(5)]
     plan = random_reuse_plan(rng, ["bin%03d" % i for i in range(6)], libs, max_libs=2)
@@ -47,7 +62,12 @@ def outputs(tmp_path_factory):
         library_count=5, functions_per_library=20, planted_reuse=plan,
         distractor_functions=12, rng_seed=21,
     )
-    tpl_docs, target_docs, manifest = generate_corpus(spec)
+    return generate_corpus(spec)
+
+
+@pytest.fixture(scope="module")
+def outputs(corpus, tmp_path_factory):
+    tpl_docs, target_docs, manifest = corpus
     out = tmp_path_factory.mktemp("gate")
     repo = build_repository(tpl_docs, dim=DIM)
     save_repository(repo, out / "repo.lsr")
@@ -69,3 +89,46 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(RECORDED))
 def test_output_bytes_match_recorded_digest(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == RECORDED[name]
+
+
+def _vector_files(docs, out_dir):
+    """One external embedding file per document, as FORMAT.md specifies.
+    A function's vector is drawn from a generator seeded by its name, so a
+    planted copy gets its original's vector."""
+    for doc in docs:
+        lines = [json.dumps({"doc_id": doc.binary_id, "dim": EXTERNAL_DIM,
+                             "count": len(doc.functions)})]
+        for fn in doc.functions:
+            rng = np.random.default_rng(zlib.crc32(fn.name.encode("utf-8")))
+            lines.append(json.dumps({"function": fn.name,
+                                     "values": rng.standard_normal(EXTERNAL_DIM).tolist()}))
+        (out_dir / (doc.binary_id + ".jsonl")).write_text("\n".join(lines) + "\n",
+                                                          encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def external_outputs(corpus, tmp_path_factory):
+    tpl_docs, target_docs, _ = corpus
+    out = tmp_path_factory.mktemp("gate-external")
+    for sub, docs in (("tpls", tpl_docs), ("targets", target_docs), ("vectors", ())):
+        (out / sub).mkdir()
+        for doc in docs:
+            save_document(doc, out / sub / (doc.binary_id + ".jsonl"))
+    _vector_files(list(tpl_docs) + list(target_docs), out / "vectors")
+    assert main(["build", "--tpls", str(out / "tpls"), "--out", str(out / "repo.lsr"),
+                 "--vectors-dir", str(out / "vectors"), "--dim", str(EXTERNAL_DIM),
+                 "--quiet"]) == 0
+    for mode in ("core-weighted-mean", "match-sum"):
+        assert main(["detect", "--repo", str(out / "repo.lsr"),
+                     "--targets", str(out / "targets"), "--out", str(out / (mode + ".jsonl")),
+                     "--vectors-dir", str(out / "vectors"), "--mode", mode, "--quiet"]) == 0
+    return {
+        "repository": (out / "repo.lsr").read_bytes(),
+        "reports-weighted-mean": (out / "core-weighted-mean.jsonl").read_bytes(),
+        "reports-match-sum": (out / "match-sum.jsonl").read_bytes(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_EXTERNAL))
+def test_external_vector_output_bytes_match_recorded_digest(external_outputs, name):
+    assert hashlib.sha256(external_outputs[name]).hexdigest() == RECORDED_EXTERNAL[name]

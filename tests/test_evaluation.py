@@ -528,6 +528,24 @@ def test_evaluation_streams_its_targets(run, monkeypatch):
         run(tpl_docs, _lazy(target_docs, [], []), {"bin000": manifest["bin000"]}, dim=64)
 
 
+@pytest.mark.parametrize("run", [sweep, run_ablation])
+def test_evaluation_refuses_a_target_given_twice(run, monkeypatch):
+    tpl_docs, target_docs, manifest = generate_corpus(_mini_spec(
+        planted_reuse={"bin%03d" % i: (["lib%03d" % (i % 3)], 1.0) for i in range(3)}))
+    # a second bin000 holding bin001's functions would replace bin000's scores
+    twice = target_docs + [BinaryDocument("bin000", "target", target_docs[1].functions)]
+    embedded = []
+
+    def embed(doc, config):
+        embedded.append(doc.binary_id)
+        return embed_target(doc, config)
+
+    monkeypatch.setattr(evaluation, "embed_target", embed)
+    with pytest.raises(ValidationError, match="target 'bin000' given twice"):
+        run(tpl_docs, _lazy(twice, [], []), manifest, dim=64)
+    assert embedded == ["bin000", "bin001", "bin002"]
+
+
 # ---------------------------------------------------------------------------
 # stage timing
 
@@ -542,6 +560,18 @@ def test_time_stages_returns_positive_durations():
         timings.export_s + timings.mi_s + timings.weights_s
     )
     assert repo.config.stages == ("export", "mi", "weights")
+
+
+@pytest.mark.parametrize("stages", [(), ("export",), ("mi", "export"), ("weights",)])
+def test_time_stages_takes_the_build_options_and_records_left_out_stages_as_zero(stages):
+    tpl_docs, _, _ = generate_corpus(_mini_spec(planted_reuse={}))
+    options = dict(dim=64, theta1=0.9, theta2=0.4, seed=5, stages=stages)
+    timings, repo = time_stages(tpl_docs, **options)
+    assert repo == build_repository(tpl_docs, **options)
+    assert timings.origin_s > 0.0
+    for stage in ("export", "mi", "weights"):
+        assert (getattr(timings, stage + "_s") > 0.0) == (stage in repo.config.stages)
+    assert timings.total_s == timings.export_s + timings.mi_s + timings.weights_s
 
 
 def test_time_stages_holds_at_most_two_parsed_documents():

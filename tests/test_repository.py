@@ -38,6 +38,7 @@ from libsift import (
     tfidf_weight,
 )
 
+from libsift import repository
 from libsift.cli import main
 
 from corpora import random_document
@@ -642,12 +643,32 @@ def _inf_in_last_row(rows):
     rows[-1, 5] = float("inf")
 
 
+def _minus_inf_in_a_row(rows):
+    rows[3, 1] = -float("inf")
+
+
+def _overflowing_row(rows):
+    rows[4, :2] = 1e308
+
+
 def _zero_row(rows):
     rows[7] = 0.0
 
 
-_BAD_ROWS = [_nan_in_first_row, _inf_in_last_row, _zero_row]
-_BAD_ROW_IDS = ["nan", "inf", "all-zero"]
+_BAD_ROWS = [_nan_in_first_row, _inf_in_last_row, _minus_inf_in_a_row, _overflowing_row,
+             _zero_row]
+_BAD_ROW_IDS = ["nan", "inf", "-inf", "overflowing", "all-zero"]
+
+
+def _edit_vectors(repo, edit):
+    """`repo` with `edit` applied to its vectors, as one (features, dim)
+    matrix in library order."""
+    rows = np.array([f.vector for feats in repo.libraries.values() for f in feats])
+    edit(rows)
+    rows = iter(rows)
+    for lib_id, feats in repo.libraries.items():
+        repo.libraries[lib_id] = [replace(f, vector=next(rows)) for f in feats]
+    return repo
 
 
 @pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
@@ -670,16 +691,24 @@ def test_load_rejects_a_vector_block_with_a_bad_row(tmp_path, capsys, edit):
 
 @pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
 def test_save_refuses_a_vector_load_would_refuse(tmp_path, edit):
-    repo = build_repository(_small_corpus(seed=8), dim=DIM, stages=())
-    rows = np.array([f.vector for feats in repo.libraries.values() for f in feats])
-    edit(rows)
-    rows = iter(rows)
-    for lib_id, feats in repo.libraries.items():
-        repo.libraries[lib_id] = [replace(f, vector=next(rows)) for f in feats]
+    repo = _edit_vectors(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), edit)
     path = tmp_path / "repo.lsr"
     with pytest.raises(RepositoryError, match="vector block: .*zero, non-finite or overflowing"):
         save_repository(repo, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
+def test_weights_refuse_a_bad_vector(monkeypatch, edit):
+    # unchecked, a NaN row matches nothing and gets df 0 and a full weight
+    origin = _edit_vectors(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), edit)
+    with pytest.raises(EmbeddingError, match="zero, non-finite or overflowing"):
+        compute_weights(origin)
+    real = repository.build_origin
+    monkeypatch.setattr(repository, "build_origin",
+                        lambda *args, **kwargs: _edit_vectors(real(*args, **kwargs), edit))
+    with pytest.raises(EmbeddingError, match="zero, non-finite or overflowing"):
+        build_repository(_small_corpus(seed=8), dim=DIM, stages=("weights",))
 
 
 def test_save_refuses_a_vector_of_another_dimension(tmp_path):

@@ -640,3 +640,102 @@ def test_cli_flag_values_never_end_in_a_traceback(case, cli_inputs, capsys):
     assert main(argv + ["--%s=%s" % (flag, value)]) in (0, 1, 2)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err + captured.out
+
+
+# ---------------------------------------------------------------------------
+# property: a whole generated command line ends in an exit code, never a
+# traceback
+
+def _paths(first):
+    """Input path values, `first` (a good one) ahead of the bad ones."""
+    bad = ("{d}/repo.lsr", "{d}/manifest.json", "{d}/targets/bin.jsonl", "{d}/garbage",
+           "{d}/empty", "{d}/missing", "")
+    return ("{d}/" + first,) + tuple(path for path in bad if path != "{d}/" + first)
+
+
+# flag -> its values, a good one first; every size stays tiny, so no
+# generated command builds a large corpus or vector
+_THETAS = ("0.8", "0.4", "1.5", "-2", "nan", "inf", "abc", "")
+_SIZES = ("2", "1", "0", "-1", "1e3", "abc", "")
+_RATES = ("0.5", "1", "1.5", "-0.1", "nan", "abc")
+_ARGV_FLAGS = {
+    "--tpls": _paths("tpls"), "--targets": _paths("targets") + _SIZES,
+    "--repo": _paths("repo.lsr"), "--manifest": _paths("manifest.json"),
+    "--vectors-dir": _paths("vectors"),
+    "--out": ("{d}/out/x", "{d}/out", "{d}/missing/x", ""),
+    "--config": ("{d}/config.json", "{d}/garbage", "{d}/missing", ""),
+    "--theta1": _THETAS, "--theta2": _THETAS, "--theta3": _THETAS,
+    "--theta1-grid": ("0.8,0.9",) + _THETAS + (",",),
+    "--theta2-grid": ("0.2,0.4",) + _THETAS + (",",),
+    "--theta3-grid": ("0.85,0.9",) + _THETAS + (",",),
+    "--dim": ("16", "2", "1", "0", "-3", "1e3", "abc", ""),
+    "--seed": ("1", "9", "-1", str(2 ** 63), "abc", ""),
+    "--mode": AGGREGATION_MODES + ("bogus", ""),
+    "--stages": ("none", "export,mi", "mi,export", "weights,weights", "bogus", ""),
+    "--libraries": _SIZES, "--functions": _SIZES, "--distractors": _SIZES,
+    "--min-libs": _SIZES, "--max-libs": _SIZES,
+    "--clone-rate": _RATES, "--simple-rate": _RATES, "--export-rate": _RATES,
+    "--min-fraction": _RATES, "--max-fraction": _RATES,
+    "--quiet": (), "--no-timing": (), "--json": (),
+    "--verbose": (), "--batch": ("4",), "--bogus": ("1",),
+}
+_SETTING_FLAGS = ("--config", "--quiet", "--theta1", "--theta2", "--theta3", "--dim", "--seed",
+                  "--mode", "--stages")
+# command -> (the flags it needs to get past argparse, the flags most
+# likely to reach its library call)
+_ARGV_COMMANDS = {
+    "gen": (("--out",), ("--seed", "--libraries", "--functions", "--targets", "--distractors",
+                         "--min-libs", "--max-libs", "--clone-rate", "--simple-rate",
+                         "--export-rate", "--min-fraction", "--max-fraction", "--quiet")),
+    "build": (("--tpls", "--out"), ("--vectors-dir", "--no-timing") + _SETTING_FLAGS),
+    "detect": (("--repo", "--targets", "--out"), ("--vectors-dir",) + _SETTING_FLAGS),
+    "sweep": (("--tpls", "--targets", "--manifest", "--out"),
+              ("--theta1-grid", "--theta2-grid", "--theta3-grid") + _SETTING_FLAGS),
+    "ablate": (("--tpls", "--targets", "--manifest", "--out"), _SETTING_FLAGS),
+    "inspect": (("--repo",), ("--json",)),
+}
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.sampled_from((-1, 0, 1, 2, 16, 2 ** 63)),
+              st.floats(), st.text(max_size=6)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_CONFIG = st.one_of(_JSON, st.dictionaries(
+    st.sampled_from(("theta1", "theta2", "theta3", "dim", "mode", "seed", "stages", "bogus")),
+    st.one_of(_JSON, st.sampled_from(("match-sum", "export", ["export", "mi"], 0.5))),
+    max_size=4))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_never_ends_in_a_traceback_on_a_generated_command_line(data, cli_inputs,
+                                                                   monkeypatch, capsys):
+    d = cli_inputs
+    for sub in ("out", "empty", "cwd"):
+        (d / sub).mkdir(exist_ok=True)
+    (d / "garbage").write_bytes(b"\x00\xffgarbage\n")
+    monkeypatch.chdir(d / "cwd")  # a relative or empty path stays in here
+    command = data.draw(st.sampled_from(sorted(_ARGV_COMMANDS) + [None, "bogus"]), "command")
+    required, usual = _ARGV_COMMANDS.get(command, ((), ()))
+    flags = [flag for flag in required
+             if data.draw(st.sampled_from(range(10)), "keep " + flag)]
+    if usual:
+        flags += data.draw(st.lists(st.sampled_from(usual), max_size=4), "usual")
+    flags += data.draw(st.lists(st.sampled_from(sorted(_ARGV_FLAGS)), max_size=1), "any")
+    argv = [] if command is None else [command]
+    for flag in data.draw(st.permutations(flags), "order"):
+        argv.append(flag)
+        values = _ARGV_FLAGS[flag]
+        if values:
+            # half the time the good value; a missing value is one choice
+            value = data.draw(st.one_of(st.just(values[0]),
+                                        st.sampled_from(values + (None,))), flag)
+            argv += [] if value is None else [value.format(d=d)]
+    if "--config" in argv:
+        (d / "config.json").write_text(json.dumps(data.draw(_CONFIG, "config")),
+                                       encoding="utf-8")
+    assert main(argv) in (0, 1, 2)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out

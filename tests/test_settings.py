@@ -18,7 +18,7 @@ from libsift import (
 )
 from libsift import cli
 from libsift.cli import main
-from libsift.evaluation import AblationTable, SweepCell, SweepGrid
+from libsift.evaluation import AblationTable, StageTimings, SweepCell, SweepGrid
 
 # a value per setting that differs from its default, and a third that a
 # flag sets over the config file
@@ -62,9 +62,9 @@ def _patch_library(command, repo_path, monkeypatch):
     keyword arguments and returns a minimal valid result."""
     received = {}
 
-    def build_steps(docs, **kwargs):
+    def time_stages(docs, **kwargs):
         received.update(kwargs)
-        yield "origin", load_repository(repo_path)
+        return StageTimings(0.0, 0.0, 0.0, origin_s=0.0), load_repository(repo_path)
 
     def detect(doc, repo, **kwargs):
         received.update(kwargs)
@@ -78,7 +78,7 @@ def _patch_library(command, repo_path, monkeypatch):
         received.update(kwargs)
         return AblationTable([])
 
-    entry = {"build": build_steps, "detect": detect, "sweep": sweep, "ablate": run_ablation}
+    entry = {"build": time_stages, "detect": detect, "sweep": sweep, "ablate": run_ablation}
     monkeypatch.setattr(cli, entry[command].__name__, entry[command])
     return received
 
