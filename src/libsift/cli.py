@@ -20,7 +20,7 @@ from .detector import (
     AGGREGATION_MODES,
     DEFAULT_THETA3,
     check_scoring,
-    detect,
+    detect_many,
     write_reports,
 )
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, import_embeddings
@@ -50,9 +50,10 @@ from .repository import (
 
 
 def _parse_stages(text: str) -> tuple:
-    if text == "none":
-        return ()
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    stages = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not stages:
+        raise argparse.ArgumentTypeError("bad stages %r; expected a comma list or 'none'" % text)
+    return () if text == "none" else stages
 
 
 # setting -> (default, the JSON type of its config-file value (never a bool),
@@ -130,22 +131,16 @@ def _load_docs(path):
         yield load_document(p)
 
 
-def _vector_table(vectors_dir, doc, dim) -> dict:
-    """The external embedding file <binary_id>.jsonl for one document."""
-    vpath = os.path.join(vectors_dir, doc.binary_id + ".jsonl")
-    if not os.path.exists(vpath):
-        raise ConfigError("no vector file for %r at %s" % (doc.binary_id, vpath))
-    with open(vpath, "rb") as fh:
-        return import_embeddings(doc, fh.read(), dim)
-
-
-def _with_vector_table(docs, vectors: dict, vectors_dir, dim):
-    """Yield each document once `vectors` holds its vector table, and no
-    other document's, so only one table is alive at a time."""
-    for doc in docs:
-        vectors.clear()
-        vectors[doc.binary_id] = _vector_table(vectors_dir, doc, dim)
-        yield doc
+def _vector_reader(vectors_dir, dim):
+    """The reader of each document's external embedding file
+    <binary_id>.jsonl under `vectors_dir`, or None without one."""
+    def read(doc) -> dict:
+        vpath = os.path.join(vectors_dir, doc.binary_id + ".jsonl")
+        if not os.path.exists(vpath):
+            raise ConfigError("no vector file for %r at %s" % (doc.binary_id, vpath))
+        with open(vpath, "rb") as fh:
+            return import_embeddings(doc, fh.read(), dim)
+    return read if vectors_dir else None
 
 
 def _say(args, msg, *fmt) -> None:
@@ -170,6 +165,8 @@ def _parse_grid(text: str) -> tuple:
 def cmd_gen(args) -> int:
     if args.targets < 0:
         raise ConfigError("--targets must be >= 0")
+    if not args.out:
+        raise ConfigError("--out must name a directory")
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ConfigError("--out %s is not empty" % args.out)
     spec = SyntheticCorpusSpec(
@@ -211,13 +208,8 @@ def cmd_gen(args) -> int:
 
 def cmd_build(args) -> int:
     cfg = resolve_config(args)
-    docs = _load_docs(args.tpls)
-    vectors = None
-    if args.vectors_dir:
-        vectors = {}
-        docs = _with_vector_table(docs, vectors, args.vectors_dir, cfg["dim"])
-
-    timings, repo = time_stages(docs, vectors=vectors, **cfg)
+    timings, repo = time_stages(_load_docs(args.tpls),
+                                vectors=_vector_reader(args.vectors_dir, cfg["dim"]), **cfg)
     save_repository(repo, args.out)
 
     _say(args, "%-8s %10s %14s", "stage", "functions", "leave_percent")
@@ -236,12 +228,8 @@ def cmd_detect(args) -> int:
     cfg = resolve_config(args)
     check_scoring(cfg["mode"], cfg["theta3"])
     repo = load_repository(args.repo)
-    reports = []
-    for doc in _load_docs(args.targets):
-        vectors = None
-        if args.vectors_dir:
-            vectors = _vector_table(args.vectors_dir, doc, repo.config.dim)
-        reports.append(detect(doc, repo, vectors=vectors, **cfg))
+    reports = detect_many(_load_docs(args.targets), repo,
+                          vectors=_vector_reader(args.vectors_dir, repo.config.dim), **cfg)
     reports.sort(key=lambda r: r.binary_id)
     write_reports(reports, args.out)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .embedding import HashedNgramEmbedder, function_vectors, unit_rows
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, ValidationError
 from .interchange import (
     NUMBER, BinaryDocument, field_values, json_field, json_fields, json_records,
 )
@@ -152,8 +152,8 @@ def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
     section filtering, or ([], None) when filtering leaves none.
 
     The repository's embedder decides the embedding space: a repository
-    built from external vectors requires `vectors` (function name ->
-    embedding), and any other repository refuses them and embeds with its
+    built from external vectors requires the reader `vectors`, and any
+    other repository refuses it without calling it and embeds with its
     own embedder, so embedding spaces never mix.
     """
     if config.embedder == EMBEDDER_EXTERNAL:
@@ -185,7 +185,7 @@ def detect(
     target that section filtering empties gets no entries, and a library
     with no retained features scores 0.
 
-    `vectors` maps function name -> embedding for the target; required when
+    `vectors` reads the target's name -> embedding table; required when
     the repository was built from external vectors and refused otherwise.
     """
     check_scoring(mode, theta3)
@@ -206,8 +206,18 @@ def detect(
     return DetectionReport(doc.binary_id, entries, echo)
 
 
+def unique_targets(docs: Iterable[BinaryDocument]):
+    """Yield `docs`, raising ValidationError at a binary id given twice."""
+    seen = set()
+    for doc in docs:
+        if doc.binary_id in seen:
+            raise ValidationError("target %r given twice" % doc.binary_id)
+        seen.add(doc.binary_id)
+        yield doc
+
+
 def detect_many(docs: Iterable[BinaryDocument], repo: TplRepository, **kwargs):
-    return [detect(doc, repo, **kwargs) for doc in docs]
+    return [detect(doc, repo, **kwargs) for doc in unique_targets(docs)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -268,15 +268,16 @@ def _unit_vector(name, value, dim: int) -> np.ndarray:
     return vec / norm
 
 
-def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Mapping = None):
+def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Callable = None):
     """(functions kept by section filtering, unit-row matrix of their
     vectors), or ([], None) when filtering keeps nothing.
 
-    `vectors` maps function name -> vector from an external model, each
-    checked by `_unit_vector`; without it the built-in embedder for
-    (dim, seed) embeds the functions.
+    `vectors(doc)`, called once and before section filtering, gives name ->
+    vector from an external model, each checked by `_unit_vector`; without
+    it the built-in embedder for (dim, seed) embeds the functions.
     """
     with _gc.paused():
+        table = None if vectors is None else vectors(doc)
         fdoc = filter_sections(doc)
         if not fdoc.functions:
             log.warning("%s document %r is empty after section filtering; no functions kept",
@@ -285,7 +286,7 @@ def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Mapping 
         if vectors is None:
             return fdoc.functions, HashedNgramEmbedder(dim, seed).embed_document(fdoc)[1]
         return fdoc.functions, np.array(
-            [_unit_vector(fn.name, vectors.get(fn.name), dim) for fn in fdoc.functions]
+            [_unit_vector(fn.name, table.get(fn.name), dim) for fn in fdoc.functions]
         )
 
 

@@ -27,6 +27,7 @@ from .detector import (
     library_block,
     match_library,
     reduce_matches,
+    unique_targets,
 )
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, unit_rows
 from .errors import ConfigError, ParseError, ValidationError
@@ -152,14 +153,10 @@ def _score_groups(target_docs, manifest, config: RepoConfig, groups, mode) -> li
     in the manifest, once.
     """
     tables = [[{} for _ in range(count)] for count, _ in groups]
-    seen = set()
-    for doc in target_docs:
+    for doc in unique_targets(target_docs):
         bin_id = doc.binary_id
         if bin_id not in manifest:
             raise ValidationError("target %r missing from manifest" % bin_id)
-        if bin_id in seen:
-            raise ValidationError("target %r given twice" % bin_id)
-        seen.add(bin_id)
         for group_tables in tables:
             for table in group_tables:
                 table[bin_id] = {}

@@ -14,7 +14,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -149,15 +149,15 @@ def build_origin(
     theta2: float = DEFAULT_THETA2,
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
-    vectors: Mapping = None,
+    vectors: Callable = None,
 ) -> TplRepository:
     """Extract one feature per function kept by section filtering from
     per-library documents.
 
-    `vectors` supplies external embeddings keyed binary_id -> name -> vector
-    and marks the repository as externally embedded; otherwise the built-in
-    embedder for (dim, seed) embeds every library.  Documents are taken one
-    at a time, so `docs` may parse them lazily.
+    `vectors` reads each library's external vectors after its kind and
+    duplicate checks and marks the repository as externally embedded;
+    otherwise the built-in embedder for (dim, seed) embeds every library.
+    Documents are taken one at a time, so `docs` may parse them lazily.
     """
     config = RepoConfig(
         theta1=theta1,
@@ -175,8 +175,7 @@ def build_origin(
             )
         if doc.binary_id in libraries:
             raise RepositoryError("duplicate library_id %r" % doc.binary_id)
-        table = None if vectors is None else vectors.get(doc.binary_id, {})
-        functions, mat = function_vectors(doc, dim, seed, vectors=table)
+        functions, mat = function_vectors(doc, dim, seed, vectors=vectors)
         libraries[doc.binary_id] = [
             FunctionFeature(
                 library_id=doc.binary_id,
@@ -322,7 +321,7 @@ def build_steps(
     dim: int = DEFAULT_DIM,
     seed: int = DEFAULT_SEED,
     stages: Iterable[str] = ALL_STAGES,
-    vectors: Mapping = None,
+    vectors: Callable = None,
 ):
     """Yield ("origin", repository), then the `stage_steps` of the requested
     stages: export, then complexity filter, then weights.

@@ -69,6 +69,17 @@ def test_gen_is_reproducible(corpus_dir, tmp_path):
         assert (again / rel).read_bytes() == (corpus_dir / rel).read_bytes()
 
 
+def test_gen_refuses_an_empty_out_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["gen", "--out", "", "--libraries", "2", "--functions", "3",
+                 "--targets", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "--out" in err and "Traceback" not in err
+    assert os.listdir(work) == []
+
+
 def test_build_writes_repository_with_all_stages(repo_path):
     repo = load_repository(repo_path)
     assert repo.config.stages == ("export", "mi", "weights")
@@ -99,6 +110,27 @@ def test_build_stage_selection(corpus_dir, tmp_path):
         "--stages", "export,weights", "--dim", "64", "--quiet",
     ]) == 0
     assert load_repository(out2).config.stages == ("export", "weights")
+
+    # a config file's empty list means no stages, as --stages none does
+    config = tmp_path / "cfg.json"
+    config.write_text('{"stages": []}')
+    out3 = tmp_path / "config-origin.lsr"
+    assert main([
+        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out3),
+        "--config", str(config), "--dim", "64", "--quiet",
+    ]) == 0
+    assert out3.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["", ",", " , "])
+def test_build_refuses_an_empty_stages_flag(corpus_dir, tmp_path, capsys, text):
+    # an unset shell variable must not quietly build an origin-only repository
+    out = tmp_path / "r.lsr"
+    assert main(["build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
+                 "--stages", text, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "bad stages" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stages", ["none", "export", "mi", "weights", "weights,export", None])
@@ -304,20 +336,21 @@ def test_sweep_and_ablate_exit_one_on_a_target_missing_from_the_manifest(corpus_
         assert not out.exists()
 
 
-def test_sweep_and_ablate_exit_one_on_a_target_given_twice(corpus_dir, tmp_path, capsys):
+def test_detect_sweep_and_ablate_exit_one_on_a_target_given_twice(corpus_dir, repo_path,
+                                                                  tmp_path, capsys):
     # a copy of bin001 under a second file name still holds binary id bin001
     targets = tmp_path / "targets"
     targets.mkdir()
     for name in os.listdir(corpus_dir / "targets"):
         (targets / name).write_bytes((corpus_dir / "targets" / name).read_bytes())
     (targets / "copy.jsonl").write_bytes((targets / "bin001.jsonl").read_bytes())
-    for command in ("sweep", "ablate"):
-        out = tmp_path / (command + ".csv")
-        assert main([
-            command, "--tpls", str(corpus_dir / "tpls"), "--targets", str(targets),
-            "--manifest", str(corpus_dir / "manifest.json"),
-            "--out", str(out), "--dim", "64", "--quiet",
-        ]) == 1
+    for command in ("detect", "sweep", "ablate"):
+        out = tmp_path / (command + ".out")
+        inputs = (["--repo", str(repo_path)] if command == "detect" else
+                  ["--tpls", str(corpus_dir / "tpls"), "--dim", "64",
+                   "--manifest", str(corpus_dir / "manifest.json")])
+        assert main([command, "--targets", str(targets), "--out", str(out), "--quiet"]
+                    + inputs) == 1
         err = capsys.readouterr().err
         assert "'bin001' given twice" in err and "Traceback" not in err
         assert not out.exists()
@@ -425,20 +458,59 @@ def test_external_vectors_end_to_end(corpus_dir, tmp_path):
     ]) == 2
 
 
+def _record_vector_reads(monkeypatch, vec_dir) -> list:
+    """The files under `vec_dir` that the CLI opens from now on, in order."""
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        if os.path.dirname(os.fspath(path)) == str(vec_dir):
+            opened.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    return opened
+
+
+@pytest.mark.parametrize("vector_files", ["every target", "none"])
 def test_detect_refuses_vectors_for_a_hashed_repository(corpus_dir, repo_path, tmp_path,
-                                                         capsys):
+                                                         monkeypatch, capsys, vector_files):
     vec_dir = tmp_path / "vectors"
     vec_dir.mkdir()
-    for fname in os.listdir(corpus_dir / "targets"):
+    for fname in os.listdir(corpus_dir / "targets") if vector_files == "every target" else ():
         doc = load_document(corpus_dir / "targets" / fname)
         _vector_file(vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
                      [fn.name for fn in doc.functions], 192)
+    opened = _record_vector_reads(monkeypatch, vec_dir)
     out = tmp_path / "reports.jsonl"
     assert main([
         "detect", "--repo", str(repo_path), "--targets", str(corpus_dir / "targets"),
         "--out", str(out), "--vectors-dir", str(vec_dir), "--quiet",
     ]) == 2
-    assert "mix embedding spaces" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "mix embedding spaces" in err and "Traceback" not in err
+    assert opened == []
+    assert not out.exists()
+
+
+def test_build_with_vectors_refuses_a_target_document_before_reading_its_vectors(
+        corpus_dir, tmp_path, monkeypatch, capsys):
+    tpls, vec_dir = tmp_path / "tpls", tmp_path / "vectors"
+    tpls.mkdir()
+    vec_dir.mkdir()
+    # the target's file name sorts last, so both libraries are read first
+    for src, name in (("tpls/lib000.jsonl", "lib000.jsonl"), ("tpls/lib001.jsonl", "lib001.jsonl"),
+                      ("targets/bin000.jsonl", "z.jsonl")):
+        (tpls / name).write_bytes((corpus_dir / src).read_bytes())
+        doc = load_document(tpls / name)
+        _vector_file(vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
+                     [fn.name for fn in doc.functions], 32)
+    opened = _record_vector_reads(monkeypatch, vec_dir)
+    out = tmp_path / "ext.lsr"
+    assert main(["build", "--tpls", str(tpls), "--out", str(out), "--vectors-dir", str(vec_dir),
+                 "--dim", "32", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "has kind 'target'" in err and "Traceback" not in err
+    assert opened == ["lib000.jsonl", "lib001.jsonl"]
     assert not out.exists()
 
 

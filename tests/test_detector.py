@@ -17,6 +17,7 @@ from libsift import (
     FunctionFeature,
     Instruction,
     ParseError,
+    ValidationError,
     aggregate,
     build_repository,
     detect,
@@ -280,15 +281,15 @@ def test_detect_external_repository_requires_target_vectors():
         for doc in docs
     }
     repo = build_repository(
-        docs, dim=16, stages=("export", "weights"), vectors=table
+        docs, dim=16, stages=("export", "weights"), vectors=lambda doc: table[doc.binary_id]
     )
     target = _copy_target(docs[0])
     with pytest.raises(ConfigError, match="external"):
         detect(target, repo)
     with pytest.raises(EmbeddingError, match="no vector supplied"):
-        detect(target, repo, vectors={"t_l0_f00": np.ones(16)})
+        detect(target, repo, vectors=lambda doc: {"t_l0_f00": np.ones(16)})
     good = {fn.name: rng.standard_normal(16) for fn in target.functions}
-    report = detect(target, repo, vectors=good)
+    report = detect(target, repo, vectors=lambda doc: good)
     assert len(report.entries) == 3
 
 
@@ -298,8 +299,10 @@ def test_detect_refuses_external_vectors_for_a_hashed_repository():
     target = _copy_target(docs[0])
     rng = np.random.default_rng(2)
     foreign = {fn.name: rng.standard_normal(DIM) for fn in target.functions}
+    calls = []
     with pytest.raises(ConfigError, match="mix embedding spaces"):
-        detect(target, repo, vectors=foreign)
+        detect(target, repo, vectors=lambda doc: calls.append(doc) or foreign)
+    assert calls == []
 
 
 def test_detect_external_vector_shape_and_norm_checks():
@@ -310,15 +313,32 @@ def test_detect_external_vector_shape_and_norm_checks():
         for doc in docs
     }
     repo = build_repository(
-        docs, dim=16, stages=("export", "weights"), vectors=table
+        docs, dim=16, stages=("export", "weights"), vectors=lambda doc: table[doc.binary_id]
     )
     target = _copy_target(docs[0])
     bad_shape = {fn.name: np.ones(9) for fn in target.functions}
     with pytest.raises(EmbeddingError, match="shape"):
-        detect(target, repo, vectors=bad_shape)
+        detect(target, repo, vectors=lambda doc: bad_shape)
     bad_norm = {fn.name: np.zeros(16) for fn in target.functions}
     with pytest.raises(EmbeddingError, match="zero or overflowing norm"):
-        detect(target, repo, vectors=bad_norm)
+        detect(target, repo, vectors=lambda doc: bad_norm)
+
+
+def test_detect_many_refuses_a_target_given_twice_before_reading_it_again():
+    docs = _corpus(seed=8)
+    rng = np.random.default_rng(0)
+    table = {
+        doc.binary_id: {fn.name: rng.standard_normal(16) for fn in doc.functions}
+        for doc in docs
+    }
+    repo = build_repository(docs, dim=16, stages=(), vectors=lambda doc: table[doc.binary_id])
+    target = _copy_target(docs[0])
+    good = {fn.name: rng.standard_normal(16) for fn in target.functions}
+    calls = []
+    with pytest.raises(ValidationError, match="target 'bin000' given twice"):
+        detect_many(iter([target, _copy_target(docs[0])]), repo,
+                    vectors=lambda doc: calls.append(doc.binary_id) or good)
+    assert calls == ["bin000"]
 
 
 def test_detect_many_preserves_order():

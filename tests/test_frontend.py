@@ -324,7 +324,7 @@ def test_gc_state_is_restored_after_errors():
         parse_document(_HEADER + b'\n{"name": 5}\n')
     assert gc.isenabled()
     with pytest.raises(EmbeddingError):
-        function_vectors(_FIXED, 4, 1, vectors={"f0": [0.0, 0.0, 0.0, 0.0]})
+        function_vectors(_FIXED, 4, 1, vectors=lambda doc: {"f0": [0.0, 0.0, 0.0, 0.0]})
     assert gc.isenabled()
     gc.disable()
     try:

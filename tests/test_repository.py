@@ -28,6 +28,7 @@ from libsift import (
     build_origin,
     build_repository,
     compute_weights,
+    import_embeddings,
     load_manifest,
     load_repository,
     purify_export,
@@ -175,7 +176,7 @@ def _external_table(docs, dim=DIM):
 def test_external_vectors_mark_repo_and_normalize():
     docs = _small_corpus(seed=1, libs=2, fns=3)
     table = _external_table(docs)
-    repo = build_origin(docs, dim=DIM, vectors=table)
+    repo = build_origin(docs, dim=DIM, vectors=lambda doc: table[doc.binary_id])
     assert repo.config.embedder == "external"
     f = repo.libraries["lib000"][0]
     raw = table["lib000"][f.function_name]
@@ -202,7 +203,50 @@ def test_external_vector_validation(breakage, needle):
     table = _external_table(docs)
     breakage(table)
     with pytest.raises(EmbeddingError, match=needle):
-        build_origin(docs, dim=DIM, vectors=table)
+        build_origin(docs, dim=DIM, vectors=lambda doc: table.get(doc.binary_id, {}))
+
+
+def _recording_reader(table):
+    """(reader of `table`'s per-library entries, the binary ids it was
+    called with, in order)."""
+    calls = []
+
+    def read(doc):
+        calls.append(doc.binary_id)
+        return table[doc.binary_id]
+
+    return read, calls
+
+
+def test_build_origin_reads_each_library_once_in_order():
+    docs = _small_corpus(seed=1, libs=3, fns=3)
+    read, calls = _recording_reader(_external_table(docs))
+    build_origin(iter(docs), dim=DIM, vectors=read)
+    assert calls == ["lib000", "lib001", "lib002"]
+
+
+@pytest.mark.parametrize("refused", ["kind", "duplicate"])
+def test_build_origin_never_reads_a_library_it_refuses(refused):
+    docs = _small_corpus(seed=1, libs=2, fns=3)
+    table = _external_table(docs)
+    extra = docs[0] if refused == "duplicate" else _doc("bin", docs[1].functions, kind="target")
+    table.setdefault(extra.binary_id, table["lib001"])
+    read, calls = _recording_reader(table)
+    with pytest.raises(RepositoryError, match=refused):
+        build_origin(docs + [extra], dim=DIM, vectors=read)
+    assert calls == ["lib000", "lib001"]
+
+
+def test_a_library_that_section_filtering_empties_still_has_its_vectors_read():
+    doc = _doc("libstubs", [_fn("s", ["jmp"], section=".plt")])
+    bad = json.dumps({"doc_id": "libstubs", "dim": DIM}) + "\n" + json.dumps(
+        {"function": "s", "values": [0.0] * DIM})
+    read, calls = _recording_reader({"libstubs": {}})
+    assert build_origin([doc], dim=DIM, vectors=read).libraries == {"libstubs": []}
+    assert calls == ["libstubs"]
+    with pytest.raises(EmbeddingError, match="zero or overflowing norm"):
+        build_origin([doc], dim=DIM,
+                      vectors=lambda doc: import_embeddings(doc, bad.encode("utf-8"), DIM))
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,11 @@ def test_every_entry_point_raises_embedding_error_for_a_bad_vector(case, entry):
         if entry == "import_embeddings":
             import_embeddings(doc, _vector_file("lib", [(name, values)]), DIM)
         elif entry == "build_origin":
-            build_origin([doc], dim=DIM, vectors={"lib": table})
+            build_origin([doc], dim=DIM, vectors=lambda doc: table)
         else:
-            good = {"lib": {"f": np.ones(DIM)}}
-            repo = build_repository([doc], dim=DIM, stages=(), vectors=good)
-            detect(_target([doc]), repo, vectors=table)
+            repo = build_repository([doc], dim=DIM, stages=(),
+                                    vectors=lambda doc: {"f": np.ones(DIM)})
+            detect(_target([doc]), repo, vectors=lambda doc: table)
 
 
 # ---------------------------------------------------------------------------

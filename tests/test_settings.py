@@ -66,9 +66,9 @@ def _patch_library(command, repo_path, monkeypatch):
         received.update(kwargs)
         return StageTimings(0.0, 0.0, 0.0, origin_s=0.0), load_repository(repo_path)
 
-    def detect(doc, repo, **kwargs):
+    def detect_many(docs, repo, **kwargs):
         received.update(kwargs)
-        return DetectionReport(doc.binary_id, [], {})
+        return [DetectionReport(doc.binary_id, [], {}) for doc in docs]
 
     def sweep(tpl_docs, target_docs, manifest, **kwargs):
         received.update(kwargs)
@@ -78,7 +78,7 @@ def _patch_library(command, repo_path, monkeypatch):
         received.update(kwargs)
         return AblationTable([])
 
-    entry = {"build": time_stages, "detect": detect, "sweep": sweep, "ablate": run_ablation}
+    entry = {"build": time_stages, "detect": detect_many, "sweep": sweep, "ablate": run_ablation}
     monkeypatch.setattr(cli, entry[command].__name__, entry[command])
     return received
 
