@@ -81,6 +81,9 @@ _READS = {
 
 
 def _load_config_file(path) -> dict:
+    if not path:
+        raise ConfigError("--config must name a file")
+
     def fail(message):
         return ConfigError("config file %s: %s" % (path, message))
 
@@ -103,7 +106,7 @@ def resolve_config(args) -> dict:
     The library call that takes a setting checks its range."""
     names = _READS[args.command]
     merged = {name: _SETTINGS[name][0] for name in names}
-    if args.config:
+    if args.config is not None:
         from_file = _load_config_file(args.config)
         merged.update((name, from_file[name]) for name in names if name in from_file)
     for name in names:
@@ -134,13 +137,22 @@ def _load_docs(path):
 def _vector_reader(vectors_dir, dim):
     """The reader of each document's external embedding file
     <binary_id>.jsonl under `vectors_dir`, or None without one."""
+    if vectors_dir == "":
+        raise ConfigError("--vectors-dir must name a directory")
+
     def read(doc) -> dict:
         vpath = os.path.join(vectors_dir, doc.binary_id + ".jsonl")
         if not os.path.exists(vpath):
             raise ConfigError("no vector file for %r at %s" % (doc.binary_id, vpath))
         with open(vpath, "rb") as fh:
             return import_embeddings(doc, fh.read(), dim)
-    return read if vectors_dir else None
+    return None if vectors_dir is None else read
+
+
+def _stage_table(stats) -> list:
+    """The lines of the stage table that build and inspect print."""
+    return (["%-8s %10s %14s" % ("stage", "functions", "leave_percent")]
+            + ["%-8s %10d %14.3f" % (s.stage, s.functions, s.leave_percent) for s in stats])
 
 
 def _say(args, msg, *fmt) -> None:
@@ -212,9 +224,8 @@ def cmd_build(args) -> int:
                                 vectors=_vector_reader(args.vectors_dir, cfg["dim"]), **cfg)
     save_repository(repo, args.out)
 
-    _say(args, "%-8s %10s %14s", "stage", "functions", "leave_percent")
-    for row in repo.stats:
-        _say(args, "%-8s %10d %14.3f", row.stage, row.functions, row.leave_percent)
+    for line in _stage_table(repo.stats):
+        _say(args, line)
     if not args.no_timing:
         for stage in ("origin",) + repo.config.stages:
             _say(args, "timing %-8s %.3fs", stage, getattr(timings, stage + "_s"))
@@ -299,9 +310,7 @@ def cmd_inspect(args) -> int:
     print("embedder: %s  dim=%d  seed=%d" % (cfg.embedder, cfg.dim, cfg.seed))
     print("theta1=%r theta2=%r  stages: %s"
           % (cfg.theta1, cfg.theta2, ",".join(cfg.stages) or "(origin only)"))
-    print("%-8s %10s %14s" % ("stage", "functions", "leave_percent"))
-    for s in repo.stats:
-        print("%-8s %10d %14.3f" % (s.stage, s.functions, s.leave_percent))
+    print("\n".join(_stage_table(repo.stats)))
     print("libraries (%d):" % len(repo.libraries))
     for lib_id, count in sorted(payload["libraries"].items()):
         print("  %-16s %6d" % (lib_id, count))

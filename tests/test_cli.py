@@ -122,14 +122,24 @@ def test_build_stage_selection(corpus_dir, tmp_path):
     assert out3.read_bytes() == out.read_bytes()
 
 
-@pytest.mark.parametrize("text", ["", ",", " , "])
-def test_build_refuses_an_empty_stages_flag(corpus_dir, tmp_path, capsys, text):
-    # an unset shell variable must not quietly build an origin-only repository
-    out = tmp_path / "r.lsr"
-    assert main(["build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-                 "--stages", text, "--quiet"]) == 2
+@pytest.mark.parametrize("command, flag, value, needle", [
+    ("build", "--stages", "", "bad stages"),
+    ("build", "--stages", ",", "bad stages"),
+    ("build", "--stages", " , ", "bad stages"),
+    ("build", "--config", "", "--config must name a file"),
+    ("detect", "--config", "", "--config must name a file"),
+    ("build", "--vectors-dir", "", "--vectors-dir must name a directory"),
+    ("detect", "--vectors-dir", "", "--vectors-dir must name a directory"),
+])
+def test_an_empty_flag_value_is_refused(corpus_dir, repo_path, tmp_path, capsys,
+                                        command, flag, value, needle):
+    # an unset shell variable must not quietly fall back to a default
+    out = tmp_path / "out"
+    inputs = (["--tpls", str(corpus_dir / "tpls")] if command == "build" else
+              ["--repo", str(repo_path), "--targets", str(corpus_dir / "targets")])
+    assert main([command] + inputs + ["--out", str(out), flag, value, "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "bad stages" in err and "Traceback" not in err
+    assert needle in err and "Traceback" not in err
     assert not out.exists()
 
 
