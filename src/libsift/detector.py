@@ -26,7 +26,7 @@ from .errors import ConfigError, ParseError, ValidationError
 from .interchange import (
     NUMBER, BinaryDocument, field_values, json_field, json_fields, json_records,
 )
-from .repository import EMBEDDER_EXTERNAL, RepoConfig, TplRepository
+from .repository import EMBEDDER_EXTERNAL, RepoConfig, TplRepository, feature_vectors
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +82,7 @@ def library_block(features):
     one place a library becomes a scoring block.  A block holds one
     library's rows: BLAS results depend on the key count, so one product
     over every library would move cosines in the last bit."""
-    return (unit_rows(np.vstack([f.vector for f in features])),
+    return (unit_rows(np.vstack(feature_vectors(features))),
             np.array([f.weight for f in features], dtype=np.float64))
 
 

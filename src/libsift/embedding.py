@@ -7,7 +7,8 @@ dependency-free; vectors from a real similarity model can be imported
 instead, as long as the dimension matches the repository.
 
 `function_vectors` is the one way a document's functions become vectors,
-for library builds and targets alike, and `_unit_vector` is the one check
+for library builds and targets alike (a library build defers the built-in
+embedder's vectors to `embed_deferred`), and `_unit_vector` is the one check
 on vectors that come from outside the package.  `check_norms` is the one
 rule for what may enter a cosine: `row_norms` and `unit_rows` apply it to
 matrices, and every similarity input and the saved vector block pass it.
@@ -150,10 +151,12 @@ def normalize(record: FunctionRecord, local_names=frozenset()) -> list:
     return _Tokenizer(local_names).tokens(record)
 
 
-def normalize_document(doc: BinaryDocument) -> dict:
+def normalize_document(doc: BinaryDocument, local_names=None) -> dict:
     """Token streams for every function, resolving near/external targets
-    against the document's own function names."""
-    tokenizer = _Tokenizer(frozenset(fn.name for fn in doc.functions))
+    against `local_names`, by default the document's own function names."""
+    if local_names is None:
+        local_names = frozenset(fn.name for fn in doc.functions)
+    tokenizer = _Tokenizer(local_names)
     return {fn.name: tokenizer.tokens(fn) for fn in doc.functions}
 
 
@@ -228,9 +231,10 @@ class HashedNgramEmbedder:
     def embed_function(self, record: FunctionRecord, local_names=frozenset()) -> np.ndarray:
         return self.embed_tokens(normalize(record, local_names))
 
-    def embed_document(self, doc: BinaryDocument):
-        """(function names, matrix of their vectors) in document order."""
-        streams = normalize_document(doc)
+    def embed_document(self, doc: BinaryDocument, local_names=None):
+        """(function names, matrix of their vectors) in document order;
+        `local_names` as for `normalize_document`."""
+        streams = normalize_document(doc, local_names)
         names = [fn.name for fn in doc.functions]
         mat = np.empty((len(names), self.dim), dtype=np.float64)
         for i, name in enumerate(names):
@@ -268,13 +272,29 @@ def _unit_vector(name, value, dim: int) -> np.ndarray:
     return vec / norm
 
 
-def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Callable = None):
+class DeferredVector:
+    """A function's built-in embedding before it is computed by
+    `embed_deferred`.  It holds the function's record and a `source`
+    shared by its document's functions: the embedder and the filtered
+    document's name set, which NEARFUNC/EXTFUNC tokens are classified
+    against.  It never holds the document."""
+
+    __slots__ = ("record", "source")
+
+    def __init__(self, record: FunctionRecord, source: tuple):
+        self.record = record
+        self.source = source  # (binary_id, kind, name set, embedder)
+
+
+def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Callable = None,
+                     defer: bool = False):
     """(functions kept by section filtering, unit-row matrix of their
     vectors), or ([], None) when filtering keeps nothing.
 
     `vectors(doc)`, called once and before section filtering, gives name ->
     vector from an external model, each checked by `_unit_vector`; without
-    it the built-in embedder for (dim, seed) embeds the functions.
+    it the built-in embedder for (dim, seed) embeds the functions, or, with
+    `defer`, gives one `DeferredVector` per function in place of the matrix.
     """
     with _gc.paused():
         table = None if vectors is None else vectors(doc)
@@ -283,11 +303,33 @@ def function_vectors(doc: BinaryDocument, dim: int, seed: int, vectors: Callable
             log.warning("%s document %r is empty after section filtering; no functions kept",
                         doc.kind, doc.binary_id)
             return [], None
-        if vectors is None:
-            return fdoc.functions, HashedNgramEmbedder(dim, seed).embed_document(fdoc)[1]
-        return fdoc.functions, np.array(
-            [_unit_vector(fn.name, table.get(fn.name), dim) for fn in fdoc.functions]
-        )
+        if vectors is not None:
+            return fdoc.functions, np.array(
+                [_unit_vector(fn.name, table.get(fn.name), dim) for fn in fdoc.functions]
+            )
+        embedder = HashedNgramEmbedder(dim, seed)
+        if defer:
+            source = (fdoc.binary_id, fdoc.kind, frozenset(fn.name for fn in fdoc.functions),
+                      embedder)
+            return fdoc.functions, [DeferredVector(fn, source) for fn in fdoc.functions]
+        return fdoc.functions, embedder.embed_document(fdoc)[1]
+
+
+def embed_deferred(deferred) -> list:
+    """The vectors of the `DeferredVector`s `deferred`, in order: one
+    `embed_document` call per source document, over only its functions
+    listed and against its whole name set, so each row has the bytes that
+    embedding the whole filtered document gives."""
+    groups = {}
+    for i, d in enumerate(deferred):
+        groups.setdefault(id(d.source), (d.source, []))[1].append(i)
+    rows = [None] * len(deferred)
+    with _gc.paused():
+        for (binary_id, kind, names, embedder), index in groups.values():
+            doc = BinaryDocument(binary_id, kind, [deferred[i].record for i in index])
+            for i, row in zip(index, embedder.embed_document(doc, names)[1]):
+                rows[i] = row
+    return rows
 
 
 def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:

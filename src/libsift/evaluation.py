@@ -693,7 +693,8 @@ class StageTimings:
     export_s: float
     mi_s: float
     weights_s: float
-    # building the origin repository (section filter, embedding, profiles);
+    # building the origin repository (section filter, profiles, external
+    # vectors; built-in embedding runs later, at the first vector read);
     # None when read from a file written without it
     origin_s: float = None
 

@@ -18,9 +18,9 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from . import _kernels
-from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedNgramEmbedder, function_vectors
-from .embedding import MAX_SEED, MIN_SEED, row_norms
+from . import _gc, _kernels
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, DeferredVector, HashedNgramEmbedder
+from .embedding import MAX_SEED, MIN_SEED, embed_deferred, function_vectors, row_norms
 from .errors import (
     ConfigError,
     EmbeddingError,
@@ -52,6 +52,9 @@ DEFAULT_THETA2 = 0.2  # population fraction the complexity filter may keep
 
 @dataclass(eq=False)
 class FunctionFeature:
+    """One library function in the repository.  `vector` may be created
+    as a `DeferredVector`; the first read embeds it (see `feature_vectors`)."""
+
     library_id: str
     function_name: str
     vector: np.ndarray
@@ -74,6 +77,34 @@ class FunctionFeature:
             and self.n_in_library == other.n_in_library
             and np.array_equal(self.vector, other.vector)
         )
+
+
+def feature_vectors(features) -> list:
+    """The vectors of `features`, in order, embedding the deferred ones
+    with one `embed_document` call per library; every reader of feature
+    vectors in bulk goes through here.  Safe from several threads: a race
+    embeds a function twice, with the same bytes."""
+    features = list(features)
+    vectors = [f.__dict__["vector"] for f in features]
+    deferred = [i for i, vec in enumerate(vectors) if vec.__class__ is DeferredVector]
+    if deferred:
+        for i, row in zip(deferred, embed_deferred([vectors[i] for i in deferred])):
+            vectors[i] = features[i].__dict__["vector"] = row
+    return vectors
+
+
+def _read_vector(feature):
+    vec = feature.__dict__["vector"]
+    return feature_vectors((feature,))[0] if vec.__class__ is DeferredVector else vec
+
+
+def _write_vector(feature, vec):
+    feature.__dict__["vector"] = vec
+
+
+# a property set after the dataclass is made, so that the generated
+# __init__, replace() and repr() go through it and the field keeps no default
+FunctionFeature.vector = property(_read_vector, _write_vector)
 
 
 @dataclass(frozen=True)
@@ -152,12 +183,17 @@ def build_origin(
     vectors: Callable = None,
 ) -> TplRepository:
     """Extract one feature per function kept by section filtering from
-    per-library documents.
+    per-library documents: its name, export flag and complexity profile,
+    and its vector.
 
     `vectors` reads each library's external vectors after its kind and
-    duplicate checks and marks the repository as externally embedded;
-    otherwise the built-in embedder for (dim, seed) embeds every library.
-    Documents are taken one at a time, so `docs` may parse them lazily.
+    duplicate checks, and marks the repository as externally embedded.
+    Otherwise the built-in embedder for (dim, seed) embeds a function only
+    when its vector is first read, so a build embeds only what its stages
+    keep: the weights stage and `save_repository` read vectors, the export
+    and complexity stages do not.  A function with no instructions raises
+    EmbeddingError either way.  Documents are taken one at a time, so
+    `docs` may parse them lazily.
     """
     config = RepoConfig(
         theta1=theta1,
@@ -167,25 +203,25 @@ def build_origin(
         seed=seed,
     )
     libraries = {}
-    for doc in docs:
-        if doc.kind != "tpl":
-            raise RepositoryError(
-                "document %r has kind %r; repositories are built from tpl documents"
-                % (doc.binary_id, doc.kind)
-            )
-        if doc.binary_id in libraries:
-            raise RepositoryError("duplicate library_id %r" % doc.binary_id)
-        functions, mat = function_vectors(doc, dim, seed, vectors=vectors)
-        libraries[doc.binary_id] = [
-            FunctionFeature(
-                library_id=doc.binary_id,
-                function_name=fn.name,
-                vector=mat[i],
-                profile=compute_profile(fn),
-                is_export=fn.is_export,
-            )
-            for i, fn in enumerate(functions)
-        ]
+    # the features hold their records until embedded: many acyclic
+    # containers that the cyclic collector would only re-scan
+    with _gc.paused():
+        for doc in docs:
+            if doc.kind != "tpl":
+                raise RepositoryError(
+                    "document %r has kind %r; repositories are built from tpl documents"
+                    % (doc.binary_id, doc.kind)
+                )
+            if doc.binary_id in libraries:
+                raise RepositoryError("duplicate library_id %r" % doc.binary_id)
+            functions, rows = function_vectors(doc, dim, seed, vectors=vectors, defer=True)
+            features = libraries[doc.binary_id] = []
+            for fn, row in zip(functions, rows if functions else ()):
+                if not fn.instruction_count():
+                    raise EmbeddingError("cannot embed an empty token stream: function %r "
+                                         "has no instructions" % fn.name)
+                features.append(FunctionFeature(doc.binary_id, fn.name, row,
+                                                compute_profile(fn), fn.is_export))
     if not libraries:
         raise RepositoryError("empty corpus: no library documents")
 
@@ -281,7 +317,7 @@ def compute_weights(repo: TplRepository, theta1: float = None):
     library_count = len(repo.libraries)
     libraries = {lib_id: [] for lib_id in repo.libraries}
     if nonempty:
-        stack = np.vstack([f.vector for _, feats in nonempty for f in feats])
+        stack = np.vstack(feature_vectors(f for _, feats in nonempty for f in feats))
         row_norms(stack)  # the counts read the stored vectors, but only valid ones
         lib_ids = np.concatenate(
             [np.full(len(feats), i, dtype=np.int64) for i, (_, feats) in enumerate(nonempty)]
@@ -385,9 +421,8 @@ def save_repository(repo: TplRepository, path) -> None:
     field-for-field (vectors byte-exact, scalars via JSON round-trip)."""
     header = json.dumps(_header_dict(repo), separators=(",", ":")).encode("utf-8")
     blob = bytearray()
-    for feats in repo.libraries.values():
-        for f in feats:
-            blob += np.ascontiguousarray(f.vector, dtype="<f8").tobytes()
+    for vec in feature_vectors(f for feats in repo.libraries.values() for f in feats):
+        blob += np.ascontiguousarray(vec, dtype="<f8").tobytes()
     _vector_rows(blob, repo.feature_count(), repo.config.dim)
     payload = _MAGIC + struct.pack("<HI", REPO_FORMAT_VERSION, len(header)) + header + bytes(blob)
     digest = hashlib.sha256(payload).digest()

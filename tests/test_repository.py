@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -5,6 +6,8 @@ import logging
 import math
 import random
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,15 +22,19 @@ from libsift import (
     ConfigError,
     EmbeddingError,
     FunctionRecord,
+    HashedNgramEmbedder,
     Instruction,
     ParseError,
     RepositoryChecksumError,
     RepositoryError,
     RepositoryVersionError,
     RepoConfig,
+    SyntheticCorpusSpec,
     build_origin,
     build_repository,
     compute_weights,
+    filter_sections,
+    generate_corpus,
     import_embeddings,
     load_manifest,
     load_repository,
@@ -158,6 +165,106 @@ def test_build_origin_warns_on_stub_only_library(caplog):
         repo = build_origin([doc], dim=DIM)
     assert repo.libraries["libstubs"] == []
     assert any("no functions" in r.message for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# deferred embedding: a build embeds what its stages keep, with the bytes
+# that embedding each whole filtered document gives
+
+_STAGE_SUBSETS = [s for n in range(len(ALL_STAGES) + 1)
+                  for s in itertools.combinations(ALL_STAGES, n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _calling_corpus():
+    """Generated libraries whose functions also call the next function of
+    their document and its .plt stub, so that a function's NEARFUNC and
+    EXTFUNC tokens depend on the names of functions the stages drop."""
+    tpl_docs, _, _ = generate_corpus(SyntheticCorpusSpec(
+        library_count=4, functions_per_library=12, distractor_functions=0, rng_seed=3))
+    docs = []
+    for doc in tpl_docs:
+        stub = next(fn.name for fn in doc.functions if fn.section == ".plt")
+        functions = []
+        for i, fn in enumerate(doc.functions):
+            callee = doc.functions[(i + 1) % len(doc.functions)].name
+            calls = BasicBlock(max(b.id for b in fn.blocks) + 1,
+                               [Instruction("call", (callee,)), Instruction("call", (stub,))])
+            functions.append(FunctionRecord(fn.name, fn.section, fn.is_export,
+                                            fn.blocks + [calls], fn.edges))
+        docs.append(_doc(doc.binary_id, functions))
+    return docs
+
+
+def _whole_document_rows(docs):
+    """(library id, function name) -> vector bytes from embedding each
+    whole filtered document at once."""
+    embedder = HashedNgramEmbedder(DIM, 1)
+    rows = {}
+    for doc in docs:
+        names, mat = embedder.embed_document(filter_sections(doc))
+        rows.update(((doc.binary_id, name), row.tobytes()) for name, row in zip(names, mat))
+    return rows
+
+
+def test_every_stage_subset_keeps_the_whole_document_vectors(tmp_path):
+    docs = _calling_corpus()
+    want = _whole_document_rows(docs)
+    for stages in _STAGE_SUBSETS:
+        repo = build_repository(docs, dim=DIM, seed=1, stages=stages)
+        got = {(f.library_id, f.function_name): f.vector.tobytes()
+               for feats in repo.libraries.values() for f in feats}
+        assert got and all(got[key] == want[key] for key in got), stages
+        save_repository(repo, tmp_path / "repo.lsr")
+        assert load_repository(tmp_path / "repo.lsr") == repo, stages
+
+
+@pytest.mark.parametrize("stages", [ALL_STAGES, ("export",), (), ("weights",)],
+                         ids=["default", "export", "none", "weights"])
+def test_a_build_embeds_only_the_functions_its_stages_keep(stages, monkeypatch, tmp_path):
+    docs = _calling_corpus()
+    filtered = [fn for doc in docs for fn in filter_sections(doc).functions]
+    rows = []
+    embed_document = HashedNgramEmbedder.embed_document
+
+    def counting(self, doc, local_names=None):
+        rows.append(len(doc.functions))
+        return embed_document(self, doc, local_names)
+
+    monkeypatch.setattr(HashedNgramEmbedder, "embed_document", counting)
+    repo = build_repository(docs, dim=DIM, stages=stages)
+    save_repository(repo, tmp_path / "repo.lsr")
+    expected = {ALL_STAGES: repo.feature_count(),
+                ("export",): sum(fn.is_export for fn in filtered)}.get(stages, len(filtered))
+    assert expected == repo.feature_count() and sum(rows) == expected
+    assert len(rows) <= len(docs)  # one call per library
+
+
+@pytest.mark.parametrize("stages", [ALL_STAGES, ()], ids=["default", "none"])
+def test_a_function_without_instructions_raises_embedding_error(stages):
+    empty = FunctionRecord("empty", ".text", False, [BasicBlock(0, [])], [])
+    doc = _doc("libx", [_fn("real", ["add", "sub", "xor"]), empty])
+    with pytest.raises(EmbeddingError, match="empty token stream: function 'empty'"):
+        build_repository([doc], dim=DIM, stages=stages)
+
+
+def test_deferred_vectors_are_safe_to_read_from_several_threads():
+    docs = _calling_corpus()
+    want = _whole_document_rows(docs)
+    feats = [f for feats in build_origin(docs, dim=DIM, seed=1).libraries.values()
+             for f in feats]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            bulk = [pool.submit(repository.feature_vectors, feats) for _ in range(2)]
+            single = [pool.submit(lambda: [f.vector for f in feats]) for _ in range(2)]
+            results = [future.result(timeout=60) for future in bulk + single]
+    finally:
+        sys.setswitchinterval(interval)
+    for vectors in results:
+        assert [vec.tobytes() for vec in vectors] == [
+            want[f.library_id, f.function_name] for f in feats]
 
 
 # ---------------------------------------------------------------------------
