@@ -125,20 +125,28 @@ def reduce_matches(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
     return score, rows, cols, cosines, contributions
 
 
-def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
-    """(score, evidence rows) for one binary against one library.
+def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN, *,
+              normalized: bool = False):
+    """(score, evidence rows) for one binary against one library, with
+    one name in `bin_names` per row of `bin_vectors`.
 
-    Evidence contributions always sum to the unnormalized aggregate.
+    The rows are raw vectors, normalized here; with `normalized` they are
+    already `unit_rows` output, as when one target is scored against many
+    libraries.  Evidence contributions always sum to the unnormalized
+    aggregate.
     """
     check_scoring(mode)
     features = list(features)
     bin_vectors = np.asarray(bin_vectors, dtype=np.float64)
     if len(features) == 0 or bin_vectors.shape[0] == 0:
         raise ValueError("aggregate needs a non-empty binary and library")
+    if len(bin_names) != bin_vectors.shape[0]:
+        raise ValueError("aggregate got %d binary names for %d rows"
+                         % (len(bin_names), bin_vectors.shape[0]))
 
     lib_mat, weights = library_block(features)
-    score, *rows = reduce_matches(match_library(unit_rows(bin_vectors), lib_mat, mode),
-                                  weights, mode)
+    bin_mat = bin_vectors if normalized else unit_rows(bin_vectors)
+    score, *rows = reduce_matches(match_library(bin_mat, lib_mat, mode), weights, mode)
     evidence = [
         MatchEvidence(bin_names[i], features[j].function_name, cosine, features[j].weight,
                       contribution)
@@ -148,8 +156,10 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN):
 
 
 def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
-    """(function names, unit-row matrix) for a target's functions after
-    section filtering, or ([], None) when filtering leaves none.
+    """(function names, matrix) for a target's functions after section
+    filtering, or ([], None) when filtering leaves none.  The rows are the
+    embedder's unit vectors, unit only up to rounding, so every scorer
+    passes them through `unit_rows`, once per target.
 
     The repository's embedder decides the embedding space: a repository
     built from external vectors requires the reader `vectors`, and any
@@ -194,11 +204,12 @@ def detect(
     names, mat = embed_target(doc, repo.config, vectors=vectors)
     if mat is None:
         return DetectionReport(doc.binary_id, [], echo)
+    bin_mat = unit_rows(mat)
     entries = []
     for lib_id in sorted(repo.libraries):
         feats = repo.libraries[lib_id]
         if feats:
-            score, evidence = aggregate(mat, names, feats, mode=mode)
+            score, evidence = aggregate(bin_mat, names, feats, mode=mode, normalized=True)
             entries.append(LibraryScore(lib_id, score, score >= theta3, evidence))
         else:
             log.warning("library %r has no retained features; scoring 0", lib_id)

@@ -44,6 +44,7 @@ from .repository import (
     build_origin,
     build_steps,
     compute_weights,
+    feature_vectors,
     purify_export,
     purify_mi,
     stage_steps,
@@ -236,7 +237,8 @@ def sweep(
     """Full grid evaluation.
 
     theta2 alone fixes the retained features: the complexity filter runs
-    once per theta2 and weights once per (theta1, theta2).  Each target is
+    once per theta2 and weights once per (theta1, theta2), and each library
+    is embedded once, before any weighting.  Each target is
     embedded once, matched once per theta2 and re-weighted per theta1;
     theta3 only re-thresholds the cached aggregate scores.  Every grid
     value is checked before the first document is read.
@@ -249,9 +251,13 @@ def sweep(
             RepoConfig(theta1=t1, theta2=t2, dim=dim, seed=seed)
     origin = build_origin(tpl_docs, dim=dim, seed=seed)
     exported = purify_export(origin)
+    purified = [purify_mi(exported, t2) for t2 in theta2_values]
+    # every group's features are among the largest group's: embedding those
+    # first makes one embed call per library, not one per library per group
+    largest = max(purified, key=TplRepository.feature_count)
+    feature_vectors(f for feats in largest.libraries.values() for f in feats)
     retained, groups = [], []
-    for t2 in theta2_values:
-        staged = purify_mi(exported, t2)
+    for staged in purified:
         retained.append(staged.stats[-1].leave_percent)
         groups.append(_group(staged, (compute_weights(staged, t1) for t1 in theta1_values)))
     tables = _score_groups(target_docs, manifest, origin.config, groups, mode)

@@ -1,4 +1,5 @@
-"""Purpose-built corpora shared by the test modules.
+"""Purpose-built corpora, and a probe of embedding work, shared by the test
+modules.
 
 `ablation_corpus` wires up one false-positive mechanism per purification
 stage so the precision ordering is observable rather than vacuous:
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import random
 
+from libsift.embedding import HashedNgramEmbedder
 from libsift.evaluation import (
     _BASE_MNEMONICS,
     SyntheticCorpusSpec,
@@ -177,3 +179,17 @@ def planted_corpus(seed=5):
     calibration = [d for d in target_docs if d.binary_id.startswith("cal")]
     heldout = [d for d in target_docs if d.binary_id.startswith("bin")]
     return tpl_docs, calibration, heldout, manifest
+
+
+def embed_calls(monkeypatch) -> list:
+    """The list that every later `HashedNgramEmbedder.embed_document` call
+    appends its document to, until `monkeypatch` undoes the wrapper."""
+    calls = []
+    embed_document = HashedNgramEmbedder.embed_document
+
+    def counting(self, doc, local_names=None):
+        calls.append(doc)
+        return embed_document(self, doc, local_names)
+
+    monkeypatch.setattr(HashedNgramEmbedder, "embed_document", counting)
+    return calls

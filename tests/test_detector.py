@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from libsift import (
     read_reports,
     write_reports,
 )
+from libsift import detector
+from libsift.detector import embed_target
+from libsift.embedding import unit_rows
 
 DIM = 256
 
@@ -172,6 +176,24 @@ def test_aggregate_rejects_bad_inputs():
         aggregate(np.ones((1, 4)), ["q"], [])
     with pytest.raises(EmbeddingError):
         aggregate(np.zeros((1, 4)), ["q"], feats)
+    for normalized in (False, True):
+        for names in (["q"], ["q", "r", "s"]):  # fewer, then more, names than rows
+            with pytest.raises(ValueError, match="names"):
+                aggregate(np.eye(4)[:2], names, feats, normalized=normalized)
+
+
+@pytest.mark.parametrize("mode", [AGG_WEIGHTED_MEAN, AGG_MATCH_SUM])
+def test_aggregate_on_unit_rows_gives_the_same_bits(mode):
+    # 600 rows: two best_match query blocks, five match-sum blocks
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((600, 32)) * rng.uniform(0.1, 50.0, (600, 1))
+    names = ["b%03d" % i for i in range(600)]
+    feats = [_feature("f%d" % i, rng.standard_normal(32), rng.uniform(0.1, 2.0))
+             for i in range(40)]
+    want_score, want = aggregate(raw, names, feats, mode=mode)
+    got_score, got = aggregate(unit_rows(raw), names, feats, mode=mode, normalized=True)
+    assert got_score == want_score
+    assert [astuple(e) for e in got] == [astuple(e) for e in want]
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +210,34 @@ def test_detect_full_copy_scores_near_one():
         assert scores[other].score < 0.89
         assert scores[other].decision is False
     assert report.decided() == {"lib000"}
+
+
+def test_detect_normalizes_the_target_once(monkeypatch):
+    docs = _corpus(seed=1)
+    repo = build_repository(docs, dim=DIM, stages=("export", "weights"))
+    assert len(repo.libraries) >= 3
+    # 13 rows, so no 8-feature library block has the target's row count
+    target = BinaryDocument("bin000", "target",
+                            _copy_target(docs[0]).functions + docs[1].functions[:5])
+    rows = len(embed_target(target, repo.config)[0])
+    normalized, aggregated = [], []
+
+    def counting_unit_rows(mat):
+        out = unit_rows(mat)
+        if len(mat) == rows:
+            normalized.append(out)
+        return out
+
+    def recording_aggregate(bin_vectors, *args, **kwargs):
+        aggregated.append(bin_vectors)
+        return aggregate(bin_vectors, *args, **kwargs)
+
+    monkeypatch.setattr(detector, "unit_rows", counting_unit_rows)
+    monkeypatch.setattr(detector, "aggregate", recording_aggregate)
+    report = detect(target, repo)
+    assert len(normalized) == 1
+    assert len(aggregated) == len(report.entries) == len(repo.libraries)
+    assert all(mat is normalized[0] for mat in aggregated)
 
 
 def test_detect_entries_are_sorted_and_echo_config():

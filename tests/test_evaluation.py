@@ -50,6 +50,8 @@ from libsift.evaluation import (
     _score_groups,
 )
 
+from corpora import embed_calls
+
 
 def _report(binary_id, decisions):
     entries = [
@@ -310,6 +312,15 @@ def test_sweep_finds_working_thresholds():
     assert grid.best().f1 == 1.0
     streamed = sweep(iter(tpl_docs), iter(target_docs), manifest, dim=128)
     assert streamed.to_csv_bytes() == grid.to_csv_bytes()
+
+
+def test_sweep_embeds_each_library_once(monkeypatch):
+    tpl_docs, target_docs, manifest = generate_corpus(_mini_spec(functions_per_library=20))
+    calls = embed_calls(monkeypatch)
+    sweep(tpl_docs, target_docs, manifest, dim=64, theta1_values=(0.8, 0.9),
+          theta3_values=(0.8,))
+    libraries = [doc.binary_id for doc in calls if doc.kind == "tpl"]
+    assert len(libraries) == len(set(libraries)) <= len(tpl_docs)
 
 
 def test_sweep_validates_inputs():

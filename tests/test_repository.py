@@ -49,7 +49,7 @@ from libsift import (
 from libsift import repository
 from libsift.cli import main
 
-from corpora import random_document
+from corpora import embed_calls, random_document
 
 DIM = 64
 
@@ -224,16 +224,10 @@ def test_every_stage_subset_keeps_the_whole_document_vectors(tmp_path):
 def test_a_build_embeds_only_the_functions_its_stages_keep(stages, monkeypatch, tmp_path):
     docs = _calling_corpus()
     filtered = [fn for doc in docs for fn in filter_sections(doc).functions]
-    rows = []
-    embed_document = HashedNgramEmbedder.embed_document
-
-    def counting(self, doc, local_names=None):
-        rows.append(len(doc.functions))
-        return embed_document(self, doc, local_names)
-
-    monkeypatch.setattr(HashedNgramEmbedder, "embed_document", counting)
+    calls = embed_calls(monkeypatch)
     repo = build_repository(docs, dim=DIM, stages=stages)
     save_repository(repo, tmp_path / "repo.lsr")
+    rows = [len(doc.functions) for doc in calls]
     expected = {ALL_STAGES: repo.feature_count(),
                 ("export",): sum(fn.is_export for fn in filtered)}.get(stages, len(filtered))
     assert expected == repo.feature_count() and sum(rows) == expected
