@@ -4,6 +4,8 @@ Dense similarity products go through numpy's BLAS in row blocks (`_BLOCK`
 rows for the scans, `batch` rows for `sim_matrix`); the scans that fold
 each block into counts or a running argmax live in `fallback` and are
 looked up there on every call, so a profiler can wrap them on that module.
+`theta_counts` folds each similarity block once per threshold, so any
+number of thresholds cost one pass of products.
 """
 from __future__ import annotations
 
@@ -38,9 +40,12 @@ def sim_matrix(queries, keys, batch=128):
     return out
 
 
-def theta_counts(vectors, lib_ids, n_libs, theta):
-    """Same-library hit counts (incl. self) and cross-library document
-    frequencies at similarity >= theta.
+def theta_counts(vectors, lib_ids, n_libs, thetas):
+    """[(n, df)], one pair per threshold in `thetas`: same-library hit
+    counts (incl. self) and cross-library document frequencies at
+    similarity >= that threshold.  Each block of products is computed
+    once and folded once per threshold, so every pair equals a call with
+    that threshold alone.
 
     lib_ids must be nondecreasing, covering every value in [0, n_libs).
     """
@@ -54,17 +59,18 @@ def theta_counts(vectors, lib_ids, n_libs, theta):
         if lib_ids[0] != 0 or lib_ids[-1] != n_libs - 1 or np.unique(lib_ids).size != n_libs:
             raise ValueError("lib_ids must cover every value in [0, n_libs)")
     count = vectors.shape[0]
-    n = np.ones(count, dtype=np.int64)
-    df = np.zeros(count, dtype=np.int64)
-    if not count:
-        return n, df
-    theta = float(theta)
+    thetas = [float(theta) for theta in thetas]
+    out = [(np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)) for _ in thetas]
+    if not count or not thetas:
+        return out
     bounds = np.searchsorted(lib_ids, np.arange(int(n_libs)))
     vt = vectors.T
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
-        fallback.count_block(vectors[start:stop] @ vt, lib_ids, bounds, start, theta, n, df)
-    return n, df
+        sims = vectors[start:stop] @ vt
+        for theta, (n, df) in zip(thetas, out):
+            fallback.count_block(sims, lib_ids, bounds, start, theta, n, df)
+    return out
 
 
 def best_match(queries, keys):

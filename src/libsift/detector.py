@@ -89,7 +89,8 @@ def library_block(features):
 def match_library(bin_mat, lib_mat, mode: str = AGG_WEIGHTED_MEAN):
     """The kernel step of scoring one binary against one library, on
     unit-row matrices; weights play no part, so any number of weightings
-    of the same features reuse its result through `reduce_matches`.
+    of the same features reuse its result through `reduce_matches` or
+    `reduce_scores`.
 
     core-weighted-mean: (clipped best cosine, first binary row attaining
     it) per library feature.  match-sum: (clipped binary x library cosine
@@ -123,6 +124,25 @@ def reduce_matches(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
     total_weight = 0.0 + float(np.add.accumulate(weights)[-1])
     score = total / total_weight if total_weight > 0.0 else 0.0
     return score, rows, cols, cosines, contributions
+
+
+def reduce_scores(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
+    """The score `reduce_matches` gives the `match_library` result
+    `matches` under each row of the 2-D `weights`, bit for bit: the same
+    products, summed left to right along each row."""
+    sims, _ = matches
+    if mode == AGG_WEIGHTED_MEAN:
+        terms = weights * sims[None, :]
+    else:
+        # each binary row's best weighted match; a tie between zeros of
+        # either sign sums to the same score once 0.0 is added
+        terms = np.array([(sims * row[None, :]).max(axis=1) for row in weights])
+    totals = np.add.accumulate(terms, axis=1)[:, -1] + 0.0
+    if mode == AGG_MATCH_SUM:
+        return totals
+    total_weights = np.add.accumulate(weights, axis=1)[:, -1] + 0.0
+    return np.divide(totals, total_weights, out=np.zeros(len(totals)),
+                     where=total_weights > 0.0)
 
 
 def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN, *,

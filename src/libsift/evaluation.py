@@ -20,13 +20,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .detector import (
+    AGG_MATCH_SUM,
     AGG_WEIGHTED_MEAN,
     DEFAULT_THETA3,
     check_scoring,
     embed_target,
     library_block,
     match_library,
-    reduce_matches,
+    reduce_scores,
     unique_targets,
 )
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, unit_rows
@@ -43,11 +44,11 @@ from .repository import (
     TplRepository,
     build_origin,
     build_steps,
-    compute_weights,
     feature_vectors,
     purify_export,
     purify_mi,
     stage_steps,
+    weight_rows,
 )
 
 DEFAULT_THETA1_GRID = (0.75, 0.8, 0.85, 0.9, 0.95)
@@ -86,28 +87,31 @@ def metrics_from_counts(counts: ConfusionCounts) -> EvalResult:
     return EvalResult(counts, precision, recall, f1, p_den > 0, r_den > 0)
 
 
-def _confusion(decisions, manifest: Mapping) -> ConfusionCounts:
-    """tp/fp/fn over (binary_id, decided library set) pairs.
+def _confusions(bin_ids, lib_ids, decisions, manifest: Mapping) -> list:
+    """One ConfusionCounts per boolean (binary x library) array in
+    `decisions`: tp/fp/fn of its decided (bin_ids[i], lib_ids[j]) pairs,
+    the one counting rule of reports and evaluation tables.
 
-    Manifest binaries without a pair count as all-missed; a binary absent
-    from the manifest, or given twice, is an error.
+    Manifest binaries without a row count as all-missed, and so do
+    manifest libraries outside `lib_ids`; a binary absent from the
+    manifest, or given twice, is an error.
     """
     seen = set()
-    tp = fp = fn = 0
-    for bin_id, decided in decisions:
+    for bin_id in bin_ids:
         if bin_id not in manifest:
             raise ValidationError("report for unknown binary %r" % bin_id)
         if bin_id in seen:
             raise ValidationError("duplicate report for binary %r" % bin_id)
         seen.add(bin_id)
-        truth = set(manifest[bin_id])
-        tp += len(decided & truth)
-        fp += len(decided - truth)
-        fn += len(truth - decided)
-    for bin_id in manifest:
-        if bin_id not in seen:
-            fn += len(set(manifest[bin_id]))
-    return ConfusionCounts(tp, fp, fn)
+    truth = np.array([[lib_id in libs for lib_id in lib_ids]
+                      for libs in (set(manifest[bin_id]) for bin_id in bin_ids)],
+                     dtype=bool).reshape(len(bin_ids), len(lib_ids))
+    total = sum(len(set(libs)) for libs in manifest.values())
+    counts = []
+    for decided in decisions:
+        tp = int(np.count_nonzero(decided & truth))
+        counts.append(ConfusionCounts(tp, int(np.count_nonzero(decided)) - tp, total - tp))
+    return counts
 
 
 def score_metrics(reports, manifest: Mapping) -> EvalResult:
@@ -116,69 +120,162 @@ def score_metrics(reports, manifest: Mapping) -> EvalResult:
     Manifest binaries without a report count as all-missed; a report for a
     binary absent from the manifest is an error.
     """
+    decided = [r.decided() for r in reports]
+    lib_ids = sorted(set().union(*decided))
+    table = np.array([[lib_id in libs for lib_id in lib_ids] for libs in decided],
+                     dtype=bool).reshape(len(decided), len(lib_ids))
     return metrics_from_counts(
-        _confusion(((r.binary_id, r.decided()) for r in reports), manifest)
-    )
+        _confusions([r.binary_id for r in reports], lib_ids, [table], manifest)[0])
 
 
 # ---------------------------------------------------------------------------
-# grouped scoring: one pass over the targets serves every cell
+# shared scoring: one match per (target, library) serves every cell
 
-def _group(staged: TplRepository, weightings) -> tuple:
-    """(weighting count, [(library id, `library_block` matrix, one weight
-    row per weighting)]) over the libraries of `staged` that kept
-    features, in library id order.
+# The certified bound on how far a score gathered from a union block can
+# lie from the same score on its group's own block, per unit of score
+# scale.  With u = 2**-53, any float64 evaluation of the dot product of
+# two unit rows of dimension D lies within about D*u of the exact cosine,
+# whatever its summation order or BLAS blocking, so two evaluations lie
+# within 2*D*u (1.7e-13 at D = 768); clipping and a max over binary rows
+# keep that bound.
+# * core-weighted-mean divides sum(w_j * s_j) by sum(w_j), with w_j >= 0
+#   and the same weights and left-to-right order on both paths: the two
+#   scores lie within about 2*(D + K + 2)*u for K library features.
+# * match-sum adds one term max_j(w_j * s_rj) per binary row: each of the
+#   R terms moves by at most (2*D*u + 2*u)*max(w), and each path's sum of
+#   R terms is off by at most R*u*R*max(w): within about
+#   2*(D + R + 1)*u * R*max(w).
+# DELTA bounds 2*(D + n + 2)*u for D + n up to _DELTA_TERMS (n = K or R),
+# and the bound grows with D + n past that.  A score further than its
+# bound from every theta3 in use is on the same side of each as the
+# own-block score; any other is recomputed on its group's own block.
+DELTA = 1e-9
+_DELTA_TERMS = 4e6
 
-    `weightings` are repositories over exactly the features of `staged`
-    that differ from it only in weights; each is read once, in turn, so a
-    generator holds one at a time.
+
+def _union(parent: TplRepository, repos) -> list:
+    """[(library id, features)] over the libraries of `parent`, in id
+    order, of which some repository in `repos` keeps features; a
+    library's features are the ones any of them keeps, in `parent`'s
+    order.  Their vectors are read here, one embed call per library, so
+    weighting any of `repos` embeds nothing more."""
+    kept = {id(f) for repo in repos for feats in repo.libraries.values() for f in feats}
+    union = []
+    for lib_id in sorted(parent.libraries):
+        feats = [f for f in parent.libraries[lib_id] if id(f) in kept]
+        if feats:
+            union.append((lib_id, feats))
+    feature_vectors(f for _, feats in union for f in feats)
+    return union
+
+
+@dataclass
+class _Group:
+    """One retained feature set with its weightings, laid over the union:
+    per union library, None where the set emptied it, else (columns of its
+    features in the union block, weight rows (weightings x features), its
+    features)."""
+
+    weightings: int
+    entries: list
+    shared: np.ndarray  # per library: scores gathered from a larger block
+    sizes: np.ndarray
+    max_weights: np.ndarray
+
+
+def _lay_out(union, repo: TplRepository, rows) -> _Group:
+    """`repo`, a subset of the union's features, with `rows`: one
+    `weight_rows` array per weighting over its non-empty libraries."""
+    rows = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    offsets, pos = {}, 0
+    for lib_id, feats in repo.libraries.items():
+        offsets[lib_id] = pos
+        pos += len(feats)
+    entries = []
+    for lib_id, union_feats in union:
+        feats = repo.libraries.get(lib_id)
+        if not feats:
+            entries.append(None)
+            continue
+        column = {id(f): j for j, f in enumerate(union_feats)}
+        cols = np.array([column[id(f)] for f in feats], dtype=np.int64)
+        start = offsets[lib_id]
+        entries.append((cols, rows[:, start:start + len(feats)], feats))
+    return _Group(
+        len(rows),
+        entries,
+        np.array([e is not None and len(e[0]) < len(u[1]) for e, u in zip(entries, union)],
+                 dtype=bool),
+        np.array([len(e[0]) if e else 0 for e in entries]),
+        np.array([e[1].max() if e and e[1].size else 0.0 for e in entries]),
+    )
+
+
+def _slack(group: _Group, mode, rows: int, dim: int) -> np.ndarray:
+    """Per union library: the bound on |gathered - own-block score| of a
+    target of `rows` rows of dimension `dim` (see DELTA)."""
+    terms = group.sizes if mode == AGG_WEIGHTED_MEAN else rows
+    slack = DELTA * np.maximum(1.0, (dim + terms) / _DELTA_TERMS)
+    if mode == AGG_MATCH_SUM:
+        # kept above zero for a library whose weights are all zero, so an
+        # infinite DELTA recomputes it too rather than making a NaN
+        slack = slack * (rows * np.maximum(group.max_weights, np.finfo(float).tiny))
+    return slack
+
+
+def _shared_scores(target_docs, manifest, config: RepoConfig, union, groups, mode,
+                   theta3_values) -> tuple:
+    """(binary ids, library ids, scores): scores[g] is a (targets x
+    weightings x libraries) array of aggregate scores under each weighting
+    of group g, over the union's libraries; -inf where detect could decide
+    nothing (an emptied library, an empty target).
+
+    `union` is `_union`'s, and `groups` holds (repository, weight rows)
+    pairs over subsets of it; the union's blocks are built here, after
+    the weighting, so the two never hold memory at once.  Targets are taken one document at a time:
+    each is embedded and normalized once, matched once per union library,
+    and each group's columns are gathered from that match and re-weighted
+    at once.  Every gathered score within its DELTA bound of a value in
+    `theta3_values` is then recomputed on its group's own block, built on
+    first need and kept for the run, so every decision at those
+    thresholds is the own block's.  Every target must be in the manifest,
+    once.
     """
-    lib_ids = [lib_id for lib_id in sorted(staged.libraries) if staged.libraries[lib_id]]
-    per_weighting = [[[f.weight for f in repo.libraries[lib_id]] for lib_id in lib_ids]
-                     for repo in weightings]
-    return len(per_weighting), [
-        (lib_id, library_block(staged.libraries[lib_id])[0],
-         np.array([weights[n] for weights in per_weighting], dtype=np.float64))
-        for n, lib_id in enumerate(lib_ids)
-    ]
-
-
-def _score_groups(target_docs, manifest, config: RepoConfig, groups, mode) -> list:
-    """tables[g][k]: bin_id -> {library_id: aggregate score} under
-    weighting k of group g, over the libraries detect could decide:
-    emptied libraries and empty targets contribute none.
-
-    Targets are taken one document at a time: each is embedded and
-    normalized once, matched once per (group, library), re-weighted per
-    weighting and dropped before the next is read.  Every target must be
-    in the manifest, once.
-    """
-    tables = [[{} for _ in range(count)] for count, _ in groups]
+    laid_out = [_lay_out(union, repo, rows) for repo, rows in groups]
+    blocks = [library_block(feats)[0] for _, feats in union]
+    thresholds = np.array(theta3_values, dtype=np.float64)
+    own_blocks = {}
+    bin_ids, scores = [], [[] for _ in laid_out]
     for doc in unique_targets(target_docs):
         bin_id = doc.binary_id
         if bin_id not in manifest:
             raise ValidationError("target %r missing from manifest" % bin_id)
-        for group_tables in tables:
-            for table in group_tables:
-                table[bin_id] = {}
+        bin_ids.append(bin_id)
+        rows = [np.full((group.weightings, len(union)), -np.inf) for group in laid_out]
         _, mat = embed_target(doc, config)
-        if mat is None:
-            continue
-        bin_mat = unit_rows(mat)
-        for (_, libraries), group_tables in zip(groups, tables):
-            for lib_id, lib_mat, weights in libraries:
-                matches = match_library(bin_mat, lib_mat, mode)
-                for table, row in zip(group_tables, weights):
-                    table[bin_id][lib_id] = reduce_matches(matches, row, mode)[0]
-    return tables
-
-
-def _counts_at(score_table, manifest, theta3) -> ConfusionCounts:
-    return _confusion(
-        ((bin_id, {lib for lib, s in scores.items() if s >= theta3})
-         for bin_id, scores in score_table.items()),
-        manifest,
-    )
+        if mat is not None:
+            bin_mat = unit_rows(mat)
+            for j, block in enumerate(blocks):
+                sims, _ = match_library(bin_mat, block, mode)
+                for group, row in zip(laid_out, rows):
+                    if group.entries[j] is not None:
+                        cols, weights, _ = group.entries[j]
+                        row[:, j] = reduce_scores((sims[..., cols], None), weights, mode)
+            for g, (group, row) in enumerate(zip(laid_out, rows)):
+                slack = _slack(group, mode, *bin_mat.shape)
+                near = (np.abs(row[:, :, None] - thresholds) <= slack[:, None]).any(axis=(0, 2))
+                for j in np.flatnonzero(near & group.shared):
+                    _, weights, feats = group.entries[j]
+                    if (g, j) not in own_blocks:
+                        own_blocks[g, j] = library_block(feats)[0]
+                    row[:, j] = reduce_scores(match_library(bin_mat, own_blocks[g, j], mode),
+                                              weights, mode)
+        for table, row in zip(scores, rows):
+            table.append(row)
+    return bin_ids, [lib_id for lib_id, _ in union], [
+        np.array(table).reshape(len(bin_ids), group.weightings, len(union))
+        for table, group in zip(scores, laid_out)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +334,13 @@ def sweep(
     """Full grid evaluation.
 
     theta2 alone fixes the retained features: the complexity filter runs
-    once per theta2 and weights once per (theta1, theta2), and each library
-    is embedded once, before any weighting.  Each target is
-    embedded once, matched once per theta2 and re-weighted per theta1;
-    theta3 only re-thresholds the cached aggregate scores.  Every grid
+    once per theta2, and one pass of similarity products per theta2
+    weights it for every theta1.  The theta2 groups are nested, so each
+    library is embedded once, before any weighting, and each target is
+    embedded once, matched once per library against the largest group and
+    re-weighted per (theta2, theta1) from that match; a score too close to
+    a theta3 to trust that shared match is recomputed on its group's own
+    block (see DELTA).  theta3 only re-thresholds the scores.  Every grid
     value is checked before the first document is read.
     """
     if not theta1_values or not theta2_values or not theta3_values:
@@ -252,24 +352,24 @@ def sweep(
     origin = build_origin(tpl_docs, dim=dim, seed=seed)
     exported = purify_export(origin)
     purified = [purify_mi(exported, t2) for t2 in theta2_values]
-    # every group's features are among the largest group's: embedding those
-    # first makes one embed call per library, not one per library per group
-    largest = max(purified, key=TplRepository.feature_count)
-    feature_vectors(f for feats in largest.libraries.values() for f in feats)
-    retained, groups = [], []
-    for staged in purified:
-        retained.append(staged.stats[-1].leave_percent)
-        groups.append(_group(staged, (compute_weights(staged, t1) for t1 in theta1_values)))
-    tables = _score_groups(target_docs, manifest, origin.config, groups, mode)
+    # purify_mi keeps nested sets, so the union is the largest of them
+    union = _union(exported, purified)
+    groups = [(staged, [weights for weights, _, _ in weight_rows(staged, theta1_values)])
+              for staged in purified]
+    bin_ids, lib_ids, scores = _shared_scores(target_docs, manifest, origin.config, union,
+                                              groups, mode, theta3_values)
 
     cells = []
     for i1, t1 in enumerate(theta1_values):
         for i2, t2 in enumerate(theta2_values):
-            for t3 in theta3_values:
-                result = metrics_from_counts(_counts_at(tables[i2][i1], manifest, t3))
+            table = scores[i2][:, i1]
+            counts = _confusions(bin_ids, lib_ids, (table >= t3 for t3 in theta3_values),
+                                 manifest)
+            for t3, count in zip(theta3_values, counts):
+                result = metrics_from_counts(count)
                 cells.append(
                     SweepCell(
-                        float(t1), float(t2), float(t3), retained[i2],
+                        float(t1), float(t2), float(t3), purified[i2].stats[-1].leave_percent,
                         result.precision, result.recall, result.f1,
                     )
                 )
@@ -345,30 +445,38 @@ def run_ablation(
 ) -> AblationTable:
     """Eight rows: four purification configs, each with weights off (all
     1.0) and on, at fixed thresholds; every stage reads theta1 and theta2
-    from the origin's config.  Each target is matched once per config and
-    re-weighted for weights off and on."""
+    from the origin's config.  Every config keeps a subset of the origin,
+    so each target is matched once per library against the origin and
+    each config's columns are gathered and re-weighted for weights off
+    and on, as `sweep` does."""
     check_scoring(mode, theta3)
     origin = build_origin(tpl_docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed)
-    sizes, groups = [], []
+    configs = []
     for _, stages in ABLATION_CONFIGS:
         staged = origin
         for _, staged in stage_steps(origin, stages):
             pass
-        sizes.append((staged.feature_count(), staged.stats[-1].leave_percent))
-        groups.append(_group(staged, (staged, compute_weights(staged))))
-    tables = _score_groups(target_docs, manifest, origin.config, groups, mode)
+        configs.append(staged)
+    # every config keeps a subset of the origin, so the origin is the union
+    union = _union(origin, configs)
+    groups = [(staged, [np.ones(staged.feature_count()),
+                        weight_rows(staged, (origin.config.theta1,))[0][0]])
+              for staged in configs]
+    bin_ids, lib_ids, scores = _shared_scores(target_docs, manifest, origin.config, union,
+                                              groups, mode, (theta3,))
 
     rows = []
-    for (label, _), (func_count, leave_percent), group_tables in zip(ABLATION_CONFIGS, sizes,
-                                                                     tables):
-        for weights_on, table in zip((False, True), group_tables):
-            result = metrics_from_counts(_counts_at(table, manifest, theta3))
+    for (label, _), staged, table in zip(ABLATION_CONFIGS, configs, scores):
+        for weights_on in (False, True):
+            count, = _confusions(bin_ids, lib_ids, [table[:, int(weights_on)] >= theta3],
+                                 manifest)
+            result = metrics_from_counts(count)
             rows.append(
                 AblationRow(
                     config=label,
                     weights=weights_on,
-                    func_count=func_count,
-                    leave_percent=leave_percent,
+                    func_count=staged.feature_count(),
+                    leave_percent=staged.stats[-1].leave_percent,
                     precision=result.precision,
                     recall=result.recall,
                     f1=result.f1,

@@ -302,38 +302,50 @@ def purify_mi(repo: TplRepository, theta2: float = None):
     return libraries, config
 
 
-@_stage(STAGE_WEIGHTS)
-def compute_weights(repo: TplRepository, theta1: float = None):
-    """Frequency-weight every retained feature.
+def weight_rows(repo: TplRepository, theta1_values) -> list:
+    """[(weights, n, df)], one triple per theta1 in `theta1_values`, each
+    a flat array over the features of `repo`'s non-empty libraries in
+    order; the weights stage and the sweep both weight through here.
 
     n counts same-library functions within theta1 similarity (self always
     included); df counts OTHER libraries holding at least one such match.
-    The weight is TF * IDF over the post-purification population, with the
-    library count taken over ALL libraries, including purification-emptied
-    ones.
+    The weight is TF * IDF over `repo`'s population, with the library
+    count taken over ALL libraries, including purification-emptied ones.
+    One pass of similarity products serves every theta1.
     """
-    config = replace(repo.config, theta1=repo.config.theta1 if theta1 is None else theta1)
-    nonempty = [(lib_id, feats) for lib_id, feats in repo.libraries.items() if feats]
+    nonempty = [feats for feats in repo.libraries.values() if feats]
+    if not nonempty:
+        empty = np.zeros(0, dtype=np.int64)
+        return [(np.zeros(0), empty, empty) for _ in theta1_values]
     library_count = len(repo.libraries)
+    stack = np.vstack(feature_vectors(f for feats in nonempty for f in feats))
+    row_norms(stack)  # the counts read the stored vectors, but only valid ones
+    sizes = [len(feats) for feats in nonempty]
+    lib_ids = np.repeat(np.arange(len(nonempty)), sizes)
+    own_size = np.repeat(sizes, sizes).tolist()
+    rows = []
+    for n_arr, df_arr in _kernels.theta_counts(stack, lib_ids, len(nonempty), theta1_values):
+        weights = [tfidf_weight(n, size, library_count, df)
+                   for n, size, df in zip(n_arr.tolist(), own_size, df_arr.tolist())]
+        rows.append((np.array(weights, dtype=np.float64), n_arr, df_arr))
+    return rows
+
+
+@_stage(STAGE_WEIGHTS)
+def compute_weights(repo: TplRepository, theta1: float = None):
+    """Frequency-weight every retained feature by `weight_rows` at theta1
+    (the config's when None)."""
+    config = replace(repo.config, theta1=repo.config.theta1 if theta1 is None else theta1)
     libraries = {lib_id: [] for lib_id in repo.libraries}
-    if nonempty:
-        stack = np.vstack(feature_vectors(f for _, feats in nonempty for f in feats))
-        row_norms(stack)  # the counts read the stored vectors, but only valid ones
-        lib_ids = np.concatenate(
-            [np.full(len(feats), i, dtype=np.int64) for i, (_, feats) in enumerate(nonempty)]
-        )
-        n_arr, df_arr = _kernels.theta_counts(stack, lib_ids, len(nonempty), config.theta1)
-        pos = 0
-        for lib_id, feats in nonempty:
-            size = len(feats)
-            counts = zip(n_arr[pos : pos + size].tolist(), df_arr[pos : pos + size].tolist())
-            libraries[lib_id] = [
-                replace(f, weight=tfidf_weight(n, size, library_count, df), df=df, n_in_library=n)
-                for f, (n, df) in zip(feats, counts)
-            ]
-            pos += size
-    else:
+    if not any(repo.libraries.values()):
         log.warning("weighting ran on an empty repository")
+        return libraries, config
+    (weights, n_arr, df_arr), = weight_rows(repo, (config.theta1,))
+    # one iterator across the libraries: an emptied one takes no row
+    rows = zip(weights.tolist(), n_arr.tolist(), df_arr.tolist())
+    for lib_id, feats in repo.libraries.items():
+        libraries[lib_id] = [replace(f, weight=w, df=df, n_in_library=n)
+                             for f, (w, n, df) in zip(feats, rows)]
     return libraries, config
 
 

@@ -196,6 +196,26 @@ def test_aggregate_on_unit_rows_gives_the_same_bits(mode):
     assert [astuple(e) for e in got] == [astuple(e) for e in want]
 
 
+@pytest.mark.parametrize("mode", [AGG_WEIGHTED_MEAN, AGG_MATCH_SUM])
+def test_reduce_scores_gives_reduce_matches_bits_per_weight_row(mode):
+    # the 2-D accumulate along each row sums as one reduce_matches per row
+    rng = np.random.default_rng(8)
+    for rows, cols in ((1, 1), (3, 7), (600, 40), (40, 600)):
+        bin_mat = unit_rows(rng.standard_normal((rows, 16)))
+        lib_mat = unit_rows(rng.standard_normal((cols, 16)))
+        # a column slice, as a group's rows are cut from a weighting
+        weights = rng.uniform(0.0, 3.0, (5, cols + 4))[:, 2:2 + cols]
+        weights[1] = 0.0  # an all-zero weighting scores 0
+        weights[2, ::2] = 0.0
+        weights[3] = rng.uniform(1e-6, 1e-3, cols)
+        matches = detector.match_library(bin_mat, lib_mat, mode)
+        got = detector.reduce_scores(matches, weights, mode)
+        want = [detector.reduce_matches(matches, row, mode)[0] for row in weights]
+        assert got.tolist() == want
+        assert [math.copysign(1.0, x) for x in got.tolist()] == [
+            math.copysign(1.0, x) for x in want]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end detection
 

@@ -28,6 +28,7 @@ from libsift import (
     sweep,
     write_reports,
 )
+from libsift import evaluation
 from libsift.cli import main
 
 DIM = 192
@@ -89,6 +90,19 @@ def outputs(corpus, tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(RECORDED))
 def test_output_bytes_match_recorded_digest(outputs, name):
     assert hashlib.sha256(outputs[name]).hexdigest() == RECORDED[name]
+
+
+@pytest.mark.parametrize("name", ["sweep", "ablation", "sweep-match-sum",
+                                  "ablation-match-sum"])
+def test_evaluation_on_own_blocks_matches_recorded_digest(corpus, name, monkeypatch):
+    # an infinite bound sends every score gathered from a larger block to
+    # its group's own block: the exact path gives the same bytes
+    monkeypatch.setattr(evaluation, "DELTA", float("inf"))
+    tpl_docs, target_docs, manifest = corpus
+    run = sweep if name.startswith("sweep") else run_ablation
+    mode = "match-sum" if name.endswith("match-sum") else "core-weighted-mean"
+    data = run(tpl_docs, target_docs, manifest, dim=DIM, mode=mode).to_csv_bytes()
+    assert hashlib.sha256(data).hexdigest() == RECORDED[name]
 
 
 def _vector_files(docs, out_dir):

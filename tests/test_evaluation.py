@@ -3,6 +3,7 @@ import math
 import random
 import weakref
 
+import numpy as np
 import pytest
 
 from libsift import (
@@ -39,16 +40,18 @@ from libsift import (
     time_stages,
     write_timings,
 )
-from libsift import evaluation
-from libsift.detector import aggregate, embed_target
+from libsift import _kernels, evaluation
+from libsift.detector import AGG_WEIGHTED_MEAN, aggregate, embed_target
 from libsift.evaluation import (
     ABLATION_CONFIGS,
     DEFAULT_THETA1_GRID,
     DEFAULT_THETA2_GRID,
     DEFAULT_THETA3_GRID,
-    _group,
-    _score_groups,
+    _confusions,
+    _shared_scores,
+    _union,
 )
+from libsift.repository import stage_steps
 
 from corpora import embed_calls
 
@@ -129,6 +132,53 @@ def test_score_metrics_rejects_duplicate_reports():
     reports = [_report("b0", []), _report("b0", [])]
     with pytest.raises(ValidationError, match="duplicate"):
         score_metrics(reports, {"b0": set()})
+
+
+def _confusion_by_sets(decisions, manifest):
+    """tp/fp/fn by per-binary set arithmetic over (binary id, decided
+    library set) pairs: the counting rule `_confusions` keeps."""
+    seen = set()
+    tp = fp = fn = 0
+    for bin_id, decided in decisions:
+        if bin_id not in manifest:
+            raise ValidationError("report for unknown binary %r" % bin_id)
+        if bin_id in seen:
+            raise ValidationError("duplicate report for binary %r" % bin_id)
+        seen.add(bin_id)
+        truth = set(manifest[bin_id])
+        tp += len(decided & truth)
+        fp += len(decided - truth)
+        fn += len(truth - decided)
+    for bin_id in manifest:
+        if bin_id not in seen:
+            fn += len(set(manifest[bin_id]))
+    return ConfusionCounts(tp, fp, fn)
+
+
+def test_array_counts_equal_set_counts_on_generated_tables():
+    rng = random.Random(5)
+    libs = ["lib%d" % i for i in range(6)]
+    thresholds = (-1.0, -0.2, 0.0, 0.35, 0.8, 1.0)
+    for trial in range(60):
+        bin_ids = ["bin%d" % i for i in range(rng.randint(0, 6))]
+        # truth libraries outside the table's columns, binaries with no
+        # row, and a library listed twice
+        manifest = {bin_id: rng.sample(libs, rng.randint(0, 3))
+                    for bin_id in bin_ids + ["unscored%d" % i for i in range(rng.randint(0, 2))]}
+        for libs_of in manifest.values():
+            if libs_of and rng.random() < 0.3:
+                libs_of.append(libs_of[0])
+        lib_ids = sorted(rng.sample(libs, rng.randint(0, 5)))
+        table = np.array([[rng.choice((-np.inf, -1.0, 0.0, 0.35, 1.0, rng.uniform(-1, 1)))
+                           for _ in lib_ids] for _ in bin_ids]).reshape(len(bin_ids),
+                                                                       len(lib_ids))
+        if bin_ids and rng.random() < 0.5:
+            table[rng.randrange(len(bin_ids))] = -np.inf  # an empty target
+        got = _confusions(bin_ids, lib_ids, (table >= t for t in thresholds), manifest)
+        want = [_confusion_by_sets(
+            [(bin_id, {lib for lib, s in zip(lib_ids, row) if s >= t})
+             for bin_id, row in zip(bin_ids, table)], manifest) for t in thresholds]
+        assert got == want, (trial, bin_ids, lib_ids, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -470,38 +520,171 @@ def _scoring_corpus():
     return tpl_docs, target_docs + [big], dict(manifest, binbig={"lib000", "lib002"})
 
 
+def _staged(origin, stages):
+    staged = origin
+    for _, staged in stage_steps(origin, stages):
+        pass
+    return staged
+
+
+def _weight_row(repo):
+    return [f.weight for feats in repo.libraries.values() for f in feats]
+
+
+def _grouped(target_docs, manifest, parent, cells, mode, theta3_values):
+    """_shared_scores over `cells`: (retained features of `parent`,
+    repositories weighting exactly those features) pairs, one per group."""
+    union = _union(parent, [staged for staged, _ in cells])
+    groups = [(staged, [_weight_row(repo) for repo in repos]) for staged, repos in cells]
+    return _shared_scores(target_docs, manifest, parent.config, union, groups, mode,
+                          theta3_values)
+
+
+def _sweep_cells(exported, theta1_values, theta2_values):
+    return [(staged, [compute_weights(staged, t1) for t1 in theta1_values])
+            for staged in (purify_mi(exported, t2) for t2 in theta2_values)]
+
+
 @pytest.mark.parametrize("mode", AGGREGATION_MODES)
-def test_grouped_scores_equal_aggregate_bit_for_bit(mode):
+def test_grouped_scores_equal_aggregate_bit_for_bit(mode, monkeypatch):
     tpl_docs, target_docs, manifest = _scoring_corpus()
     origin = build_origin(tpl_docs, dim=128)
     exported = purify_export(origin)
-    # the sweep's groups (one per theta2, weighted per theta1), then the
-    # ablation's (one per config, weights off and on)
-    cells, groups = [], []
-    for t2 in (0.1, 0.3, 0.6):
-        staged = purify_mi(exported, t2)
-        cells.append([compute_weights(staged, t1) for t1 in (0.75, 0.9)])
-        groups.append(_group(staged, cells[-1]))
-    for _, stages in ABLATION_CONFIGS:
-        staged = build_repository(tpl_docs, dim=128, stages=stages)
-        cells.append([staged, compute_weights(staged)])
-        groups.append(_group(staged, cells[-1]))
-
-    tables = _score_groups(target_docs, manifest, origin.config, groups, mode)
+    theta3_values = _THETA3S + DEFAULT_THETA3_GRID
+    # the sweep's groups (one per theta2, weighted per theta1) over the
+    # export population, then the ablation's (one per config, weights off
+    # and on) over the origin
+    runs = [
+        (exported, _sweep_cells(exported, (0.75, 0.9), DEFAULT_THETA2_GRID)),
+        (origin, [(staged, [staged, compute_weights(staged)])
+                  for staged in (_staged(origin, stages) for _, stages in ABLATION_CONFIGS)]),
+    ]
     embedded = {doc.binary_id: embed_target(doc, origin.config) for doc in target_docs}
     assert embedded["binstub"][1] is None
     assert embedded["binbig"][1].shape[0] > 512
-    emptied = 0
-    for repos, group_tables in zip(cells, tables):
-        for repo, table in zip(repos, group_tables):
-            assert list(table) == list(embedded)
-            emptied += sum(not feats for feats in repo.libraries.values())
-            for bin_id, (names, mat) in embedded.items():
-                want = {} if mat is None else {
-                    lib_id: aggregate(mat, names, feats, mode=mode)[0]
-                    for lib_id, feats in sorted(repo.libraries.items()) if feats}
-                assert table[bin_id] == want, (bin_id, repo.config)
+    emptied = moved = 0
+    for parent, cells in runs:
+        # an infinite bound recomputes every score gathered from a larger
+        # block on its group's own block: the exact path
+        monkeypatch.setattr(evaluation, "DELTA", float("inf"))
+        bin_ids, lib_ids, exact = _grouped(target_docs, manifest, parent, cells, mode,
+                                           theta3_values)
+        monkeypatch.undo()
+        *ids, shared = _grouped(target_docs, manifest, parent, cells, mode, theta3_values)
+        assert ids == [bin_ids, lib_ids]
+        assert bin_ids == list(embedded)
+        assert lib_ids == sorted(lib_id for lib_id, feats in parent.libraries.items() if feats)
+        for (_, repos), exact_table, shared_table in zip(cells, exact, shared):
+            for k, repo in enumerate(repos):
+                emptied += sum(not feats for feats in repo.libraries.values())
+                for t, (names, mat) in enumerate(embedded.values()):
+                    for j, lib_id in enumerate(lib_ids):
+                        feats = repo.libraries[lib_id]
+                        if mat is None or not feats:
+                            assert exact_table[t, k, j] == shared_table[t, k, j] == -np.inf
+                            continue
+                        want = aggregate(mat, names, feats, mode=mode)[0]
+                        assert exact_table[t, k, j] == want, (bin_ids[t], lib_id, repo.config)
+                        # the shared path: within the certified bound, and
+                        # on the same side of every theta3 in use
+                        got = shared_table[t, k, j]
+                        scale = 1.0 if mode == AGG_WEIGHTED_MEAN else (
+                            mat.shape[0] * max(f.weight for f in feats))
+                        assert abs(got - want) <= evaluation.DELTA * scale
+                        assert [got >= t3 for t3 in theta3_values] == [
+                            want >= t3 for t3 in theta3_values]
+                        moved += got != want
     assert emptied > 0
+    assert moved > 0  # sharing does move bits: the certificate is needed
+
+
+def _moved_true_pair(target_docs, manifest, parent, cells, mode, monkeypatch):
+    """(exact, shared) score of a planted (target, library) pair whose
+    score the shared match moves."""
+    monkeypatch.setattr(evaluation, "DELTA", float("inf"))
+    bin_ids, lib_ids, exact = _grouped(target_docs, manifest, parent, cells, mode, (0.9,))
+    monkeypatch.setattr(evaluation, "DELTA", -1.0)
+    _, _, shared = _grouped(target_docs, manifest, parent, cells, mode, (0.9,))
+    monkeypatch.undo()
+    for e, s in zip(exact, shared):
+        for t, k, j in zip(*np.nonzero(np.isfinite(e) & (e != s))):
+            if lib_ids[j] in manifest[bin_ids[t]]:
+                return float(e[t, k, j]), float(s[t, k, j])
+    raise AssertionError("no planted pair's score moved")
+
+
+def test_sweep_certificate_keeps_a_decision_the_shared_match_would_flip(monkeypatch):
+    tpl_docs, target_docs, manifest = _scoring_corpus()
+    theta1_values, theta2_values = (0.75, 0.9), DEFAULT_THETA2_GRID
+    exported = purify_export(build_origin(tpl_docs, dim=128))
+    cells = _sweep_cells(exported, theta1_values, theta2_values)
+    exact, shared = _moved_true_pair(target_docs, manifest, exported, cells,
+                                     AGG_WEIGHTED_MEAN, monkeypatch)
+    # at this theta3 the exact and the shared score decide differently
+    theta3 = max(exact, shared)
+    assert (exact >= theta3) != (shared >= theta3)
+    matched, match_library = [], evaluation.match_library
+
+    def run(delta):
+        monkeypatch.setattr(evaluation, "DELTA", delta)
+        monkeypatch.setattr(evaluation, "match_library",
+                            lambda *args: matched.append(1) or match_library(*args))
+        csv = sweep(tpl_docs, target_docs, manifest, dim=128, theta1_values=theta1_values,
+                    theta2_values=theta2_values,
+                    theta3_values=(0.7, theta3, 0.9)).to_csv_bytes()
+        monkeypatch.undo()
+        calls = len(matched)
+        matched.clear()
+        return csv, calls
+
+    exact_csv, _ = run(float("inf"))
+    certified_csv, certified_calls = run(evaluation.DELTA)
+    uncertified_csv, shared_calls = run(-1.0)
+    assert certified_csv == exact_csv
+    assert certified_calls > shared_calls  # the certificate fired
+    assert uncertified_csv != exact_csv  # and without it the CSV changes
+
+
+def _best_matches(monkeypatch):
+    calls = []
+    best_match = _kernels.best_match
+
+    def counting(queries, keys):
+        calls.append(keys.shape[0])
+        return best_match(queries, keys)
+
+    monkeypatch.setattr(_kernels, "best_match", counting)
+    return calls
+
+
+def test_sweep_matches_once_per_target_and_union_library(monkeypatch):
+    tpl_docs, target_docs, manifest = _emptying_corpus()
+    theta2_values = (0.1, 0.3, 0.6)
+    exported = purify_export(build_origin(tpl_docs, dim=128))
+    union = _union(exported, [purify_mi(exported, t2) for t2 in theta2_values])
+    nonempty_targets = sum(embed_target(doc, exported.config)[1] is not None
+                           for doc in target_docs)
+    best, thetas = _best_matches(monkeypatch), []
+    theta_counts = _kernels.theta_counts
+    monkeypatch.setattr(_kernels, "theta_counts",
+                        lambda *args: thetas.append(args[3]) or theta_counts(*args))
+    # no theta3 near a score: no fallback
+    sweep(tpl_docs, target_docs, manifest, dim=128, theta1_values=(0.75, 0.8, 0.9),
+          theta2_values=theta2_values, theta3_values=(-1.0,))
+    assert len(union) == 3  # libpriv keeps nothing
+    assert best == [len(feats) for _ in range(nonempty_targets) for _, feats in union]
+    assert thetas == [(0.75, 0.8, 0.9)] * len(theta2_values)
+
+
+def test_ablation_matches_once_per_target_and_origin_library(monkeypatch):
+    tpl_docs, target_docs, manifest = _emptying_corpus()
+    origin = build_origin(tpl_docs, dim=128)
+    nonempty_targets = sum(embed_target(doc, origin.config)[1] is not None
+                           for doc in target_docs)
+    best = _best_matches(monkeypatch)
+    run_ablation(tpl_docs, target_docs, manifest, dim=128, theta3=-1.0)
+    sizes = [len(origin.libraries[lib_id]) for lib_id in sorted(origin.libraries)]
+    assert best == sizes * nonempty_targets
 
 
 def _lazy(docs, parsed, alive_at_parse):

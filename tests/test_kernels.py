@@ -52,11 +52,12 @@ def test_sim_matrix_validates():
         _kernels.sim_matrix(np.ones((2, 3)), np.ones((2, 3)), batch=0)
 
 
-def _counts_oracle(vectors, lib_ids, theta):
+def _counts_oracle(vectors, lib_ids, theta, rows=None):
+    """n and df by a double loop, over `rows` only when given."""
     count = vectors.shape[0]
     n = np.ones(count, dtype=np.int64)
     df = np.zeros(count, dtype=np.int64)
-    for i in range(count):
+    for i in range(count) if rows is None else rows:
         others = set()
         for j in range(count):
             if j == i:
@@ -70,6 +71,18 @@ def _counts_oracle(vectors, lib_ids, theta):
     return n, df
 
 
+def _counts_each(vectors, lib_ids, n_libs, thetas):
+    """theta_counts with every threshold given at once, after checking
+    that each pair equals a call with that threshold alone."""
+    together = _kernels.theta_counts(vectors, lib_ids, n_libs, thetas)
+    assert len(together) == len(thetas)
+    for theta, (n, df) in zip(thetas, together):
+        (n_alone, df_alone), = _kernels.theta_counts(vectors, lib_ids, n_libs, [theta])
+        np.testing.assert_array_equal(n, n_alone)
+        np.testing.assert_array_equal(df, df_alone)
+    return together
+
+
 def test_theta_counts_against_brute_force():
     rng = np.random.default_rng(2)
     for trial in range(8):
@@ -77,21 +90,40 @@ def test_theta_counts_against_brute_force():
         n_libs = int(rng.integers(1, min(count, 9) + 1))
         vecs = _unit(rng, count, 16)
         ids = _lib_ids(rng, count, n_libs)
-        theta = _safe_theta(vecs @ vecs.T, rng)
-        n, df = _kernels.theta_counts(vecs, ids, n_libs, theta)
+        thetas = [_safe_theta(vecs @ vecs.T, rng) for _ in range(3)]
+        for theta, (n, df) in zip(thetas, _counts_each(vecs, ids, n_libs, thetas)):
+            n_want, df_want = _counts_oracle(vecs, ids, theta)
+            np.testing.assert_array_equal(n, n_want)
+            np.testing.assert_array_equal(df, df_want)
+
+
+def test_theta_counts_at_attained_similarities():
+    # entries of +-0.5 and 1 make every similarity exact: 0, +-0.5 or +-1,
+    # so each threshold below is attained and >= must count it
+    half = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.5],
+                     [0.5, -0.5, 0.5, -0.5], [-0.5, 0.5, 0.5, 0.5]])
+    vecs = np.vstack([np.eye(4), half, np.eye(4)[::-1], half[::-1]])
+    ids = np.repeat(np.arange(4), 4)
+    thetas = [0.0, 0.5, 1.0, -0.5]
+    for theta, (n, df) in zip(thetas, _counts_each(vecs, ids, 4, thetas)):
         n_want, df_want = _counts_oracle(vecs, ids, theta)
         np.testing.assert_array_equal(n, n_want)
         np.testing.assert_array_equal(df, df_want)
+        assert n.sum() > len(vecs) or theta == 1.0
+
+
+def test_theta_counts_without_thresholds():
+    assert _kernels.theta_counts(np.eye(3), np.arange(3), 3, []) == []
 
 
 def test_theta_counts_extremes():
     rng = np.random.default_rng(3)
     vecs = _unit(rng, 40, 8)
     ids = _lib_ids(rng, 40, 4)
-    n, df = _kernels.theta_counts(vecs, ids, 4, 1.1)  # nothing matches
+    (n, df), = _kernels.theta_counts(vecs, ids, 4, [1.1])  # nothing matches
     np.testing.assert_array_equal(n, np.ones(40, dtype=np.int64))
     np.testing.assert_array_equal(df, np.zeros(40, dtype=np.int64))
-    n, df = _kernels.theta_counts(vecs, ids, 4, -1.1)  # everything matches
+    (n, df), = _kernels.theta_counts(vecs, ids, 4, [-1.1])  # everything matches
     sizes = np.bincount(ids, minlength=4)
     np.testing.assert_array_equal(n, sizes[ids])
     np.testing.assert_array_equal(df, np.full(40, 3, dtype=np.int64))
@@ -103,21 +135,22 @@ def test_theta_counts_spans_block_boundary():
     count = 1200
     vecs = _unit(rng, count, 8)
     ids = _lib_ids(rng, count, 6)
-    n, df = _kernels.theta_counts(vecs, ids, 6, 0.9)
+    thetas = [0.9, 0.5, 0.95]
     check = rng.integers(0, count, 25)
-    n_want, df_want = _counts_oracle(vecs, ids, 0.9)
-    np.testing.assert_array_equal(n[check], n_want[check])
-    np.testing.assert_array_equal(df[check], df_want[check])
+    for theta, (n, df) in zip(thetas, _counts_each(vecs, ids, 6, thetas)):
+        n_want, df_want = _counts_oracle(vecs, ids, theta, check)
+        np.testing.assert_array_equal(n[check], n_want[check])
+        np.testing.assert_array_equal(df[check], df_want[check])
 
 
 def test_theta_counts_validates_lib_ids():
     vecs = np.eye(4)
     with pytest.raises(ValueError):
-        _kernels.theta_counts(vecs, np.array([0, 1, 0, 1]), 2, 0.5)  # not sorted
+        _kernels.theta_counts(vecs, np.array([0, 1, 0, 1]), 2, [0.5])  # not sorted
     with pytest.raises(ValueError):
-        _kernels.theta_counts(vecs, np.array([0, 0, 2, 2]), 3, 0.5)  # lib 1 empty
+        _kernels.theta_counts(vecs, np.array([0, 0, 2, 2]), 3, [0.5])  # lib 1 empty
     with pytest.raises(ValueError):
-        _kernels.theta_counts(vecs, np.array([0, 0, 1]), 2, 0.5)  # length mismatch
+        _kernels.theta_counts(vecs, np.array([0, 0, 1]), 2, [0.5])  # length mismatch
 
 
 def test_best_match_against_oracle():

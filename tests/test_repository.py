@@ -569,6 +569,22 @@ def test_compute_weights_matches_double_loop():
             assert f.weight == pytest.approx(w, abs=1e-12)
 
 
+def test_weight_rows_equal_the_weights_stage_at_every_theta1():
+    # one similarity pass for several theta1 values weights as the stage
+    # does at each, emptied library included
+    docs = _small_corpus(seed=6) + [_doc("libpriv", [_fn("p", ["test", "ret"],
+                                                         is_export=False)])]
+    repo = purify_export(build_origin(docs, dim=DIM))
+    thetas = (1.0, 0.95, 0.5, -1.0)
+    rows = repository.weight_rows(repo, thetas)
+    assert len(rows) == len(thetas)
+    for theta1, (weights, n, df) in zip(thetas, rows):
+        feats = [f for fs in compute_weights(repo, theta1).libraries.values() for f in fs]
+        assert weights.tolist() == [f.weight for f in feats]
+        assert n.tolist() == [f.n_in_library for f in feats]
+        assert df.tolist() == [f.df for f in feats]
+
+
 def test_compute_weights_self_only_when_theta1_is_one():
     docs = _small_corpus(seed=2)
     repo = build_origin(docs, dim=DIM)
