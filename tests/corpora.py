@@ -1,5 +1,5 @@
-"""Purpose-built corpora, and a probe of embedding work, shared by the test
-modules.
+"""Purpose-built corpora, external-vector files, and a probe of embedding
+work, shared by the test modules.
 
 `ablation_corpus` wires up one false-positive mechanism per purification
 stage so the precision ordering is observable rather than vacuous:
@@ -22,7 +22,13 @@ The single target reuses lib_host and lib_main completely, so both score
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import random
+import struct
+import zlib
+
+import numpy as np
 
 from libsift.embedding import HashedNgramEmbedder
 from libsift.evaluation import (
@@ -43,6 +49,13 @@ TIER_XL = dict(blocks_range=(18, 24), instr_range=(10, 14))
 TIER_L = dict(blocks_range=(9, 12), instr_range=(9, 12))
 TIER_M = dict(blocks_range=(4, 6), instr_range=(5, 8))
 TIER_S = dict(blocks_range=(2, 3), instr_range=(4, 6))
+
+
+def one_block(name, mnemonics, *, is_export=True, section=".text", reg="rax", loops=0):
+    """A one-block function of `mnemonics`, each on `reg` and an immediate;
+    `loops` self-loop edges raise its cyclomatic number, not its content."""
+    instrs = [Instruction(m, (reg, "0x%x" % i)) for i, m in enumerate(mnemonics)]
+    return FunctionRecord(name, section, is_export, [BasicBlock(0, instrs)], [(0, 0)] * loops)
 
 
 def _fn(rng, name, is_export, tier, pool=_COMMON_MNEMONICS):
@@ -193,3 +206,43 @@ def embed_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(HashedNgramEmbedder, "embed_document", counting)
     return calls
+
+
+def forge_lsr(data, edit=None, header_bytes=None) -> bytes:
+    """The `.lsr` bytes `data` resealed with a valid length and checksum,
+    so only the change is wrong: `edit(header, vectors)` changes the decoded
+    header and (features, dim) vector block in place; `header_bytes`, when
+    given, replaces the header."""
+    (size,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12:12 + size])
+    vectors = np.frombuffer(data[12 + size:-32], "<f8").reshape(-1, header["config"]["dim"]).copy()
+    if edit is not None:
+        edit(header, vectors)
+    if header_bytes is None:
+        header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload = data[:8] + struct.pack("<I", len(header_bytes)) + header_bytes + vectors.tobytes()
+    return payload + hashlib.sha256(payload).digest()
+
+
+def vector_file(doc_id, dim, rows, count=None) -> str:
+    """An external-vector file as FORMAT.md gives it: the header, with
+    `count` when given, then one line per (function name, values) row."""
+    header = {"doc_id": doc_id, "dim": dim}
+    if count is not None:
+        header["count"] = count
+    lines = [header] + [{"function": name, "values": values} for name, values in rows]
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+def write_seeded_vectors(out_dir, docs, dim):
+    """Write each of `docs` a vector file, with a count, into `out_dir`,
+    named by its binary id: each function's vector is drawn from a
+    generator seeded by the crc32 of its name, so a planted copy gets its
+    original's vector."""
+    out_dir.mkdir(exist_ok=True)
+    for doc in docs:
+        rows = [(fn.name, np.random.default_rng(zlib.crc32(fn.name.encode("utf-8")))
+                 .standard_normal(dim).tolist()) for fn in doc.functions]
+        (out_dir / (doc.binary_id + ".jsonl")).write_text(
+            vector_file(doc.binary_id, dim, rows, count=len(rows)), encoding="utf-8")
+

@@ -1,9 +1,7 @@
 import json
 import os
 import weakref
-import zlib
 
-import numpy as np
 import pytest
 
 from libsift import (
@@ -20,29 +18,38 @@ from libsift import (
 from libsift import cli
 from libsift.cli import main
 
+from corpora import write_seeded_vectors
+
+
+_GEN_FLAGS = ["--seed", "3", "--libraries", "4", "--functions", "12", "--targets", "4",
+              "--distractors", "8", "--max-libs", "2", "--min-fraction", "0.55", "--quiet"]
+# theta2 0.45 keeps every library's complex exports on this small corpus;
+# the default 0.2 can starve a library entirely, which is its own test
+_REPO_FLAGS = ["--dim", "192", "--theta2", "0.45", "--quiet"]
+
+
+def _build(corpus_dir, out, *flags):
+    """The exit code of `build` from the corpus's libraries into `out`."""
+    return main(["build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out), *flags])
+
+
+def _detect(repo, targets, out, *flags):
+    """The exit code of `detect` of the documents at `targets` into `out`."""
+    return main(["detect", "--repo", str(repo), "--targets", str(targets), "--out", str(out),
+                 *flags])
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
-    code = main([
-        "gen", "--out", str(out), "--seed", "3", "--libraries", "4",
-        "--functions", "12", "--targets", "4", "--distractors", "8",
-        "--max-libs", "2", "--min-fraction", "0.55", "--quiet",
-    ])
-    assert code == 0
+    assert main(["gen", "--out", str(out)] + _GEN_FLAGS) == 0
     return out
 
 
 @pytest.fixture(scope="module")
 def repo_path(corpus_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("repo") / "repo.lsr"
-    # theta2 0.45 keeps every library's complex exports on this small corpus;
-    # the default 0.2 can starve a library entirely, which is its own test
-    code = main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--dim", "192", "--theta2", "0.45", "--quiet",
-    ])
-    assert code == 0
+    assert _build(corpus_dir, out, *_REPO_FLAGS) == 0
     return out
 
 
@@ -60,11 +67,7 @@ def test_gen_writes_expected_layout(corpus_dir):
 
 def test_gen_is_reproducible(corpus_dir, tmp_path):
     again = tmp_path / "again"
-    assert main([
-        "gen", "--out", str(again), "--seed", "3", "--libraries", "4",
-        "--functions", "12", "--targets", "4", "--distractors", "8",
-        "--max-libs", "2", "--min-fraction", "0.55", "--quiet",
-    ]) == 0
+    assert main(["gen", "--out", str(again)] + _GEN_FLAGS) == 0
     for rel in ("tpls/lib000.jsonl", "targets/bin002.jsonl", "manifest.json"):
         assert (again / rel).read_bytes() == (corpus_dir / rel).read_bytes()
 
@@ -89,36 +92,24 @@ def test_build_writes_repository_with_all_stages(repo_path):
 
 def test_build_is_deterministic(corpus_dir, repo_path, tmp_path):
     other = tmp_path / "again.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(other),
-        "--dim", "192", "--theta2", "0.45", "--quiet",
-    ]) == 0
+    assert _build(corpus_dir, other, *_REPO_FLAGS) == 0
     assert other.read_bytes() == repo_path.read_bytes()
 
 
 def test_build_stage_selection(corpus_dir, tmp_path):
     out = tmp_path / "origin.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--stages", "none", "--dim", "64", "--quiet",
-    ]) == 0
+    assert _build(corpus_dir, out, "--stages", "none", "--dim", "64", "--quiet") == 0
     assert load_repository(out).config.stages == ()
 
     out2 = tmp_path / "exp.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out2),
-        "--stages", "export,weights", "--dim", "64", "--quiet",
-    ]) == 0
+    assert _build(corpus_dir, out2, "--stages", "export,weights", "--dim", "64", "--quiet") == 0
     assert load_repository(out2).config.stages == ("export", "weights")
 
     # a config file's empty list means no stages, as --stages none does
     config = tmp_path / "cfg.json"
     config.write_text('{"stages": []}')
     out3 = tmp_path / "config-origin.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out3),
-        "--config", str(config), "--dim", "64", "--quiet",
-    ]) == 0
+    assert _build(corpus_dir, out3, "--config", str(config), "--dim", "64", "--quiet") == 0
     assert out3.read_bytes() == out.read_bytes()
 
 
@@ -147,10 +138,8 @@ def test_an_empty_flag_value_is_refused(corpus_dir, repo_path, tmp_path, capsys,
 def test_build_writes_what_build_repository_builds(corpus_dir, tmp_path, stages):
     out = tmp_path / "cli.lsr"
     flags = [] if stages is None else ["--stages", stages]
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--dim", "64", "--theta1", "0.9", "--theta2", "0.4", "--quiet",
-    ] + flags) == 0
+    assert _build(corpus_dir, out, "--dim", "64", "--theta1", "0.9", "--theta2", "0.4", "--quiet",
+                  *flags) == 0
     docs = (load_document(corpus_dir / "tpls" / name)
             for name in sorted(os.listdir(corpus_dir / "tpls")))
     kwargs = {} if stages is None else {"stages": cli._parse_stages(stages)}
@@ -161,10 +150,7 @@ def test_build_writes_what_build_repository_builds(corpus_dir, tmp_path, stages)
 
 def test_build_prints_stage_table(corpus_dir, tmp_path, capsys):
     out = tmp_path / "r.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--dim", "64",
-    ]) == 0
+    assert _build(corpus_dir, out, "--dim", "64") == 0
     printed = capsys.readouterr().out
     assert "origin" in printed and "export" in printed and "mi" in printed
     assert "timing" in printed
@@ -172,21 +158,14 @@ def test_build_prints_stage_table(corpus_dir, tmp_path, capsys):
 
 def test_build_no_timing_flag(corpus_dir, tmp_path, capsys):
     out = tmp_path / "r.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--dim", "64", "--no-timing",
-    ]) == 0
+    assert _build(corpus_dir, out, "--dim", "64", "--no-timing") == 0
     printed = capsys.readouterr().out
     assert not any(line.startswith("timing") for line in printed.splitlines())
 
 
 def test_detect_reports_and_summary(corpus_dir, repo_path, tmp_path, capsys):
     out = tmp_path / "reports.jsonl"
-    code = main([
-        "detect", "--repo", str(repo_path), "--targets",
-        str(corpus_dir / "targets"), "--out", str(out), "--theta3", "0.85",
-    ])
-    assert code == 0
+    assert _detect(repo_path, corpus_dir / "targets", out, "--theta3", "0.85") == 0
     printed = capsys.readouterr().out
     reports = read_reports(out)
     assert [r.binary_id for r in reports] == ["bin%03d" % i for i in range(4)]
@@ -219,11 +198,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(corpus_dir, repo_path, t
 
 def test_detect_single_file_target(corpus_dir, repo_path, tmp_path):
     out = tmp_path / "one.jsonl"
-    assert main([
-        "detect", "--repo", str(repo_path),
-        "--targets", str(corpus_dir / "targets" / "bin001.jsonl"),
-        "--out", str(out), "--quiet",
-    ]) == 0
+    assert _detect(repo_path, corpus_dir / "targets" / "bin001.jsonl", out, "--quiet") == 0
     reports = read_reports(out)
     assert len(reports) == 1 and reports[0].binary_id == "bin001"
 
@@ -293,10 +268,7 @@ def test_config_file_and_flag_precedence(corpus_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"dim": 128, "theta2": 0.4}))
     out = tmp_path / "r.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--config", str(cfg_path), "--dim", "96", "--quiet",
-    ]) == 0
+    assert _build(corpus_dir, out, "--config", str(cfg_path), "--dim", "96", "--quiet") == 0
     repo = load_repository(out)
     assert repo.config.dim == 96  # flag beats file
     assert repo.config.theta2 == 0.4  # file beats default
@@ -304,27 +276,15 @@ def test_config_file_and_flag_precedence(corpus_dir, tmp_path):
 
 def test_exit_code_two_on_bad_config(corpus_dir, tmp_path, capsys):
     out = tmp_path / "r.lsr"
-    code = main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--theta2", "0", "--quiet",
-    ])
-    assert code == 2
+    assert _build(corpus_dir, out, "--theta2", "0", "--quiet") == 2
     assert "config error" in capsys.readouterr().err
-    code = main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-        "--stages", "export,polish", "--quiet",
-    ])
-    assert code == 2
+    assert _build(corpus_dir, out, "--stages", "export,polish", "--quiet") == 2
     capsys.readouterr()
     cfg_path = tmp_path / "cfg.json"
     for bad in (b'{"theta1": "x"}', b'{"stages": 5}', b'{"stages": [["export"]]}',
                 b'{"dim": true}', b'{"batch": 4}', b'\xff\xfe{}', b'{"theta3": NaN}'):
         cfg_path.write_bytes(bad)
-        code = main([
-            "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-            "--config", str(cfg_path), "--quiet",
-        ])
-        assert code == 2
+        assert _build(corpus_dir, out, "--config", str(cfg_path), "--quiet") == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
     assert not out.exists()
@@ -373,8 +333,7 @@ def test_seed_outside_signed_64_bits_is_a_config_error(corpus_dir, tmp_path, cap
         with pytest.raises(ConfigError, match="seed"):
             RepoConfig(seed=seed)
     out = tmp_path / "r.lsr"
-    assert main(["build", "--tpls", str(corpus_dir / "tpls"), "--out", str(out),
-                 "--seed", "100000000000000000000", "--quiet"]) == 2
+    assert _build(corpus_dir, out, "--seed", "100000000000000000000", "--quiet") == 2
     err = capsys.readouterr().err
     assert "config error" in err and "seed" in err and "Traceback" not in err
     assert not out.exists()
@@ -411,61 +370,30 @@ def test_exit_code_one_on_malformed_document(repo_path, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json\n", encoding="utf-8")
     out = tmp_path / "reports.jsonl"
-    code = main([
-        "detect", "--repo", str(repo_path), "--targets", str(bad),
-        "--out", str(out), "--quiet",
-    ])
-    assert code == 1
+    assert _detect(repo_path, bad, out, "--quiet") == 1
     assert "error:" in capsys.readouterr().err
-
-
-def _vector_file(path, doc_id, names, dim):
-    lines = [json.dumps({"doc_id": doc_id, "dim": dim, "count": len(names)})]
-    for name in names:
-        rng = np.random.default_rng(zlib.crc32(name.encode("utf-8")))
-        lines.append(json.dumps({
-            "function": name, "values": list(rng.standard_normal(dim)),
-        }))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def test_external_vectors_end_to_end(corpus_dir, tmp_path):
     # same name -> same vector, so planted copies still match exactly
     dim = 32
     vec_dir = tmp_path / "vectors"
-    vec_dir.mkdir()
-    for sub in ("tpls", "targets"):
-        for fname in os.listdir(corpus_dir / sub):
-            doc = load_document(corpus_dir / sub / fname)
-            _vector_file(
-                vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
-                [fn.name for fn in doc.functions], dim,
-            )
+    write_seeded_vectors(vec_dir, map(load_document, corpus_dir.glob("*/*.jsonl")), dim)
     repo_out = tmp_path / "ext.lsr"
-    assert main([
-        "build", "--tpls", str(corpus_dir / "tpls"), "--out", str(repo_out),
-        "--vectors-dir", str(vec_dir), "--dim", str(dim),
-        "--stages", "export,weights", "--quiet",
-    ]) == 0
+    assert _build(corpus_dir, repo_out, "--vectors-dir", str(vec_dir), "--dim", str(dim),
+                  "--stages", "export,weights", "--quiet") == 0
     repo = load_repository(repo_out)
     assert repo.config.embedder == "external"
 
     reports_out = tmp_path / "reports.jsonl"
-    assert main([
-        "detect", "--repo", str(repo_out),
-        "--targets", str(corpus_dir / "targets"),
-        "--out", str(reports_out), "--vectors-dir", str(vec_dir), "--quiet",
-    ]) == 0
+    assert _detect(repo_out, corpus_dir / "targets", reports_out, "--vectors-dir", str(vec_dir),
+                   "--quiet") == 0
     manifest = load_manifest(corpus_dir / "manifest.json")
     result = score_metrics(read_reports(reports_out), manifest)
     assert result.recall == 1.0
 
     # detecting without vectors against an external repository is refused
-    assert main([
-        "detect", "--repo", str(repo_out),
-        "--targets", str(corpus_dir / "targets"),
-        "--out", str(tmp_path / "x.jsonl"), "--quiet",
-    ]) == 2
+    assert _detect(repo_out, corpus_dir / "targets", tmp_path / "x.jsonl", "--quiet") == 2
 
 
 def _record_vector_reads(monkeypatch, vec_dir) -> list:
@@ -485,17 +413,12 @@ def _record_vector_reads(monkeypatch, vec_dir) -> list:
 def test_detect_refuses_vectors_for_a_hashed_repository(corpus_dir, repo_path, tmp_path,
                                                          monkeypatch, capsys, vector_files):
     vec_dir = tmp_path / "vectors"
-    vec_dir.mkdir()
-    for fname in os.listdir(corpus_dir / "targets") if vector_files == "every target" else ():
-        doc = load_document(corpus_dir / "targets" / fname)
-        _vector_file(vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
-                     [fn.name for fn in doc.functions], 192)
+    targets = (corpus_dir / "targets").glob("*.jsonl") if vector_files == "every target" else ()
+    write_seeded_vectors(vec_dir, map(load_document, targets), 192)
     opened = _record_vector_reads(monkeypatch, vec_dir)
     out = tmp_path / "reports.jsonl"
-    assert main([
-        "detect", "--repo", str(repo_path), "--targets", str(corpus_dir / "targets"),
-        "--out", str(out), "--vectors-dir", str(vec_dir), "--quiet",
-    ]) == 2
+    assert _detect(repo_path, corpus_dir / "targets", out, "--vectors-dir", str(vec_dir),
+                   "--quiet") == 2
     err = capsys.readouterr().err
     assert "mix embedding spaces" in err and "Traceback" not in err
     assert opened == []
@@ -506,14 +429,11 @@ def test_build_with_vectors_refuses_a_target_document_before_reading_its_vectors
         corpus_dir, tmp_path, monkeypatch, capsys):
     tpls, vec_dir = tmp_path / "tpls", tmp_path / "vectors"
     tpls.mkdir()
-    vec_dir.mkdir()
     # the target's file name sorts last, so both libraries are read first
     for src, name in (("tpls/lib000.jsonl", "lib000.jsonl"), ("tpls/lib001.jsonl", "lib001.jsonl"),
                       ("targets/bin000.jsonl", "z.jsonl")):
         (tpls / name).write_bytes((corpus_dir / src).read_bytes())
-        doc = load_document(tpls / name)
-        _vector_file(vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
-                     [fn.name for fn in doc.functions], 32)
+        write_seeded_vectors(vec_dir, [load_document(tpls / name)], 32)
     opened = _record_vector_reads(monkeypatch, vec_dir)
     out = tmp_path / "ext.lsr"
     assert main(["build", "--tpls", str(tpls), "--out", str(out), "--vectors-dir", str(vec_dir),
@@ -532,12 +452,7 @@ def test_commands_parse_one_document_at_a_time(corpus_dir, repo_path, tmp_path, 
     # every document first would keep all of them alive
     vec_dir = tmp_path / "vectors"
     if command == "build-vectors":
-        vec_dir.mkdir()
-        for fname in os.listdir(corpus_dir / "tpls"):
-            doc = load_document(corpus_dir / "tpls" / fname)
-            _vector_file(vec_dir / (doc.binary_id + ".jsonl"), doc.binary_id,
-                         [fn.name for fn in doc.functions], 32)
-        del doc
+        write_seeded_vectors(vec_dir, map(load_document, (corpus_dir / "tpls").glob("*.jsonl")), 32)
     tpls, targets = str(corpus_dir / "tpls"), str(corpus_dir / "targets")
     out = str(tmp_path / "out")
     args, count = {

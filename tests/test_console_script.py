@@ -5,23 +5,21 @@ and never a traceback.
 The runner uses the `libsift` script installed beside the running
 interpreter when there is one, and `python -m libsift.cli` otherwise.
 """
-import hashlib
 import json
 import math
 import shutil
-import struct
 import subprocess
 import sys
 import sysconfig
-import zlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from libsift.detector import read_reports, write_reports
 from libsift.interchange import load_document, serialize_document
 from libsift.repository import load_repository, save_repository
+
+from corpora import forge_lsr, write_seeded_vectors
 
 _SCRIPT = Path(sysconfig.get_path("scripts"), "libsift")
 _COMMAND = [str(_SCRIPT)] if _SCRIPT.is_file() else [sys.executable, "-m", "libsift.cli"]
@@ -36,27 +34,6 @@ def _libsift(argv, code=0, needle=None):
     return proc
 
 
-def _vector_file(doc, path):
-    """A seeded dim-16 vector per function: the same name, the same vector."""
-    lines = [json.dumps({"doc_id": doc.binary_id, "dim": 16, "count": len(doc.functions)})]
-    for fn in doc.functions:
-        rng = np.random.default_rng(zlib.crc32(fn.name.encode("utf-8")))
-        lines.append(json.dumps({"function": fn.name, "values": rng.standard_normal(16).tolist()}))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _forge(src, dst, edit):
-    """Write `src` to `dst` with `edit(header, body)` applied to the `.lsr`
-    header dict and the bytes after it, and a recomputed checksum."""
-    data = src.read_bytes()[:-32]
-    (size,) = struct.unpack_from("<I", data, 8)
-    header, body = json.loads(data[12:12 + size]), bytearray(data[12 + size:])
-    edit(header, body)
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload = data[:8] + struct.pack("<I", len(raw)) + raw + body
-    dst.write_bytes(payload + hashlib.sha256(payload).digest())
-
-
 @pytest.fixture(scope="module")
 def dirs(tmp_path_factory):
     work = tmp_path_factory.mktemp("cli")
@@ -64,19 +41,16 @@ def dirs(tmp_path_factory):
     _libsift(["gen", "--out", corpus, "--libraries", "4", "--functions", "20",
               "--targets", "4", "--distractors", "10", "--quiet"])
     _libsift(["build", "--tpls", corpus / "tpls", "--out", work / "repo.lsr", "--quiet"])
-    for sub in ("vectors", "library-vectors"):
-        (work / sub).mkdir()
-    for path in sorted(corpus.glob("*/*.jsonl")):
-        doc = load_document(path)
-        _vector_file(doc, work / "vectors" / (doc.binary_id + ".jsonl"))
-        if doc.kind == "tpl":
-            _vector_file(doc, work / "library-vectors" / (doc.binary_id + ".jsonl"))
+    docs = [load_document(path) for path in sorted(corpus.glob("*/*.jsonl"))]
+    write_seeded_vectors(work / "vectors", docs, 16)
+    write_seeded_vectors(work / "library-vectors", [doc for doc in docs if doc.kind == "tpl"], 16)
     _libsift(["build", "--tpls", corpus / "tpls", "--out", work / "external.lsr",
               "--vectors-dir", work / "vectors", "--dim", "16", "--quiet"])
-    _forge(work / "repo.lsr", work / "bogus-stats.lsr",
-           lambda header, body: header["stats"][-1].update(stage="bogus"))
-    _forge(work / "repo.lsr", work / "nan-vector.lsr",
-           lambda header, body: struct.pack_into("<d", body, 0, math.nan))
+    lsr = (work / "repo.lsr").read_bytes()
+    (work / "bogus-stats.lsr").write_bytes(forge_lsr(
+        lsr, lambda header, _: header["stats"][-1].update(stage="bogus")))
+    (work / "nan-vector.lsr").write_bytes(forge_lsr(
+        lsr, lambda _, vectors: vectors.put(0, math.nan)))
     shutil.copytree(corpus / "targets", work / "twice")
     shutil.copy(work / "twice" / "bin001.jsonl", work / "twice" / "copy.jsonl")
     shutil.copytree(corpus / "tpls", work / "tpls-with-target")

@@ -5,10 +5,13 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from libsift import (
     AGG_MATCH_SUM,
     AGG_WEIGHTED_MEAN,
+    AGGREGATION_MODES,
     BasicBlock,
     BinaryDocument,
     ComplexityProfile,
@@ -20,15 +23,23 @@ from libsift import (
     ParseError,
     ValidationError,
     aggregate,
+    build_origin,
     build_repository,
+    compute_weights,
     detect,
     detect_many,
+    purify_export,
+    purify_mi,
     read_reports,
     write_reports,
 )
 from libsift import detector
 from libsift.detector import embed_target
 from libsift.embedding import unit_rows
+
+import reference
+from corpora import one_block
+from reference import EXACT_CORPORA, EXACT_DIM, exact_thresholds
 
 DIM = 256
 
@@ -43,11 +54,6 @@ def _feature(name, vector, weight=1.0, lib="libx"):
         is_export=True,
         weight=weight,
     )
-
-
-def _fn(name, mnems, *, is_export=True, section=".text", reg="rax"):
-    instrs = [Instruction(m, (reg, "0x%x" % i)) for i, m in enumerate(mnems)]
-    return FunctionRecord(name, section, is_export, [BasicBlock(0, instrs)], [])
 
 
 _MNEMS = "add sub mul xor shl shr cmp test lea mov or and adc sbb bt".split()
@@ -75,6 +81,13 @@ def _corpus(seed=0):
         ]
         docs.append(BinaryDocument("lib%03d" % li, "tpl", functions))
     return docs
+
+
+def _external_repository(docs, rng, stages=("export", "weights")):
+    """A dim-16 repository of `docs` from Gaussian vectors drawn from `rng`."""
+    table = {doc.binary_id: {fn.name: rng.standard_normal(16) for fn in doc.functions}
+             for doc in docs}
+    return build_repository(docs, dim=16, stages=stages, vectors=lambda doc: table[doc.binary_id])
 
 
 def _copy_target(doc, binary_id="bin000"):
@@ -124,33 +137,21 @@ def test_weighted_mean_all_weights_zero_scores_zero():
     assert all(e.contribution == 0.0 for e in evidence)
 
 
-def test_weighted_mean_contributions_sum_to_unnormalized_score():
-    rng = np.random.default_rng(4)
-    feats = [
-        _feature("f%d" % i, rng.standard_normal(16), rng.uniform(0.1, 2.0))
-        for i in range(7)
-    ]
-    score, evidence = aggregate(
-        rng.standard_normal((5, 16)), ["b%d" % i for i in range(5)], feats
-    )
-    total_weight = sum(e.weight for e in evidence)
-    assert sum(e.contribution for e in evidence) == pytest.approx(
-        score * total_weight, abs=1e-9
-    )
-
-
-def test_match_sum_contributions_sum_to_score():
-    rng = np.random.default_rng(5)
-    feats = [
-        _feature("f%d" % i, rng.standard_normal(16), rng.uniform(0.1, 2.0))
-        for i in range(6)
-    ]
-    score, evidence = aggregate(
-        rng.standard_normal((4, 16)), ["b%d" % i for i in range(4)], feats,
-        mode=AGG_MATCH_SUM,
-    )
-    assert sum(e.contribution for e in evidence) == pytest.approx(score, abs=1e-12)
-    assert len(evidence) == 4  # one row per binary function
+@pytest.mark.parametrize("mode,seed,features,rows",
+                         [(AGG_WEIGHTED_MEAN, 4, 7, 5), (AGG_MATCH_SUM, 5, 6, 4)])
+def test_contributions_sum_to_the_unnormalized_score(mode, seed, features, rows):
+    # raw Gaussian rows on the default path, arbitrary weights
+    rng = np.random.default_rng(seed)
+    feats = [_feature("f%d" % i, rng.standard_normal(16), rng.uniform(0.1, 2.0))
+             for i in range(features)]
+    score, evidence = aggregate(rng.standard_normal((rows, 16)), ["b%d" % i for i in range(rows)],
+                                feats, mode=mode)
+    total = sum(e.contribution for e in evidence)
+    if mode == AGG_MATCH_SUM:
+        assert total == pytest.approx(score, abs=1e-12)
+        assert len(evidence) == rows  # one row per binary function
+    else:
+        assert total == pytest.approx(score * sum(e.weight for e in evidence), abs=1e-9)
 
 
 def test_weighted_mean_is_invariant_to_weight_rescaling():
@@ -308,7 +309,7 @@ def test_detect_empty_target_after_filtering(caplog):
     docs = _corpus(seed=5)
     repo = build_repository(docs, dim=DIM, stages=("export", "weights"))
     stub_doc = BinaryDocument(
-        "binstub", "target", [_fn("s", ["jmp"], section=".plt")]
+        "binstub", "target", [one_block("s", ["jmp"], section=".plt")]
     )
     with caplog.at_level(logging.WARNING):
         report = detect(stub_doc, repo)
@@ -320,7 +321,7 @@ def test_detect_emptied_library_scores_zero(caplog):
     docs = _corpus(seed=6)
     docs.append(
         BinaryDocument(
-            "libpriv", "tpl", [_fn("p", ["add", "sub"], is_export=False)]
+            "libpriv", "tpl", [one_block("p", ["add", "sub"], is_export=False)]
         )
     )
     repo = build_repository(docs, dim=DIM, stages=("export", "weights"))
@@ -346,13 +347,7 @@ def test_detect_validates_arguments():
 def test_detect_external_repository_requires_target_vectors():
     docs = _corpus(seed=8)
     rng = np.random.default_rng(0)
-    table = {
-        doc.binary_id: {fn.name: rng.standard_normal(16) for fn in doc.functions}
-        for doc in docs
-    }
-    repo = build_repository(
-        docs, dim=16, stages=("export", "weights"), vectors=lambda doc: table[doc.binary_id]
-    )
+    repo = _external_repository(docs, rng)
     target = _copy_target(docs[0])
     with pytest.raises(ConfigError, match="external"):
         detect(target, repo)
@@ -377,14 +372,7 @@ def test_detect_refuses_external_vectors_for_a_hashed_repository():
 
 def test_detect_external_vector_shape_and_norm_checks():
     docs = _corpus(seed=9)
-    rng = np.random.default_rng(1)
-    table = {
-        doc.binary_id: {fn.name: rng.standard_normal(16) for fn in doc.functions}
-        for doc in docs
-    }
-    repo = build_repository(
-        docs, dim=16, stages=("export", "weights"), vectors=lambda doc: table[doc.binary_id]
-    )
+    repo = _external_repository(docs, np.random.default_rng(1))
     target = _copy_target(docs[0])
     bad_shape = {fn.name: np.ones(9) for fn in target.functions}
     with pytest.raises(EmbeddingError, match="shape"):
@@ -394,14 +382,35 @@ def test_detect_external_vector_shape_and_norm_checks():
         detect(target, repo, vectors=lambda doc: bad_norm)
 
 
+@settings(max_examples=40)
+@given(corpus=EXACT_CORPORA, data=st.data())
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+def test_detect_equals_the_reference_at_attained_scores(mode, corpus, data):
+    tpl_docs, target_docs, _, read = corpus
+    repo = build_origin(tpl_docs, dim=EXACT_DIM, vectors=read)
+    if data.draw(st.booleans(), "export"):
+        repo = purify_export(repo)
+    if data.draw(st.booleans(), "mi"):
+        repo = purify_mi(repo, data.draw(st.sampled_from(exact_thresholds(repo)[1]), "theta2"))
+    repo = compute_weights(repo, data.draw(st.sampled_from(exact_thresholds(repo)[0]), "theta1"))
+    for doc in target_docs:
+        names, mat = embed_target(doc, repo.config, vectors=read)
+        rows = [] if mat is None else mat.tolist()
+        scores = [entry[1] for entry in reference.detect(names, rows, repo.libraries, 1.0, mode)]
+        theta3 = data.draw(st.sampled_from([s for s in scores if -1.0 <= s <= 1.0] or [1.0]),
+                           "theta3")
+        report = detect(doc, repo, theta3=theta3, mode=mode, vectors=read)
+        # the reference's score sums its rows' contributions left to right
+        # (over the weights in core-weighted-mean): so must detect's
+        assert [(e.library_id, e.score, e.decision, [astuple(m) for m in e.evidence])
+                for e in report.entries] == reference.detect(names, rows, repo.libraries,
+                                                               theta3, mode)
+
+
 def test_detect_many_refuses_a_target_given_twice_before_reading_it_again():
     docs = _corpus(seed=8)
     rng = np.random.default_rng(0)
-    table = {
-        doc.binary_id: {fn.name: rng.standard_normal(16) for fn in doc.functions}
-        for doc in docs
-    }
-    repo = build_repository(docs, dim=16, stages=(), vectors=lambda doc: table[doc.binary_id])
+    repo = _external_repository(docs, rng, stages=())
     target = _copy_target(docs[0])
     good = {fn.name: rng.standard_normal(16) for fn in target.functions}
     calls = []

@@ -25,7 +25,7 @@ from libsift.embedding import (
 from libsift.errors import EmbeddingError, ParseError
 from libsift.interchange import BasicBlock, BinaryDocument, FunctionRecord, Instruction
 
-from corpora import random_document
+from corpora import random_document, vector_file
 
 
 def _fn(name, rows, edges=None, section=".text"):
@@ -235,43 +235,34 @@ def test_batched_similarity_rejects_zero_rows():
 # ---------------------------------------------------------------------------
 # external embedding import
 
-def _vector_file(doc_id, dim, rows, count=None):
-    header = {"doc_id": doc_id, "dim": dim}
-    if count is not None:
-        header["count"] = count
-    lines = [json.dumps(header)]
-    lines += [json.dumps({"function": n, "values": v}) for n, v in rows]
-    return "\n".join(lines)
-
-
 def test_import_embeddings_normalizes():
     doc = BinaryDocument("bin", "tpl", [_fn("f", [["ret"]]), _fn("g", [["ret"]])])
-    data = _vector_file("bin", 4, [("f", [2.0, 0, 0, 0]), ("g", [0, 3.0, 0, 0])], count=2)
+    data = vector_file("bin", 4, [("f", [2.0, 0, 0, 0]), ("g", [0, 3.0, 0, 0])], count=2)
     out = import_embeddings(doc, data, 4)
     np.testing.assert_allclose(out["f"], [1, 0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(out["g"], [0, 1, 0, 0], atol=1e-12)
 
 
 @pytest.mark.parametrize("mutate,err", [
-    (lambda d: _vector_file("other", 4, [("f", [1, 0, 0, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 8, [("f", [1, 0, 0, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("nope", [1, 0, 0, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [1, 0, 0, 0]), ("f", [1, 0, 0, 0])]),
+    (lambda d: vector_file("other", 4, [("f", [1, 0, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 8, [("f", [1, 0, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("nope", [1, 0, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [1, 0, 0, 0]), ("f", [1, 0, 0, 0])]),
      EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [1, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [float("nan"), 0, 0, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [0, 0, 0, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [1, 0, 0, 0])], count=5), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", ["a", 0, 0, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [[1, 0], [0, 0]])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [[1, 0], [0]])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [("f", [1e308, 1e308, 0, 0])]), EmbeddingError),
-    (lambda d: _vector_file("bin", 4, [(["f"], [1, 0, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [1, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [float("nan"), 0, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [0, 0, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [1, 0, 0, 0])], count=5), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", ["a", 0, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [[1, 0], [0, 0]])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [[1, 0], [0]])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [("f", [1e308, 1e308, 0, 0])]), EmbeddingError),
+    (lambda d: vector_file("bin", 4, [(["f"], [1, 0, 0, 0])]), EmbeddingError),
     (lambda d: "", ParseError),
     (lambda d: "{not json", ParseError),
     (lambda d: "[1]", ParseError),
-    (lambda d: _vector_file("bin", 4, []) + "\n\n[1]", ParseError),
-    (lambda d: b"\xff\xfe" + _vector_file("bin", 4, []).encode(), ParseError),
+    (lambda d: vector_file("bin", 4, []) + "\n[1]", ParseError),
+    (lambda d: b"\xff\xfe" + vector_file("bin", 4, []).encode(), ParseError),
 ])
 def test_import_embeddings_rejects_bad_files(mutate, err):
     doc = BinaryDocument("bin", "tpl", [_fn("f", [["ret"]])])
@@ -302,6 +293,6 @@ def test_import_embeddings_refuses_a_mistyped_header_at_its_line(header, dim):
 
 def test_import_accepts_bytes():
     doc = BinaryDocument("bin", "tpl", [_fn("f", [["ret"]])])
-    data = _vector_file("bin", 4, [("f", [0, 0, 5.0, 0])]).encode("utf-8")
+    data = vector_file("bin", 4, [("f", [0, 0, 5.0, 0])]).encode("utf-8")
     out = import_embeddings(doc, data, 4)
     assert out["f"][2] == 1.0

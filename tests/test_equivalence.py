@@ -9,11 +9,8 @@ on x86-64; vectors and weights in the repository file are only bit-exact
 where the float arithmetic is.
 """
 import hashlib
-import json
 import random
-import zlib
 
-import numpy as np
 import pytest
 
 from libsift import (
@@ -31,6 +28,8 @@ from libsift import (
 from libsift import evaluation
 from libsift.cli import main
 
+from corpora import write_seeded_vectors
+
 DIM = 192
 EXTERNAL_DIM = 32
 
@@ -46,7 +45,7 @@ RECORDED = {
 
 
 # `libsift build --vectors-dir` and `libsift detect --vectors-dir` on the
-# same corpus, with vector files written by `_vector_files`
+# same corpus, with vector files written by `corpora.write_seeded_vectors`
 RECORDED_EXTERNAL = {
     "repository": "72b5e249a670eda0bfe6f36e8dc21a95876208f6876b6e74484811c3316e06f6",
     "reports-weighted-mean": "8543b1703735a0786a4b7fd6324d3ccc65ebbf5379f4022415f69436675ff1c8",
@@ -105,30 +104,15 @@ def test_evaluation_on_own_blocks_matches_recorded_digest(corpus, name, monkeypa
     assert hashlib.sha256(data).hexdigest() == RECORDED[name]
 
 
-def _vector_files(docs, out_dir):
-    """One external embedding file per document, as FORMAT.md specifies.
-    A function's vector is drawn from a generator seeded by its name, so a
-    planted copy gets its original's vector."""
-    for doc in docs:
-        lines = [json.dumps({"doc_id": doc.binary_id, "dim": EXTERNAL_DIM,
-                             "count": len(doc.functions)})]
-        for fn in doc.functions:
-            rng = np.random.default_rng(zlib.crc32(fn.name.encode("utf-8")))
-            lines.append(json.dumps({"function": fn.name,
-                                     "values": rng.standard_normal(EXTERNAL_DIM).tolist()}))
-        (out_dir / (doc.binary_id + ".jsonl")).write_text("\n".join(lines) + "\n",
-                                                          encoding="utf-8")
-
-
 @pytest.fixture(scope="module")
 def external_outputs(corpus, tmp_path_factory):
     tpl_docs, target_docs, _ = corpus
     out = tmp_path_factory.mktemp("gate-external")
-    for sub, docs in (("tpls", tpl_docs), ("targets", target_docs), ("vectors", ())):
+    for sub, docs in (("tpls", tpl_docs), ("targets", target_docs)):
         (out / sub).mkdir()
         for doc in docs:
             save_document(doc, out / sub / (doc.binary_id + ".jsonl"))
-    _vector_files(list(tpl_docs) + list(target_docs), out / "vectors")
+    write_seeded_vectors(out / "vectors", list(tpl_docs) + list(target_docs), EXTERNAL_DIM)
     assert main(["build", "--tpls", str(out / "tpls"), "--out", str(out / "repo.lsr"),
                  "--vectors-dir", str(out / "vectors"), "--dim", str(EXTERNAL_DIM),
                  "--quiet"]) == 0

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from libsift import (
     AGGREGATION_MODES,
@@ -41,7 +43,7 @@ from libsift import (
     write_timings,
 )
 from libsift import _kernels, evaluation
-from libsift.detector import AGG_WEIGHTED_MEAN, aggregate, embed_target
+from libsift.detector import AGG_WEIGHTED_MEAN, aggregate, embed_target, library_block
 from libsift.evaluation import (
     ABLATION_CONFIGS,
     DEFAULT_THETA1_GRID,
@@ -53,7 +55,9 @@ from libsift.evaluation import (
 )
 from libsift.repository import stage_steps
 
+import reference
 from corpora import embed_calls
+from reference import EXACT_CORPORA, EXACT_DIM, exact_thresholds, some
 
 
 def _report(binary_id, decisions):
@@ -134,27 +138,6 @@ def test_score_metrics_rejects_duplicate_reports():
         score_metrics(reports, {"b0": set()})
 
 
-def _confusion_by_sets(decisions, manifest):
-    """tp/fp/fn by per-binary set arithmetic over (binary id, decided
-    library set) pairs: the counting rule `_confusions` keeps."""
-    seen = set()
-    tp = fp = fn = 0
-    for bin_id, decided in decisions:
-        if bin_id not in manifest:
-            raise ValidationError("report for unknown binary %r" % bin_id)
-        if bin_id in seen:
-            raise ValidationError("duplicate report for binary %r" % bin_id)
-        seen.add(bin_id)
-        truth = set(manifest[bin_id])
-        tp += len(decided & truth)
-        fp += len(decided - truth)
-        fn += len(truth - decided)
-    for bin_id in manifest:
-        if bin_id not in seen:
-            fn += len(set(manifest[bin_id]))
-    return ConfusionCounts(tp, fp, fn)
-
-
 def test_array_counts_equal_set_counts_on_generated_tables():
     rng = random.Random(5)
     libs = ["lib%d" % i for i in range(6)]
@@ -175,9 +158,9 @@ def test_array_counts_equal_set_counts_on_generated_tables():
         if bin_ids and rng.random() < 0.5:
             table[rng.randrange(len(bin_ids))] = -np.inf  # an empty target
         got = _confusions(bin_ids, lib_ids, (table >= t for t in thresholds), manifest)
-        want = [_confusion_by_sets(
+        want = [ConfusionCounts(*reference.confusion(
             [(bin_id, {lib for lib, s in zip(lib_ids, row) if s >= t})
-             for bin_id, row in zip(bin_ids, table)], manifest) for t in thresholds]
+             for bin_id, row in zip(bin_ids, table)], manifest)) for t in thresholds]
         assert got == want, (trial, bin_ids, lib_ids, manifest)
 
 
@@ -344,12 +327,8 @@ def test_sweep_default_grid_has_910_cells():
 
 def test_sweep_csv_bytes_are_reproducible():
     tpl_docs, target_docs, manifest = generate_corpus(_mini_spec())
-    a = sweep(tpl_docs, target_docs, manifest, dim=64,
-              theta1_values=(0.8, 0.9), theta2_values=(0.2, 0.5),
-              theta3_values=(0.7, 0.8, 0.9))
-    b = sweep(tpl_docs, target_docs, manifest, dim=64,
-              theta1_values=(0.8, 0.9), theta2_values=(0.2, 0.5),
-              theta3_values=(0.7, 0.8, 0.9))
+    a, b = (sweep(tpl_docs, target_docs, manifest, dim=64, theta1_values=(0.8, 0.9),
+                  theta2_values=(0.2, 0.5), theta3_values=(0.7, 0.8, 0.9)) for _ in range(2))
     assert a.to_csv_bytes() == b.to_csv_bytes()
     lines = a.to_csv_bytes().decode("utf-8").splitlines()
     assert lines[0] == "theta1,theta2,theta3,retained_fraction,precision,recall,f1"
@@ -596,6 +575,41 @@ def test_grouped_scores_equal_aggregate_bit_for_bit(mode, monkeypatch):
                         moved += got != want
     assert emptied > 0
     assert moved > 0  # sharing does move bits: the certificate is needed
+
+
+@settings(max_examples=25)
+@given(corpus=EXACT_CORPORA, data=st.data())
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+def test_grouped_scores_equal_the_reference_at_attained_scores(mode, corpus, data):
+    tpl_docs, target_docs, manifest, read = corpus
+    origin = build_origin(tpl_docs, dim=EXACT_DIM, vectors=read)
+    exported = purify_export(origin)
+    sims, shares = exact_thresholds(exported)
+    targets = {doc.binary_id: embed_target(doc, origin.config, vectors=read)
+               for doc in target_docs}
+    for parent, cells in [
+            (exported, _sweep_cells(exported, data.draw(some(sims)), data.draw(some(shares)))),
+            (origin, [(staged, [staged, compute_weights(staged)])
+                      for staged in (_staged(origin, stages) for _, stages in ABLATION_CONFIGS)])]:
+        union = dict(_union(parent, [staged for staged, _ in cells]))
+        want = [[[[reference.aggregate(names, mat.tolist(), repo.libraries[lib_id], mode)[0]
+                   if mat is not None and repo.libraries[lib_id] else -np.inf
+                   for lib_id in union] for repo in repos] for names, mat in targets.values()]
+                for _, repos in cells]
+        # theta3 on scores of libraries that a group holds only in part:
+        # the shared match may not decide those, their own blocks must
+        partial = [score for (staged, _), table in zip(cells, want) for row in table
+                   for weighting in row for lib_id, score in zip(union, weighting)
+                   if 0 < len(staged.libraries[lib_id]) < len(union[lib_id]) and score > -np.inf]
+        built = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "embed_target", lambda doc, config: targets[doc.binary_id])
+            patch.setattr(evaluation, "library_block",
+                          lambda feats: built.append(feats) or library_block(feats))
+            _, lib_ids, got = _grouped(target_docs, manifest, parent, cells, mode,
+                                       data.draw(some(partial or [0.0])))
+        assert lib_ids == list(union) and [table.tolist() for table in got] == want
+        assert len(built) > len(union) or not partial  # the fallback built own blocks
 
 
 def _moved_true_pair(target_docs, manifest, parent, cells, mode, monkeypatch):

@@ -174,10 +174,7 @@ def test_fixed_document_covers_every_required_shape():
     assert _cancelling_slots(streams["f1"], 2, 1)
 
 
-_PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
-
-
-@_PROPERTY
+@settings(max_examples=200)
 @given(doc=_documents(), dim=st.sampled_from((2, 3, 16, 64)), seed=st.sampled_from((1, -7)))
 @example(doc=_FIXED, dim=2, seed=1)
 @example(doc=_FIXED, dim=768, seed=1)

@@ -3,6 +3,8 @@ import pytest
 
 from libsift import _kernels
 
+import reference
+
 
 def _unit(rng, n, dim):
     m = rng.standard_normal((n, dim))
@@ -29,8 +31,7 @@ def test_sim_matrix_against_double_loop():
     sims = _kernels.sim_matrix(q, k, batch=4)
     for i in range(19):
         for j in range(27):
-            want = sum(float(q[i, d]) * float(k[j, d]) for d in range(24))
-            assert sims[i, j] == pytest.approx(want, abs=1e-9)
+            assert sims[i, j] == pytest.approx(reference.dot(q[i], k[j]), abs=1e-9)
 
 
 def test_sim_matrix_batch_invariance():
@@ -52,34 +53,18 @@ def test_sim_matrix_validates():
         _kernels.sim_matrix(np.ones((2, 3)), np.ones((2, 3)), batch=0)
 
 
-def _counts_oracle(vectors, lib_ids, theta, rows=None):
-    """n and df by a double loop, over `rows` only when given."""
-    count = vectors.shape[0]
-    n = np.ones(count, dtype=np.int64)
-    df = np.zeros(count, dtype=np.int64)
-    for i in range(count) if rows is None else rows:
-        others = set()
-        for j in range(count):
-            if j == i:
-                continue
-            if float(vectors[i] @ vectors[j]) >= theta:
-                if lib_ids[j] == lib_ids[i]:
-                    n[i] += 1
-                else:
-                    others.add(int(lib_ids[j]))
-        df[i] = len(others)
-    return n, df
-
-
-def _counts_each(vectors, lib_ids, n_libs, thetas):
-    """theta_counts with every threshold given at once, after checking
-    that each pair equals a call with that threshold alone."""
+def _check_counts(vectors, lib_ids, n_libs, thetas, rows=None):
+    """theta_counts with every threshold at once, each pair checked against
+    a call with its threshold alone and, over `rows`, the reference."""
     together = _kernels.theta_counts(vectors, lib_ids, n_libs, thetas)
     assert len(together) == len(thetas)
     for theta, (n, df) in zip(thetas, together):
         (n_alone, df_alone), = _kernels.theta_counts(vectors, lib_ids, n_libs, [theta])
         np.testing.assert_array_equal(n, n_alone)
         np.testing.assert_array_equal(df, df_alone)
+    picked = slice(None) if rows is None else rows
+    assert [(n[picked].tolist(), df[picked].tolist()) for n, df in together] == reference.counts(
+        vectors, lib_ids, thetas, rows)
     return together
 
 
@@ -89,12 +74,8 @@ def test_theta_counts_against_brute_force():
         count = int(rng.integers(5, 120))
         n_libs = int(rng.integers(1, min(count, 9) + 1))
         vecs = _unit(rng, count, 16)
-        ids = _lib_ids(rng, count, n_libs)
-        thetas = [_safe_theta(vecs @ vecs.T, rng) for _ in range(3)]
-        for theta, (n, df) in zip(thetas, _counts_each(vecs, ids, n_libs, thetas)):
-            n_want, df_want = _counts_oracle(vecs, ids, theta)
-            np.testing.assert_array_equal(n, n_want)
-            np.testing.assert_array_equal(df, df_want)
+        _check_counts(vecs, _lib_ids(rng, count, n_libs), n_libs,
+                      [_safe_theta(vecs @ vecs.T, rng) for _ in range(3)])
 
 
 def test_theta_counts_at_attained_similarities():
@@ -103,13 +84,9 @@ def test_theta_counts_at_attained_similarities():
     half = np.array([[0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, -0.5],
                      [0.5, -0.5, 0.5, -0.5], [-0.5, 0.5, 0.5, 0.5]])
     vecs = np.vstack([np.eye(4), half, np.eye(4)[::-1], half[::-1]])
-    ids = np.repeat(np.arange(4), 4)
     thetas = [0.0, 0.5, 1.0, -0.5]
-    for theta, (n, df) in zip(thetas, _counts_each(vecs, ids, 4, thetas)):
-        n_want, df_want = _counts_oracle(vecs, ids, theta)
-        np.testing.assert_array_equal(n, n_want)
-        np.testing.assert_array_equal(df, df_want)
-        assert n.sum() > len(vecs) or theta == 1.0
+    got = _check_counts(vecs, np.repeat(np.arange(4), 4), 4, thetas)
+    assert all(n.sum() > len(vecs) or theta == 1.0 for theta, (n, _) in zip(thetas, got))
 
 
 def test_theta_counts_without_thresholds():
@@ -135,12 +112,7 @@ def test_theta_counts_spans_block_boundary():
     count = 1200
     vecs = _unit(rng, count, 8)
     ids = _lib_ids(rng, count, 6)
-    thetas = [0.9, 0.5, 0.95]
-    check = rng.integers(0, count, 25)
-    for theta, (n, df) in zip(thetas, _counts_each(vecs, ids, 6, thetas)):
-        n_want, df_want = _counts_oracle(vecs, ids, theta, check)
-        np.testing.assert_array_equal(n[check], n_want[check])
-        np.testing.assert_array_equal(df[check], df_want[check])
+    _check_counts(vecs, ids, 6, [0.9, 0.5, 0.95], rng.integers(0, count, 25))
 
 
 def test_theta_counts_validates_lib_ids():

@@ -1,11 +1,9 @@
 import functools
-import hashlib
 import itertools
 import json
 import logging
 import math
 import random
-import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -49,20 +47,11 @@ from libsift import (
 from libsift import repository
 from libsift.cli import main
 
-from corpora import embed_calls, random_document
+import reference
+from corpora import embed_calls, forge_lsr, one_block, random_document
+from reference import EXACT_CORPORA, EXACT_DIM, exact_thresholds, some
 
 DIM = 64
-
-
-def _fn(name, mnems, *, is_export=True, section=".text", loops=0, reg="rax"):
-    """One-block function whose body is the given mnemonic list; optional
-    self-loop edges raise the cyclomatic number without new content."""
-    instrs = [Instruction(m, (reg, "0x%x" % i)) for i, m in enumerate(mnems)]
-    edges = []
-    blocks = [BasicBlock(0, instrs)]
-    for _ in range(loops):
-        edges.append((0, 0))
-    return FunctionRecord(name, section, is_export, blocks, edges)
 
 
 def _doc(binary_id, functions, kind="tpl"):
@@ -81,7 +70,7 @@ def _small_corpus(seed=0, libs=3, fns=6):
         functions = []
         for fi in range(fns):
             functions.append(
-                _fn(
+                one_block(
                     "lib%d_fn%02d" % (li, fi),
                     _body(rng, rng.randint(4, 12)),
                     is_export=fi % 2 == 0,
@@ -135,20 +124,20 @@ def test_build_origin_one_feature_per_function():
 
 
 def test_build_origin_filters_linkage_sections():
-    keep = _fn("real", ["add", "sub", "xor"])
-    stub = _fn("stub", ["jmp"], section=".plt")
+    keep = one_block("real", ["add", "sub", "xor"])
+    stub = one_block("stub", ["jmp"], section=".plt")
     repo = build_origin([_doc("libx", [keep, stub])], dim=DIM)
     assert [f.function_name for f in repo.libraries["libx"]] == ["real"]
 
 
 def test_build_origin_rejects_target_documents():
-    doc = _doc("binx", [_fn("f", ["ret"])], kind="target")
+    doc = _doc("binx", [one_block("f", ["ret"])], kind="target")
     with pytest.raises(RepositoryError, match="kind"):
         build_origin([doc], dim=DIM)
 
 
 def test_build_origin_rejects_duplicate_library():
-    doc = _doc("libx", [_fn("f", ["ret"])])
+    doc = _doc("libx", [one_block("f", ["ret"])])
     with pytest.raises(RepositoryError, match="duplicate"):
         build_origin([doc, doc], dim=DIM)
 
@@ -160,7 +149,7 @@ def test_build_origin_rejects_empty_corpus(docs):
 
 
 def test_build_origin_warns_on_stub_only_library(caplog):
-    doc = _doc("libstubs", [_fn("s", ["jmp"], section=".plt")])
+    doc = _doc("libstubs", [one_block("s", ["jmp"], section=".plt")])
     with caplog.at_level(logging.WARNING):
         repo = build_origin([doc], dim=DIM)
     assert repo.libraries["libstubs"] == []
@@ -237,7 +226,7 @@ def test_a_build_embeds_only_the_functions_its_stages_keep(stages, monkeypatch, 
 @pytest.mark.parametrize("stages", [ALL_STAGES, ()], ids=["default", "none"])
 def test_a_function_without_instructions_raises_embedding_error(stages):
     empty = FunctionRecord("empty", ".text", False, [BasicBlock(0, [])], [])
-    doc = _doc("libx", [_fn("real", ["add", "sub", "xor"]), empty])
+    doc = _doc("libx", [one_block("real", ["add", "sub", "xor"]), empty])
     with pytest.raises(EmbeddingError, match="empty token stream: function 'empty'"):
         build_repository([doc], dim=DIM, stages=stages)
 
@@ -339,7 +328,7 @@ def test_build_origin_never_reads_a_library_it_refuses(refused):
 
 
 def test_a_library_that_section_filtering_empties_still_has_its_vectors_read():
-    doc = _doc("libstubs", [_fn("s", ["jmp"], section=".plt")])
+    doc = _doc("libstubs", [one_block("s", ["jmp"], section=".plt")])
     bad = json.dumps({"doc_id": "libstubs", "dim": DIM}) + "\n" + json.dumps(
         {"function": "s", "values": [0.0] * DIM})
     read, calls = _recording_reader({"libstubs": {}})
@@ -368,7 +357,7 @@ def test_purify_export_keeps_only_exports():
 
 
 def test_purify_export_warns_when_library_empties(caplog):
-    doc = _doc("libpriv", [_fn("f", ["add", "sub"], is_export=False)])
+    doc = _doc("libpriv", [one_block("f", ["add", "sub"], is_export=False)])
     repo = build_origin([doc], dim=DIM)
     with caplog.at_level(logging.WARNING):
         pure = purify_export(repo)
@@ -401,7 +390,7 @@ def test_stage_order_is_enforced(stages, needle):
 _STAGE_CALLS = {"export": purify_export, "mi": purify_mi, "weights": compute_weights}
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(st.lists(st.sampled_from(sorted(_STAGE_CALLS)), max_size=5))
 def test_any_stage_sequence_keeps_the_stage_rule(tmp_path_factory, calls):
     repo = build_origin(_small_corpus(), dim=DIM)
@@ -422,43 +411,45 @@ def test_any_stage_sequence_keeps_the_stage_rule(tmp_path_factory, calls):
 # ---------------------------------------------------------------------------
 # complexity filter
 
-def _mi_values(repo):
-    return [
-        f.profile.mi for feats in repo.libraries.values() for f in feats
-    ]
+@settings(max_examples=60)
+@given(corpus=EXACT_CORPORA, data=st.data())
+def test_purify_mi_equals_the_reference_at_attained_shares(corpus, data):
+    origin = build_origin(corpus[0], dim=EXACT_DIM, vectors=corpus[3])
+    repo = data.draw(st.sampled_from([origin, purify_export(origin)]), "stage")
+    theta2 = data.draw(st.one_of(st.sampled_from(exact_thresholds(repo)[1]),
+                                 st.floats(0.05, 1.0)), "theta2")
+    _check_purify_mi(repo, theta2)
 
 
-def _mi_oracle(values, theta2):
-    """Cutoff by definition: the largest value whose strictly-below share
-    stays within theta2; survivors sit strictly below it."""
-    total = len(values)
-    eligible = [
-        v for v in sorted(set(values))
-        if sum(1 for x in values if x < v) / total <= theta2
-    ]
-    m_star = eligible[-1]
-    return [v for v in values if v < m_star]
+def _check_purify_mi(repo, theta2):
+    pure = purify_mi(repo, theta2)
+    assert pure.libraries == reference.purify_mi(repo.libraries, theta2)
+    assert pure.feature_count() / repo.feature_count() <= theta2 + 1e-12
 
 
-def test_purify_mi_matches_brute_force_oracle():
+def _seeded_mi_cases():
+    """(libraries, theta2) of many distinct complexity values: ten corpora
+    of three libraries (4-15 functions of 3-30 instructions, 0-3 self-loops)
+    at theta2 from a list, then twenty of one library (2-60 functions of
+    3-25 instructions, 0-2 self-loops) at theta2 uniform in [0.05, 1]."""
     rng = random.Random(7)
-    for trial in range(10):
+    for _ in range(10):
         docs = []
         for li in range(3):
-            functions = [
-                _fn(
-                    "l%d_f%02d" % (li, fi),
-                    _body(rng, rng.randint(3, 30)),
-                    loops=rng.randint(0, 3),
-                )
-                for fi in range(rng.randint(4, 15))
-            ]
+            functions = [one_block("l%d_f%02d" % (li, fi), _body(rng, rng.randint(3, 30)),
+                                   loops=rng.randint(0, 3)) for fi in range(rng.randint(4, 15))]
             docs.append(_doc("lib%d" % li, functions))
-        theta2 = rng.choice([0.1, 0.2, 0.35, 0.5, 0.8, 1.0])
-        repo = build_origin(docs, dim=DIM)
-        pure = purify_mi(repo, theta2)
-        want = sorted(_mi_oracle(_mi_values(repo), theta2))
-        assert sorted(_mi_values(pure)) == pytest.approx(want, abs=0)
+        yield docs, rng.choice([0.1, 0.2, 0.35, 0.5, 0.8, 1.0])
+    rng = random.Random(11)
+    for _ in range(20):
+        functions = [one_block("f%03d" % i, _body(rng, rng.randint(3, 25)), loops=rng.randint(0, 2))
+                     for i in range(rng.randint(2, 60))]
+        yield [_doc("lib0", functions)], rng.uniform(0.05, 1.0)
+
+
+@pytest.mark.parametrize("docs,theta2", _seeded_mi_cases())
+def test_purify_mi_equals_the_reference_on_seeded_corpora(docs, theta2):
+    _check_purify_mi(build_origin(docs, dim=DIM), theta2)
 
 
 def test_purify_mi_drops_ties_at_cutoff():
@@ -466,9 +457,9 @@ def test_purify_mi_drops_ties_at_cutoff():
     # lands on their shared value and the whole tied block is dropped, so
     # retention undershoots theta2 and only the two complex bodies survive
     same = ["add", "sub", "xor", "mul"]
-    functions = [_fn("tied%d" % i, same) for i in range(8)]
-    functions.append(_fn("deep_a", _body(random.Random(1), 40), loops=3))
-    functions.append(_fn("deep_b", _body(random.Random(2), 30), loops=2))
+    functions = [one_block("tied%d" % i, same) for i in range(8)]
+    functions.append(one_block("deep_a", _body(random.Random(1), 40), loops=3))
+    functions.append(one_block("deep_b", _body(random.Random(2), 30), loops=2))
     repo = build_origin([_doc("lib0", functions)], dim=DIM)
     for theta2 in (0.5, 1.0):
         pure = purify_mi(repo, theta2)
@@ -478,26 +469,12 @@ def test_purify_mi_drops_ties_at_cutoff():
 
 
 def test_purify_mi_all_identical_retains_nothing(caplog):
-    functions = [_fn("f%d" % i, ["add", "sub"]) for i in range(5)]
+    functions = [one_block("f%d" % i, ["add", "sub"]) for i in range(5)]
     repo = build_origin([_doc("lib0", functions)], dim=DIM)
     with caplog.at_level(logging.WARNING):
         pure = purify_mi(repo, 0.2)
     assert pure.feature_count() == 0
     assert any("retained nothing" in r.message for r in caplog.records)
-
-
-def test_purify_mi_retention_never_exceeds_theta2():
-    rng = random.Random(11)
-    for trial in range(20):
-        count = rng.randint(2, 60)
-        functions = [
-            _fn("f%03d" % i, _body(rng, rng.randint(3, 25)), loops=rng.randint(0, 2))
-            for i in range(count)
-        ]
-        repo = build_origin([_doc("lib0", functions)], dim=DIM)
-        theta2 = rng.uniform(0.05, 1.0)
-        pure = purify_mi(repo, theta2)
-        assert pure.feature_count() / count <= theta2 + 1e-12
 
 
 @pytest.mark.parametrize("theta2", [0.0, -0.1, 1.2])
@@ -508,7 +485,7 @@ def test_purify_mi_rejects_bad_theta2(theta2):
 
 
 def test_purify_mi_on_emptied_repository(caplog):
-    doc = _doc("libpriv", [_fn("f", ["add"], is_export=False)])
+    doc = _doc("libpriv", [one_block("f", ["add"], is_export=False)])
     repo = purify_export(build_origin([doc], dim=DIM))
     with caplog.at_level(logging.WARNING):
         pure = purify_mi(repo, 0.2)
@@ -519,70 +496,50 @@ def test_purify_mi_on_emptied_repository(caplog):
 # ---------------------------------------------------------------------------
 # weighting
 
-def _weights_oracle(repo, theta1):
-    """Independent double loop over all retained features."""
-    flat = [
-        (lib_id, f)
-        for lib_id, feats in repo.libraries.items()
-        for f in feats
-    ]
-    lib_sizes = {lib_id: len(feats) for lib_id, feats in repo.libraries.items()}
-    total_libs = len(repo.libraries)
-    out = {}
-    for lib_id, f in flat:
-        n = 1
-        others = set()
-        for other_id, g in flat:
-            if g is f:
-                continue
-            if float(f.vector @ g.vector) >= theta1:
-                if other_id == lib_id:
-                    n += 1
-                else:
-                    others.add(other_id)
-        out[(lib_id, f.function_name)] = (
-            n,
-            len(others),
-            tfidf_weight(n, lib_sizes[lib_id], total_libs, len(others)),
-        )
-    return out
-
-
-def test_compute_weights_matches_double_loop():
-    rng = random.Random(13)
-    docs = []
-    for li in range(4):
-        functions = []
-        for fi in range(rng.randint(5, 10)):
-            functions.append(_fn("l%d_f%02d" % (li, fi), _body(rng, rng.randint(3, 8))))
-        # plant one function shared across all libraries
-        functions.append(_fn("l%d_shared" % li, ["add", "sub", "xor"]))
-        docs.append(_doc("lib%d" % li, functions))
-    repo = build_origin(docs, dim=DIM)
-    weighted = compute_weights(repo, 0.95)
-    want = _weights_oracle(repo, 0.95)
-    for lib_id, feats in weighted.libraries.items():
-        for f in feats:
-            n, df, w = want[(lib_id, f.function_name)]
-            assert f.n_in_library == n
-            assert f.df == df
-            assert f.weight == pytest.approx(w, abs=1e-12)
-
-
-def test_weight_rows_equal_the_weights_stage_at_every_theta1():
-    # one similarity pass for several theta1 values weights as the stage
-    # does at each, emptied library included
-    docs = _small_corpus(seed=6) + [_doc("libpriv", [_fn("p", ["test", "ret"],
-                                                         is_export=False)])]
-    repo = purify_export(build_origin(docs, dim=DIM))
-    thetas = (1.0, 0.95, 0.5, -1.0)
+def _weights_and_reference(repo, thetas):
+    """Yield (got, want) per theta1 in `thetas`: the (n, df, weight) rows
+    of one `weight_rows` call at every theta1, once the weights stage has
+    given the same at that theta1 alone, and the reference's rows."""
     rows = repository.weight_rows(repo, thetas)
     assert len(rows) == len(thetas)
-    for theta1, (weights, n, df) in zip(thetas, rows):
-        feats = [f for fs in compute_weights(repo, theta1).libraries.values() for f in fs]
-        assert weights.tolist() == [f.weight for f in feats]
-        assert n.tolist() == [f.n_in_library for f in feats]
-        assert df.tolist() == [f.df for f in feats]
+    vectors = {lib_id: [f.vector for f in feats] for lib_id, feats in repo.libraries.items()}
+    for theta, (weights, n, df) in zip(thetas, rows):
+        got = list(zip(n.tolist(), df.tolist(), weights.tolist()))
+        weighted = compute_weights(repo, theta).libraries.values()
+        assert got == [(f.n_in_library, f.df, f.weight) for feats in weighted for f in feats]
+        yield got, reference.weights(vectors, theta)
+
+
+@pytest.mark.parametrize("case", ["planted-in-every-library", "emptied-library"])
+def test_weights_equal_the_reference_on_hashed_vectors(case):
+    if case == "planted-in-every-library":
+        rng = random.Random(13)
+        docs = []
+        for li in range(4):
+            functions = [one_block("l%d_f%02d" % (li, fi), _body(rng, rng.randint(3, 8)))
+                         for fi in range(rng.randint(5, 10))]
+            functions.append(one_block("l%d_shared" % li, ["add", "sub", "xor"]))
+            docs.append(_doc("lib%d" % li, functions))
+        repo, thetas = build_origin(docs, dim=DIM), (0.95,)
+    else:  # an emptied library still counts in L
+        docs = _small_corpus(seed=6) + [_doc("libpriv", [one_block("p", ["test", "ret"],
+                                                                   is_export=False)])]
+        repo, thetas = purify_export(build_origin(docs, dim=DIM)), (1.0, 0.95, 0.5, -1.0)
+    for got, want in _weights_and_reference(repo, thetas):
+        assert [row[:2] for row in got] == [row[:2] for row in want]
+        assert [row[2] for row in got] == pytest.approx([row[2] for row in want], abs=1e-12)
+
+
+@settings(max_examples=60)
+@given(corpus=EXACT_CORPORA, data=st.data())
+def test_counts_and_weights_equal_the_reference_at_attained_similarities(corpus, data):
+    # weight_rows returns theta_counts' n and df; the export stage empties
+    # libraries, which still count in L
+    origin = build_origin(corpus[0], dim=EXACT_DIM, vectors=corpus[3])
+    repo = data.draw(st.sampled_from([origin, purify_export(origin)]), "stage")
+    for got, want in _weights_and_reference(
+            repo, data.draw(some(exact_thresholds(repo)[0]), "theta1")):
+        assert got == want
 
 
 def test_compute_weights_self_only_when_theta1_is_one():
@@ -611,9 +568,10 @@ def test_compute_weights_counts_emptied_libraries():
     # lib2 loses everything to export purification but still counts toward
     # the library total, so a unique function keeps idf = ln(3)
     docs = [
-        _doc("lib0", [_fn("u0", ["add", "mul", "shl", "xor"])]),
-        _doc("lib1", [_fn("u1", ["sub", "shr", "lea", "cmp", "not", "neg", "ror"], reg="rbx")]),
-        _doc("lib2", [_fn("p", ["test", "ret"], is_export=False)]),
+        _doc("lib0", [one_block("u0", ["add", "mul", "shl", "xor"])]),
+        _doc("lib1", [one_block("u1", ["sub", "shr", "lea", "cmp", "not", "neg", "ror"],
+                                reg="rbx")]),
+        _doc("lib2", [one_block("p", ["test", "ret"], is_export=False)]),
     ]
     repo = purify_export(build_origin(docs, dim=DIM))
     weighted = compute_weights(repo)
@@ -627,7 +585,8 @@ def test_compute_weights_zero_idf_annihilates():
     # byte-identical function in all three libraries: df = 2, ln(3/3) = 0
     body = ["add", "sub", "xor", "mul", "shl"]
     docs = [
-        _doc("lib%d" % i, [_fn("dup", body), _fn("own%d" % i, _body(random.Random(i), 6))])
+        _doc("lib%d" % i, [one_block("dup", body),
+                           one_block("own%d" % i, _body(random.Random(i), 6))])
         for i in range(3)
     ]
     weighted = compute_weights(build_origin(docs, dim=DIM))
@@ -638,7 +597,7 @@ def test_compute_weights_zero_idf_annihilates():
 
 
 def test_compute_weights_on_empty_repository(caplog):
-    doc = _doc("libpriv", [_fn("f", ["add"], is_export=False)])
+    doc = _doc("libpriv", [one_block("f", ["add"], is_export=False)])
     repo = purify_export(build_origin([doc], dim=DIM))
     with caplog.at_level(logging.WARNING):
         weighted = compute_weights(repo)
@@ -728,18 +687,6 @@ def test_load_rejects_truncated_file(tmp_path):
         load_repository(path)
 
 
-def _rewrite_header(path, edit):
-    """Apply `edit` to the decoded header and rewrite the file with a valid
-    length field and checksum, so only the header schema is wrong."""
-    data = path.read_bytes()[:-32]
-    (header_len,) = struct.unpack_from("<I", data, 8)
-    header = json.loads(data[12 : 12 + header_len])
-    edit(header)
-    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload = data[:8] + struct.pack("<I", len(raw)) + raw + data[12 + header_len :]
-    path.write_bytes(payload + hashlib.sha256(payload).digest())
-
-
 def _first_feature(header):
     return next(lib for lib in header["libraries"] if lib["features"])["features"][0]
 
@@ -775,7 +722,7 @@ def _first_feature(header):
 def test_load_rejects_malformed_header(tmp_path, capsys, edit, needle):
     path = tmp_path / "repo.lsr"
     save_repository(_full_repo(), path)
-    _rewrite_header(path, edit)
+    path.write_bytes(forge_lsr(path.read_bytes(), lambda header, _: edit(header)))
     with pytest.raises(RepositoryError, match=needle):
         load_repository(path)
     assert main(["inspect", "--repo", str(path)]) == 1
@@ -783,60 +730,34 @@ def test_load_rejects_malformed_header(tmp_path, capsys, edit, needle):
     assert needle in err and "Traceback" not in err
 
 
-def _rewrite_vectors(path, edit):
-    """Apply `edit` to the vector block, as a (features, dim) matrix, and
-    rewrite the file with a valid checksum, so only the vectors are wrong."""
-    data = path.read_bytes()[:-32]
-    (header_len,) = struct.unpack_from("<I", data, 8)
-    start = 12 + header_len
-    dim = json.loads(data[12:start])["config"]["dim"]
-    rows = np.frombuffer(data[start:], dtype="<f8").reshape(-1, dim).copy()
-    edit(rows)
-    payload = data[:start] + rows.astype("<f8").tobytes()
-    path.write_bytes(payload + hashlib.sha256(payload).digest())
+# (index, value) per case: the assignment that spoils one row of a
+# (features, dim) vector matrix
+_BAD_ROWS = {"nan": ((0, 0), float("nan")), "inf": ((-1, 5), float("inf")),
+             "-inf": ((3, 1), -float("inf")), "overflowing": ((4, slice(2)), 1e308),
+             "all-zero": (7, 0.0)}
 
 
-def _nan_in_first_row(rows):
-    rows[0, 0] = float("nan")
+def _spoil(rows, bad):
+    index, value = _BAD_ROWS[bad]
+    rows[index] = value
 
 
-def _inf_in_last_row(rows):
-    rows[-1, 5] = float("inf")
-
-
-def _minus_inf_in_a_row(rows):
-    rows[3, 1] = -float("inf")
-
-
-def _overflowing_row(rows):
-    rows[4, :2] = 1e308
-
-
-def _zero_row(rows):
-    rows[7] = 0.0
-
-
-_BAD_ROWS = [_nan_in_first_row, _inf_in_last_row, _minus_inf_in_a_row, _overflowing_row,
-             _zero_row]
-_BAD_ROW_IDS = ["nan", "inf", "-inf", "overflowing", "all-zero"]
-
-
-def _edit_vectors(repo, edit):
-    """`repo` with `edit` applied to its vectors, as one (features, dim)
-    matrix in library order."""
+def _edit_vectors(repo, bad):
+    """`repo` with its vectors, as one (features, dim) matrix in library
+    order, spoiled by `bad`."""
     rows = np.array([f.vector for feats in repo.libraries.values() for f in feats])
-    edit(rows)
+    _spoil(rows, bad)
     rows = iter(rows)
     for lib_id, feats in repo.libraries.items():
         repo.libraries[lib_id] = [replace(f, vector=next(rows)) for f in feats]
     return repo
 
 
-@pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
-def test_load_rejects_a_vector_block_with_a_bad_row(tmp_path, capsys, edit):
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+def test_load_rejects_a_vector_block_with_a_bad_row(tmp_path, capsys, bad):
     path = tmp_path / "repo.lsr"
     save_repository(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), path)
-    _rewrite_vectors(path, edit)
+    path.write_bytes(forge_lsr(path.read_bytes(), lambda _, rows: _spoil(rows, bad)))
     with pytest.raises(RepositoryError, match="vector block: .*zero, non-finite or overflowing"):
         load_repository(path)
     target = tmp_path / "bin.jsonl"
@@ -850,24 +771,24 @@ def test_load_rejects_a_vector_block_with_a_bad_row(tmp_path, capsys, edit):
     assert not (tmp_path / "out.jsonl").exists()
 
 
-@pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
-def test_save_refuses_a_vector_load_would_refuse(tmp_path, edit):
-    repo = _edit_vectors(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), edit)
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+def test_save_refuses_a_vector_load_would_refuse(tmp_path, bad):
+    repo = _edit_vectors(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), bad)
     path = tmp_path / "repo.lsr"
     with pytest.raises(RepositoryError, match="vector block: .*zero, non-finite or overflowing"):
         save_repository(repo, path)
     assert not path.exists()
 
 
-@pytest.mark.parametrize("edit", _BAD_ROWS, ids=_BAD_ROW_IDS)
-def test_weights_refuse_a_bad_vector(monkeypatch, edit):
+@pytest.mark.parametrize("bad", list(_BAD_ROWS))
+def test_weights_refuse_a_bad_vector(monkeypatch, bad):
     # unchecked, a NaN row matches nothing and gets df 0 and a full weight
-    origin = _edit_vectors(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), edit)
+    origin = _edit_vectors(build_repository(_small_corpus(seed=8), dim=DIM, stages=()), bad)
     with pytest.raises(EmbeddingError, match="zero, non-finite or overflowing"):
         compute_weights(origin)
     real = repository.build_origin
     monkeypatch.setattr(repository, "build_origin",
-                        lambda *args, **kwargs: _edit_vectors(real(*args, **kwargs), edit))
+                        lambda *args, **kwargs: _edit_vectors(real(*args, **kwargs), bad))
     with pytest.raises(EmbeddingError, match="zero, non-finite or overflowing"):
         build_repository(_small_corpus(seed=8), dim=DIM, stages=("weights",))
 
@@ -902,7 +823,8 @@ def test_config_accepts_every_stage_order_a_build_can_reach():
 def test_loader_keeps_its_stage_message_for_a_header_config_would_refuse(tmp_path):
     path = tmp_path / "repo.lsr"
     save_repository(_full_repo(), path)
-    _rewrite_header(path, lambda h: h["config"].update(stages=["weights", "export"]))
+    path.write_bytes(forge_lsr(path.read_bytes(), lambda h, _: h["config"].update(
+        stages=["weights", "export"])))
     with pytest.raises(RepositoryError) as err:
         load_repository(path)
     assert str(err.value) == ("repository header: field 'stages' must list distinct names "

@@ -1,6 +1,5 @@
 """Malformed input of any kind ends in a typed LibsiftError and a clean
 exit code, never a traceback."""
-import hashlib
 import json
 import math
 import random
@@ -14,14 +13,11 @@ from hypothesis import strategies as st
 
 from libsift import (
     AGGREGATION_MODES,
-    BasicBlock,
     BinaryDocument,
     ComplexityProfile,
     ConfigError,
     EmbeddingError,
     FunctionFeature,
-    FunctionRecord,
-    Instruction,
     LibsiftError,
     ParseError,
     RepositoryError,
@@ -51,40 +47,22 @@ from libsift import (
 from libsift import cli
 from libsift.cli import build_parser, main, resolve_config
 
-from corpora import random_document
+from corpora import forge_lsr, one_block, random_document, vector_file
 
 DIM = 16
 NOT_UTF8 = b"\xff\xfe"
 
 
-def _fn(name, mnemonics, reg):
-    instrs = [Instruction(m, (reg, "0x%x" % i)) for i, m in enumerate(mnemonics)]
-    return FunctionRecord(name, ".text", True, [BasicBlock(0, instrs)], [])
-
-
 def _library(lib_id, k):
     return BinaryDocument(lib_id, "tpl", [
-        _fn("%s_f%d" % (lib_id, i), ["add", "xor", "shl", "lea", "mov"][: 2 + i], "r%d" % (8 + k))
+        one_block("%s_f%d" % (lib_id, i), ["add", "xor", "shl", "lea", "mov"][: 2 + i],
+                  reg="r%d" % (8 + k))
         for i in range(3)
     ])
 
 
 def _target(libraries, binary_id="bin"):
     return BinaryDocument(binary_id, "target", [fn for lib in libraries for fn in lib.functions])
-
-
-def _vector_file(doc_id, rows, dim=DIM):
-    lines = [json.dumps({"doc_id": doc_id, "dim": dim})]
-    lines += [json.dumps({"function": name, "values": values}) for name, values in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def _rewrite_header(data: bytes, header: bytes) -> bytes:
-    """A repository file whose header bytes are `header`, with a valid
-    length field and checksum, so only the header itself is wrong."""
-    (header_len,) = struct.unpack_from("<I", data, 8)
-    payload = data[:8] + struct.pack("<I", len(header)) + header + data[12 + header_len : -32]
-    return payload + hashlib.sha256(payload).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +82,11 @@ _BAD_VECTORS = {
 @pytest.mark.parametrize("case", sorted(_BAD_VECTORS))
 def test_every_entry_point_raises_embedding_error_for_a_bad_vector(case, entry):
     name, values = _BAD_VECTORS[case]
-    doc = BinaryDocument("lib", "tpl", [_fn("f", ["add", "xor"], "rax")])
+    doc = BinaryDocument("lib", "tpl", [one_block("f", ["add", "xor"])])
     table = {name: values}
     with pytest.raises(EmbeddingError):
         if entry == "import_embeddings":
-            import_embeddings(doc, _vector_file("lib", [(name, values)]), DIM)
+            import_embeddings(doc, vector_file("lib", DIM, [(name, values)]), DIM)
         elif entry == "build_origin":
             build_origin([doc], dim=DIM, vectors=lambda doc: table)
         else:
@@ -166,12 +144,13 @@ def test_readers_refuse_non_utf8_input(reader, tmp_path):
             parse_document(serialize_document(_library("liba", 0)).replace(b"liba_f0", NOT_UTF8))
     elif reader == "load_repository":
         header = b'{"config": "' + NOT_UTF8 + b'"}'
-        path.write_bytes(_rewrite_header(_saved_repository(path), header))
+        path.write_bytes(forge_lsr(_saved_repository(path), header_bytes=header))
         with pytest.raises(RepositoryError, match="not UTF-8"):
             load_repository(path)
     elif reader == "import_embeddings":
         with pytest.raises(ParseError, match="line 2: not UTF-8"):
-            import_embeddings(_library("liba", 0), _vector_file("liba", []) + NOT_UTF8, DIM)
+            import_embeddings(_library("liba", 0), vector_file("liba", DIM, []).encode() + NOT_UTF8,
+                              DIM)
     elif reader == "config":
         path.write_bytes(NOT_UTF8 + b"{}")
         with pytest.raises(ConfigError, match="not UTF-8"):
@@ -197,7 +176,7 @@ def _read_json(reader, text, path):
     if reader == "import_embeddings":
         return import_embeddings(_library("liba", 0), text, DIM)
     if reader == "load_repository":
-        path.write_bytes(_rewrite_header(_saved_repository(path), text))
+        path.write_bytes(forge_lsr(_saved_repository(path), header_bytes=text))
         return load_repository(path)
     path.write_bytes(text)
     if reader == "config":
@@ -227,7 +206,7 @@ def cli_inputs(tmp_path):
     for doc in libs:
         rows = [(fn.name, [1.0 + i] + [0.5] * (DIM - 1)) for i, fn in enumerate(doc.functions)]
         (tmp_path / "vectors" / (doc.binary_id + ".jsonl")).write_bytes(
-            _vector_file(doc.binary_id, rows))
+            vector_file(doc.binary_id, DIM, rows).encode())
     save_manifest({"bin": {"liba", "libb"}}, tmp_path / "manifest.json")
     _saved_repository(tmp_path / "repo.lsr")
     return tmp_path
@@ -253,7 +232,7 @@ def test_cli_exits_one_on_unreadable_input(case, content, cli_inputs, capsys):
     path = cli_inputs / rel
     bad = NOT_UTF8 + b"{}" if content == "not-utf8" else b"[1]"
     if rel.endswith(".lsr"):
-        path.write_bytes(_rewrite_header(path.read_bytes(), bad))
+        path.write_bytes(forge_lsr(path.read_bytes(), header_bytes=bad))
     else:
         path.write_bytes(bad + b"\n")
     assert main(command.format(d=cli_inputs).split()) == 1
@@ -289,7 +268,7 @@ def test_readers_refuse_deeply_nested_json(reader, tmp_path):
         with pytest.raises(ParseError, match="nested too deeply"):
             load_manifest(path)
     elif reader == "load_repository":
-        path.write_bytes(_rewrite_header(_saved_repository(path), b'{"config": ' + DEEP))
+        path.write_bytes(forge_lsr(_saved_repository(path), header_bytes=b'{"config": ' + DEEP))
         with pytest.raises(RepositoryError, match="nested too deeply"):
             load_repository(path)
     elif reader == "config":
@@ -359,7 +338,7 @@ def test_every_similarity_input_passes_one_norm_check(entry, side, case):
 # property: the readers raise nothing but LibsiftError on arbitrary or
 # mutated bytes
 
-_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+_PROPERTY = settings(max_examples=150)
 
 _DOC = random_document(random.Random(3), "bin", kind="tpl")
 
@@ -396,11 +375,6 @@ def _only_libsift_errors(call, *args):
         pass
 
 
-def _valid_vector_file():
-    rows = [(fn.name, [0.25 * (i + 1)] * 4) for i, fn in enumerate(_DOC.functions)]
-    return _vector_file(_DOC.binary_id, rows, dim=4)
-
-
 @pytest.fixture(scope="module")
 def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -423,6 +397,11 @@ def valid_lsr(scratch):
 @given(data=_inputs(serialize_document(_DOC)))
 def test_parse_document_raises_only_libsift_errors(data):
     _only_libsift_errors(parse_document, data)
+
+
+def _valid_vector_file():
+    rows = [(fn.name, [0.25 * (i + 1)] * 4) for i, fn in enumerate(_DOC.functions)]
+    return vector_file(_DOC.binary_id, 4, rows).encode()
 
 
 @_PROPERTY
@@ -450,7 +429,7 @@ def test_load_manifest_raises_only_libsift_errors(scratch, data):
 def test_load_repository_raises_only_libsift_errors_on_mutated_headers(scratch, valid_lsr, data):
     (header_len,) = struct.unpack_from("<I", valid_lsr, 8)
     header = data.draw(_edits(valid_lsr[12 : 12 + header_len]))
-    (scratch / "in.lsr").write_bytes(_rewrite_header(valid_lsr, header))
+    (scratch / "in.lsr").write_bytes(forge_lsr(valid_lsr, header_bytes=header))
     _only_libsift_errors(load_repository, scratch / "in.lsr")
 
 
@@ -493,7 +472,7 @@ def invariance_corpus():
     return tpl_docs, target_docs, _scores(tpl_docs, target_docs)
 
 
-@settings(_PROPERTY, max_examples=10)
+@settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_detect_is_invariant_under_function_and_block_reordering(invariance_corpus, seed):
     tpl_docs, target_docs, want = invariance_corpus
@@ -599,11 +578,8 @@ def test_every_command_refuses_an_out_of_range_setting_before_parsing(
                                            ("theta2", 0), ("dim", 0), ("seed", 2 ** 63)])
 def test_load_repository_refuses_an_out_of_range_header_config(setting, value, tmp_path):
     path = tmp_path / "repo.lsr"
-    data = _saved_repository(path)
-    (header_len,) = struct.unpack_from("<I", data, 8)
-    header = json.loads(data[12 : 12 + header_len])
-    header["config"][setting] = value
-    path.write_bytes(_rewrite_header(data, json.dumps(header).encode()))
+    path.write_bytes(forge_lsr(_saved_repository(path),
+                               lambda header, _: header["config"].update({setting: value})))
     with pytest.raises(RepositoryError, match=setting):
         load_repository(path)
 
@@ -625,8 +601,7 @@ def test_bad_grid_and_gen_flags_exit_two_without_a_traceback(args, cli_inputs, c
 _NUMBER_TEXT = st.one_of(st.floats(-1, 1).map(repr), st.floats().map(repr), st.text(max_size=8))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.one_of(
     st.tuples(st.sampled_from([("build", "theta1"), ("build", "theta2"), ("detect", "theta3"),
                                ("ablate", "theta1"), ("ablate", "theta3")]), _NUMBER_TEXT),
@@ -707,8 +682,7 @@ _CONFIG = st.one_of(_JSON, st.dictionaries(
     max_size=4))
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_never_ends_in_a_traceback_on_a_generated_command_line(data, cli_inputs,
                                                                    monkeypatch, capsys):

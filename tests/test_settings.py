@@ -1,10 +1,8 @@
 """The CLI's settings: which command reads which setting, how a config file
 and flags reach the library call and the sidecar, and the flags that are
 usage errors."""
-import hashlib
 import json
 import os
-import struct
 
 import pytest
 
@@ -19,6 +17,8 @@ from libsift import (
 from libsift import cli
 from libsift.cli import main
 from libsift.evaluation import AblationTable, StageTimings, SweepCell, SweepGrid
+
+from corpora import forge_lsr, vector_file
 
 # a value per setting that differs from its default, and a third that a
 # flag sets over the config file
@@ -150,29 +150,12 @@ def test_dim_one_is_a_config_error_before_any_document_is_parsed(
     assert not list(tmp_path.glob("out*"))
 
 
-def _set_header_dim(path, dim):
-    data = path.read_bytes()
-    (header_len,) = struct.unpack_from("<I", data, 8)
-    header = json.loads(data[12 : 12 + header_len])
-    header["config"]["dim"] = dim
-    new = json.dumps(header).encode()
-    body = data[:8] + struct.pack("<I", len(new)) + new + data[12 + header_len : -32]
-    path.write_bytes(body + hashlib.sha256(body).digest())
-
-
 def test_load_repository_refuses_dim_one_with_the_builtin_embedder(corpus, tmp_path):
     path = tmp_path / "repo.lsr"
-    path.write_bytes((corpus / "repo.lsr").read_bytes())
-    _set_header_dim(path, 1)
+    path.write_bytes(forge_lsr((corpus / "repo.lsr").read_bytes(),
+                               lambda header, _: header["config"].update(dim=1)))
     with pytest.raises(RepositoryError, match="dim must be >= 2"):
         load_repository(path)
-
-
-def _write_vectors(doc, dim, out_dir):
-    lines = [json.dumps({"doc_id": doc.binary_id, "dim": dim, "count": len(doc.functions)})]
-    for i, fn in enumerate(doc.functions):
-        lines.append(json.dumps({"function": fn.name, "values": [1.0 + i] * dim}))
-    (out_dir / (doc.binary_id + ".jsonl")).write_text("\n".join(lines) + "\n")
 
 
 def test_external_vectors_of_one_dimension_build_and_detect(corpus, tmp_path):
@@ -180,7 +163,9 @@ def test_external_vectors_of_one_dimension_build_and_detect(corpus, tmp_path):
     vectors.mkdir()
     for sub in ("tpls", "targets"):
         for name in os.listdir(corpus / sub):
-            _write_vectors(load_document(corpus / sub / name), 1, vectors)
+            doc = load_document(corpus / sub / name)
+            rows = [(fn.name, [1.0 + i]) for i, fn in enumerate(doc.functions)]
+            (vectors / name).write_text(vector_file(doc.binary_id, 1, rows, count=len(rows)))
     out = tmp_path / "ext.lsr"
     assert main(["build", "--tpls", str(corpus / "tpls"), "--out", str(out),
                  "--vectors-dir", str(vectors), "--dim", "1", "--quiet"]) == 0
