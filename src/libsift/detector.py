@@ -78,19 +78,18 @@ def check_scoring(mode: str, *theta3_values) -> None:
 
 
 def library_block(features):
-    """(unit-row block, weights) for one library's features, in order: the
-    one place a library becomes a scoring block.  A block holds one
-    library's rows: BLAS results depend on the key count, so one product
-    over every library would move cosines in the last bit."""
-    return (unit_rows(np.vstack(feature_vectors(features))),
-            np.array([f.weight for f in features], dtype=np.float64))
+    """The unit-row block of one library's features, in order: the one
+    place a library becomes a scoring block.  A block holds one library's
+    rows: BLAS results depend on the key count, so one product over every
+    library would move cosines in the last bit."""
+    return unit_rows(np.vstack(feature_vectors(features)))
 
 
 def match_library(bin_mat, lib_mat, mode: str = AGG_WEIGHTED_MEAN):
     """The kernel step of scoring one binary against one library, on
     unit-row matrices; weights play no part, so any number of weightings
-    of the same features reuse its result through `reduce_matches` or
-    `reduce_scores`.
+    of the same features reuse its similarities through `reduce_scores`,
+    and `match_evidence` reads its evidence rows.
 
     core-weighted-mean: (clipped best cosine, first binary row attaining
     it) per library feature.  match-sum: (clipped binary x library cosine
@@ -103,34 +102,12 @@ def match_library(bin_mat, lib_mat, mode: str = AGG_WEIGHTED_MEAN):
     return np.clip(_kernels.sim_matrix(bin_mat, lib_mat, DEFAULT_BATCH), -1.0, 1.0), None
 
 
-def reduce_matches(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
-    """(score, binary rows, library columns, cosines, contributions) for
-    the `match_library` result `matches` under one weight per library
-    feature; one evidence row per entry of the four arrays."""
-    sims, arg = matches
-    if mode == AGG_WEIGHTED_MEAN:
-        rows, cols, cosines = arg, np.arange(len(weights)), sims
-        contributions = weights * cosines
-    else:
-        cols = (sims * weights[None, :]).argmax(axis=1)
-        rows = np.arange(len(cols))
-        cosines = sims[rows, cols]
-        contributions = weights[cols] * cosines
-    # left-to-right sums, as a += loop from 0.0 makes them: reports print
-    # scores with repr
-    total = 0.0 + float(np.add.accumulate(contributions)[-1])
-    if mode == AGG_MATCH_SUM:
-        return total, rows, cols, cosines, contributions
-    total_weight = 0.0 + float(np.add.accumulate(weights)[-1])
-    score = total / total_weight if total_weight > 0.0 else 0.0
-    return score, rows, cols, cosines, contributions
-
-
-def reduce_scores(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
-    """The score `reduce_matches` gives the `match_library` result
-    `matches` under each row of the 2-D `weights`, bit for bit: the same
-    products, summed left to right along each row."""
-    sims, _ = matches
+def reduce_scores(sims, weights, mode: str = AGG_WEIGHTED_MEAN):
+    """The score of the similarities `sims` of a `match_library` result
+    under each row of the 2-D `weights`, one weight per library feature:
+    the one reducer of detect, sweep and ablate.  Each row sums left to
+    right, as a += loop from 0.0 does, so a row scores the same bits
+    whatever rows it is stacked with: reports print scores with repr."""
     if mode == AGG_WEIGHTED_MEAN:
         terms = weights * sims[None, :]
     else:
@@ -143,6 +120,20 @@ def reduce_scores(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
     total_weights = np.add.accumulate(weights, axis=1)[:, -1] + 0.0
     return np.divide(totals, total_weights, out=np.zeros(len(totals)),
                      where=total_weights > 0.0)
+
+
+def match_evidence(matches, weights, mode: str = AGG_WEIGHTED_MEAN):
+    """(binary rows, library columns, cosines, contributions) of the
+    `match_library` result `matches` under one weight per library feature:
+    one evidence row per entry of the four arrays.  The contributions sum,
+    left to right, to the unnormalized score `reduce_scores` gives."""
+    sims, arg = matches
+    if mode == AGG_WEIGHTED_MEAN:
+        return arg, np.arange(len(weights)), sims, weights * sims
+    cols = (sims * weights[None, :]).argmax(axis=1)
+    rows = np.arange(len(cols))
+    cosines = sims[rows, cols]
+    return rows, cols, cosines, weights[cols] * cosines
 
 
 def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN, *,
@@ -164,13 +155,15 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN, *
         raise ValueError("aggregate got %d binary names for %d rows"
                          % (len(bin_names), bin_vectors.shape[0]))
 
-    lib_mat, weights = library_block(features)
+    weights = np.array([f.weight for f in features], dtype=np.float64)
     bin_mat = bin_vectors if normalized else unit_rows(bin_vectors)
-    score, *rows = reduce_matches(match_library(bin_mat, lib_mat, mode), weights, mode)
+    matches = match_library(bin_mat, library_block(features), mode)
+    score = float(reduce_scores(matches[0], weights[None, :], mode)[0])
     evidence = [
         MatchEvidence(bin_names[i], features[j].function_name, cosine, features[j].weight,
                       contribution)
-        for i, j, cosine, contribution in zip(*(a.tolist() for a in rows))
+        for i, j, cosine, contribution in zip(
+            *(a.tolist() for a in match_evidence(matches, weights, mode)))
     ]
     return score, evidence
 

@@ -153,18 +153,13 @@ DELTA = 1e-9
 _DELTA_TERMS = 4e6
 
 
-def _union(parent: TplRepository, repos) -> list:
-    """[(library id, features)] over the libraries of `parent`, in id
-    order, of which some repository in `repos` keeps features; a
-    library's features are the ones any of them keeps, in `parent`'s
-    order.  Their vectors are read here, one embed call per library, so
-    weighting any of `repos` embeds nothing more."""
-    kept = {id(f) for repo in repos for feats in repo.libraries.values() for f in feats}
-    union = []
-    for lib_id in sorted(parent.libraries):
-        feats = [f for f in parent.libraries[lib_id] if id(f) in kept]
-        if feats:
-            union.append((lib_id, feats))
+def _union(repo: TplRepository) -> list:
+    """[(library id, features)] over the non-empty libraries of `repo`, in
+    id order: the repository whose features hold every set scored with
+    it.  Their vectors are read here, one embed call per library, so
+    weighting any subset of them embeds nothing more."""
+    union = [(lib_id, repo.libraries[lib_id]) for lib_id in sorted(repo.libraries)
+             if repo.libraries[lib_id]]
     feature_vectors(f for _, feats in union for f in feats)
     return union
 
@@ -242,7 +237,7 @@ def _shared_scores(target_docs, manifest, config: RepoConfig, union, groups, mod
     once.
     """
     laid_out = [_lay_out(union, repo, rows) for repo, rows in groups]
-    blocks = [library_block(feats)[0] for _, feats in union]
+    blocks = [library_block(feats) for _, feats in union]
     thresholds = np.array(theta3_values, dtype=np.float64)
     own_blocks = {}
     bin_ids, scores = [], [[] for _ in laid_out]
@@ -260,16 +255,16 @@ def _shared_scores(target_docs, manifest, config: RepoConfig, union, groups, mod
                 for group, row in zip(laid_out, rows):
                     if group.entries[j] is not None:
                         cols, weights, _ = group.entries[j]
-                        row[:, j] = reduce_scores((sims[..., cols], None), weights, mode)
+                        row[:, j] = reduce_scores(sims[..., cols], weights, mode)
             for g, (group, row) in enumerate(zip(laid_out, rows)):
                 slack = _slack(group, mode, *bin_mat.shape)
                 near = (np.abs(row[:, :, None] - thresholds) <= slack[:, None]).any(axis=(0, 2))
                 for j in np.flatnonzero(near & group.shared):
                     _, weights, feats = group.entries[j]
                     if (g, j) not in own_blocks:
-                        own_blocks[g, j] = library_block(feats)[0]
-                    row[:, j] = reduce_scores(match_library(bin_mat, own_blocks[g, j], mode),
-                                              weights, mode)
+                        own_blocks[g, j] = library_block(feats)
+                    sims, _ = match_library(bin_mat, own_blocks[g, j], mode)
+                    row[:, j] = reduce_scores(sims, weights, mode)
         for table, row in zip(scores, rows):
             table.append(row)
     return bin_ids, [lib_id for lib_id, _ in union], [
@@ -353,7 +348,7 @@ def sweep(
     exported = purify_export(origin)
     purified = [purify_mi(exported, t2) for t2 in theta2_values]
     # purify_mi keeps nested sets, so the union is the largest of them
-    union = _union(exported, purified)
+    union = _union(max(purified, key=TplRepository.feature_count))
     groups = [(staged, [weights for weights, _, _ in weight_rows(staged, theta1_values)])
               for staged in purified]
     bin_ids, lib_ids, scores = _shared_scores(target_docs, manifest, origin.config, union,
@@ -458,7 +453,7 @@ def run_ablation(
             pass
         configs.append(staged)
     # every config keeps a subset of the origin, so the origin is the union
-    union = _union(origin, configs)
+    union = _union(origin)
     groups = [(staged, [np.ones(staged.feature_count()),
                         weight_rows(staged, (origin.config.theta1,))[0][0]])
               for staged in configs]
@@ -526,7 +521,6 @@ def _synth_function(
     name: str,
     *,
     is_export: bool,
-    section: str = ".text",
     blocks_range=(1, 5),
     instr_range=(3, 9),
     mnemonic_pool: Sequence[str] = None,
@@ -594,12 +588,10 @@ def _synth_function(
         if extra not in present:
             edges.append(extra)
             present.add(extra)
-    return FunctionRecord(name, section, is_export, blocks, edges)
+    return FunctionRecord(name, ".text", is_export, blocks, edges)
 
 
-def _synth_simple(
-    rng: random.Random, name: str, *, is_export: bool, section: str = ".text"
-) -> FunctionRecord:
+def _synth_simple(rng: random.Random, name: str, *, is_export: bool) -> FunctionRecord:
     """A 1-2 instruction stub: forwarding jump, bare return, or constant
     load.  These are the filter fodder."""
     kind = rng.randrange(3)
@@ -612,7 +604,7 @@ def _synth_simple(
             Instruction("mov", (rng.choice(_REGISTER_POOL), hex(rng.randrange(256)))),
             Instruction("ret", ()),
         ]
-    return FunctionRecord(name, section, is_export, [BasicBlock(0, instrs)], [])
+    return FunctionRecord(name, ".text", is_export, [BasicBlock(0, instrs)], [])
 
 
 def _linkage_stubs(rng: random.Random, prefix: str) -> list:

@@ -23,6 +23,7 @@ from libsift import (
     SweepCell,
     SweepGrid,
     SyntheticCorpusSpec,
+    TplRepository,
     ValidationError,
     build_origin,
     build_repository,
@@ -510,13 +511,21 @@ def _weight_row(repo):
     return [f.weight for feats in repo.libraries.values() for f in feats]
 
 
-def _grouped(target_docs, manifest, parent, cells, mode, theta3_values):
-    """_shared_scores over `cells`: (retained features of `parent`,
-    repositories weighting exactly those features) pairs, one per group."""
-    union = _union(parent, [staged for staged, _ in cells])
+def _superset(cells):
+    """The largest retained feature set of `cells`, which holds every
+    other one: purify_mi keeps nested sets, and every ablation config keeps
+    a subset of the origin."""
+    return max((staged for staged, _ in cells), key=TplRepository.feature_count)
+
+
+def _grouped(target_docs, manifest, cells, mode, theta3_values):
+    """_shared_scores over `cells`: (retained feature set, repositories
+    weighting exactly those features) pairs, one per group, laid over the
+    union of their superset."""
+    superset = _superset(cells)
     groups = [(staged, [_weight_row(repo) for repo in repos]) for staged, repos in cells]
-    return _shared_scores(target_docs, manifest, parent.config, union, groups, mode,
-                          theta3_values)
+    return _shared_scores(target_docs, manifest, superset.config, _union(superset), groups,
+                          mode, theta3_values)
 
 
 def _sweep_cells(exported, theta1_values, theta2_values):
@@ -546,10 +555,9 @@ def test_grouped_scores_equal_aggregate_bit_for_bit(mode, monkeypatch):
         # an infinite bound recomputes every score gathered from a larger
         # block on its group's own block: the exact path
         monkeypatch.setattr(evaluation, "DELTA", float("inf"))
-        bin_ids, lib_ids, exact = _grouped(target_docs, manifest, parent, cells, mode,
-                                           theta3_values)
+        bin_ids, lib_ids, exact = _grouped(target_docs, manifest, cells, mode, theta3_values)
         monkeypatch.undo()
-        *ids, shared = _grouped(target_docs, manifest, parent, cells, mode, theta3_values)
+        *ids, shared = _grouped(target_docs, manifest, cells, mode, theta3_values)
         assert ids == [bin_ids, lib_ids]
         assert bin_ids == list(embedded)
         assert lib_ids == sorted(lib_id for lib_id, feats in parent.libraries.items() if feats)
@@ -587,11 +595,11 @@ def test_grouped_scores_equal_the_reference_at_attained_scores(mode, corpus, dat
     sims, shares = exact_thresholds(exported)
     targets = {doc.binary_id: embed_target(doc, origin.config, vectors=read)
                for doc in target_docs}
-    for parent, cells in [
-            (exported, _sweep_cells(exported, data.draw(some(sims)), data.draw(some(shares)))),
-            (origin, [(staged, [staged, compute_weights(staged)])
-                      for staged in (_staged(origin, stages) for _, stages in ABLATION_CONFIGS)])]:
-        union = dict(_union(parent, [staged for staged, _ in cells]))
+    for cells in [
+            _sweep_cells(exported, data.draw(some(sims)), data.draw(some(shares))),
+            [(staged, [staged, compute_weights(staged)])
+             for staged in (_staged(origin, stages) for _, stages in ABLATION_CONFIGS)]]:
+        union = dict(_union(_superset(cells)))
         want = [[[[reference.aggregate(names, mat.tolist(), repo.libraries[lib_id], mode)[0]
                    if mat is not None and repo.libraries[lib_id] else -np.inf
                    for lib_id in union] for repo in repos] for names, mat in targets.values()]
@@ -606,19 +614,19 @@ def test_grouped_scores_equal_the_reference_at_attained_scores(mode, corpus, dat
             patch.setattr(evaluation, "embed_target", lambda doc, config: targets[doc.binary_id])
             patch.setattr(evaluation, "library_block",
                           lambda feats: built.append(feats) or library_block(feats))
-            _, lib_ids, got = _grouped(target_docs, manifest, parent, cells, mode,
+            _, lib_ids, got = _grouped(target_docs, manifest, cells, mode,
                                        data.draw(some(partial or [0.0])))
         assert lib_ids == list(union) and [table.tolist() for table in got] == want
         assert len(built) > len(union) or not partial  # the fallback built own blocks
 
 
-def _moved_true_pair(target_docs, manifest, parent, cells, mode, monkeypatch):
+def _moved_true_pair(target_docs, manifest, cells, mode, monkeypatch):
     """(exact, shared) score of a planted (target, library) pair whose
     score the shared match moves."""
     monkeypatch.setattr(evaluation, "DELTA", float("inf"))
-    bin_ids, lib_ids, exact = _grouped(target_docs, manifest, parent, cells, mode, (0.9,))
+    bin_ids, lib_ids, exact = _grouped(target_docs, manifest, cells, mode, (0.9,))
     monkeypatch.setattr(evaluation, "DELTA", -1.0)
-    _, _, shared = _grouped(target_docs, manifest, parent, cells, mode, (0.9,))
+    _, _, shared = _grouped(target_docs, manifest, cells, mode, (0.9,))
     monkeypatch.undo()
     for e, s in zip(exact, shared):
         for t, k, j in zip(*np.nonzero(np.isfinite(e) & (e != s))):
@@ -632,7 +640,7 @@ def test_sweep_certificate_keeps_a_decision_the_shared_match_would_flip(monkeypa
     theta1_values, theta2_values = (0.75, 0.9), DEFAULT_THETA2_GRID
     exported = purify_export(build_origin(tpl_docs, dim=128))
     cells = _sweep_cells(exported, theta1_values, theta2_values)
-    exact, shared = _moved_true_pair(target_docs, manifest, exported, cells,
+    exact, shared = _moved_true_pair(target_docs, manifest, cells,
                                      AGG_WEIGHTED_MEAN, monkeypatch)
     # at this theta3 the exact and the shared score decide differently
     theta3 = max(exact, shared)
@@ -675,7 +683,8 @@ def test_sweep_matches_once_per_target_and_union_library(monkeypatch):
     tpl_docs, target_docs, manifest = _emptying_corpus()
     theta2_values = (0.1, 0.3, 0.6)
     exported = purify_export(build_origin(tpl_docs, dim=128))
-    union = _union(exported, [purify_mi(exported, t2) for t2 in theta2_values])
+    # the widest theta2 keeps every feature a narrower one does
+    union = _union(purify_mi(exported, max(theta2_values)))
     nonempty_targets = sum(embed_target(doc, exported.config)[1] is not None
                            for doc in target_docs)
     best, thetas = _best_matches(monkeypatch), []
