@@ -63,13 +63,15 @@ def theta_counts(vectors, lib_ids, n_libs, thetas):
     out = [(np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)) for _ in thetas]
     if not count or not thetas:
         return out
-    bounds = np.searchsorted(lib_ids, np.arange(int(n_libs)))
+    edges = np.searchsorted(lib_ids, np.arange(int(n_libs) + 1)).tolist()
     vt = vectors.T
+    # one block of products at a time, each written over the last
+    buf = np.empty((min(_BLOCK, count), count), dtype=np.float64)
     for start in range(0, count, _BLOCK):
         stop = min(start + _BLOCK, count)
-        sims = vectors[start:stop] @ vt
+        sims = np.matmul(vectors[start:stop], vt, out=buf[:stop - start])
         for theta, (n, df) in zip(thetas, out):
-            fallback.count_block(sims, lib_ids, bounds, start, theta, n, df)
+            fallback.count_block(sims, lib_ids, edges, start, theta, n, df)
     return out
 
 

@@ -9,19 +9,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def count_block(sims, lib_ids, bounds, row_start, theta, n_out, df_out):
+def count_block(sims, lib_ids, edges, row_start, theta, n_out, df_out):
     """Fold one block of similarity rows into same-library hit counts and
     cross-library document frequencies.
 
-    `bounds` holds the reduceat segment starts, one per library; valid
-    because theta_counts guarantees every library is populated.
+    Library k holds the columns edges[k]:edges[k + 1].
     """
     rows = sims.shape[0]
     rr = np.arange(rows)
     span = np.arange(row_start, row_start + rows)
     hits = sims >= theta
     hits[rr, span] = False  # self excluded
-    per_lib = np.add.reduceat(hits.astype(np.int64), bounds, axis=1)
+    per_lib = np.stack([np.count_nonzero(hits[:, lo:hi], axis=1)
+                        for lo, hi in zip(edges, edges[1:])], axis=1)
     own = lib_ids[span]
     n_out[span] += per_lib[rr, own]
     matched = per_lib > 0

@@ -1,10 +1,11 @@
 """Function vectorization.
 
-Instruction streams are normalized into class-tagged tokens, then hashed
-into fixed-dimension vectors by signed feature hashing of unigrams and
-adjacent bigrams.  The built-in embedder is deterministic and
-dependency-free; vectors from a real similarity model can be imported
-instead, as long as the dimension matches the repository.
+Instruction streams are normalized into tokens, each its interned
+"KIND:text" hashing key, then hashed into fixed-dimension vectors by
+signed feature hashing of unigrams and adjacent bigrams.  The built-in
+embedder is deterministic and dependency-free; vectors from a real
+similarity model can be imported instead, as long as the dimension
+matches the repository.
 
 `function_vectors` is the one way a document's functions become vectors,
 for library builds and targets alike (a library build defers the built-in
@@ -20,10 +21,8 @@ import math
 import re
 import struct
 import sys
-from dataclasses import dataclass, field
 from hashlib import blake2b
 from itertools import islice
-from operator import attrgetter
 from typing import Callable, Iterable
 
 import numpy as np
@@ -49,16 +48,10 @@ EXTFUNC = "EXTFUNC"
 _ABSTRACT_KINDS = frozenset({IMM, MEM, NEARFUNC, EXTFUNC})
 
 
-@dataclass(frozen=True)
-class NormalizedToken:
-    text: str
-    kind: str
-    # "KIND:text", the token's unigram hashing key
-    key: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # interned, so every slot-cache key built from it shares one string
-        object.__setattr__(self, "key", sys.intern(self.kind + ":" + self.text))
+def _token(kind: str, text: str) -> str:
+    """A token: its "KIND:text" unigram hashing key, interned so that every
+    slot-cache key built from it shares one string."""
+    return sys.intern(kind + ":" + text)
 
 
 def _register_names():
@@ -85,22 +78,22 @@ def _is_branch(mnemonic: str) -> bool:
     return mnemonic in _BRANCH_EXTRA or mnemonic.startswith("j")
 
 
-def _classify(operand: str, is_branch: bool, local_names) -> NormalizedToken:
+def _classify(operand: str, is_branch: bool, local_names) -> str:
     if operand in REGISTERS:
-        return NormalizedToken(operand, REG)
+        return _token(REG, operand)
     if operand in _ABSTRACT_KINDS:
         # already-abstracted input (synthetic corpora, preprocessed exports)
-        return NormalizedToken(operand, operand)
+        return _token(operand, operand)
     if _IMM_RE.match(operand):
-        return NormalizedToken(IMM, IMM)
+        return _token(IMM, IMM)
     if "[" in operand:
-        return NormalizedToken(MEM, MEM)
+        return _token(MEM, MEM)
     if is_branch:
         if operand in local_names:
-            return NormalizedToken(NEARFUNC, NEARFUNC)
-        return NormalizedToken(EXTFUNC, EXTFUNC)
+            return _token(NEARFUNC, NEARFUNC)
+        return _token(EXTFUNC, EXTFUNC)
     # bare symbol on a data instruction: treat as a memory reference
-    return NormalizedToken(MEM, MEM)
+    return _token(MEM, MEM)
 
 
 class _Tokenizer:
@@ -121,7 +114,7 @@ class _Tokenizer:
 
     def _mnemonic(self, mnemonic):
         branch = _is_branch(mnemonic)
-        entry = (NormalizedToken(mnemonic, MNEMONIC),
+        entry = (_token(MNEMONIC, mnemonic),
                  self.branch_operands if branch else self.data_operands, branch)
         self.mnemonics[mnemonic] = entry
         return entry
@@ -144,9 +137,10 @@ class _Tokenizer:
 
 
 def normalize(record: FunctionRecord, local_names=frozenset()) -> list:
-    """Tokenize one function: mnemonics and registers verbatim, everything
-    else abstracted to its class.  Blocks are concatenated in ascending id
-    order, so block relabeling cannot change the stream.
+    """Tokenize one function into "KIND:text" keys: mnemonics and registers
+    verbatim, everything else abstracted to its class.  Blocks are
+    concatenated in ascending id order, so block relabeling cannot change
+    the stream.
     """
     return _Tokenizer(local_names).tokens(record)
 
@@ -158,9 +152,6 @@ def normalize_document(doc: BinaryDocument, local_names=None) -> dict:
         local_names = frozenset(fn.name for fn in doc.functions)
     tokenizer = _Tokenizer(local_names)
     return {fn.name: tokenizer.tokens(fn) for fn in doc.functions}
-
-
-_token_key = attrgetter("key")
 
 
 class HashedNgramEmbedder:
@@ -200,28 +191,26 @@ class HashedNgramEmbedder:
         slot = (value >> 1) % self.dim + 1
         return slot if value & 1 else -slot
 
-    def _signed_slots(self, keys: list) -> list:
+    def _signed_slots(self, tokens) -> list:
         """Signed slots of the unigrams, then the adjacent bigrams, of
-        `keys`, hashing only keys the slot cache has not seen."""
+        `tokens`, hashing once each n-gram the slot cache has not seen."""
         slots = self._slots
-        unigrams = list(map(slots.get, keys))
-        if None in unigrams:
-            for i, key in enumerate(keys):
-                if unigrams[i] is None:
-                    unigrams[i] = slots[key] = self._hash(key)
-        bigrams = list(map(slots.get, zip(keys, islice(keys, 1, None))))
-        if None in bigrams:
-            for i, pair in enumerate(zip(keys, islice(keys, 1, None))):
-                if bigrams[i] is None:
-                    bigrams[i] = slots[pair] = self._hash(pair[0] + "\x1f" + pair[1])
-        return unigrams + bigrams
+        ngrams = [*tokens, *zip(tokens, islice(tokens, 1, None))]
+        signed = list(map(slots.get, ngrams))
+        if None in signed:
+            for i, ngram in enumerate(ngrams):
+                if signed[i] is None:
+                    if ngram not in slots:  # else missed earlier in this stream
+                        slots[ngram] = self._hash(
+                            ngram if isinstance(ngram, str) else "\x1f".join(ngram))
+                    signed[i] = slots[ngram]
+        return signed
 
     def embed_tokens(self, tokens) -> np.ndarray:
-        """L2-normalized vector for one token stream."""
+        """L2-normalized vector for one token stream, a sequence of keys."""
         if not tokens:
             raise EmbeddingError("cannot embed an empty token stream")
-        keys = list(map(_token_key, tokens))
-        signed = np.array(self._signed_slots(keys))
+        signed = np.array(self._signed_slots(tokens))
         # each n-gram adds +1 or -1 to its slot; sums of small integers are
         # exact in float64, so the order of accumulation cannot matter
         vec = np.bincount(np.abs(signed) - 1, weights=np.sign(signed), minlength=self.dim)

@@ -15,10 +15,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import _gc
 from .detector import (
     AGG_MATCH_SUM,
     AGG_WEIGHTED_MEAN,
@@ -535,7 +537,8 @@ def _synth_function(
     regs = rng.sample(_REGISTER_POOL, rng.randint(3, 5))
     mnems = rng.sample(pool, min(len(pool), rng.randint(8, 16)))
     jccs = rng.sample(_JCC_POOL, 2)
-    shape_weights = [rng.randint(1, 6) for _ in range(5)]
+    # cumulative, so each draw bisects without re-accumulating the weights
+    shape_cum_weights = list(accumulate(rng.randint(1, 6) for _ in range(5)))
 
     def make_instr() -> Instruction:
         r = rng.random()
@@ -545,7 +548,7 @@ def _synth_function(
             m = "mov"
         else:
             m = "cmp"
-        shape = rng.choices(range(5), weights=shape_weights)[0]
+        shape = rng.choices(range(5), cum_weights=shape_cum_weights)[0]
         a = rng.choice(regs)
         if shape == 0:
             ops = (a, rng.choice(regs))
@@ -695,9 +698,10 @@ def _api_first(functions: Sequence[FunctionRecord]) -> list:
     return [t[3] for t in keyed]
 
 
+@_gc.paused()
 def generate_corpus(spec: SyntheticCorpusSpec):
     """(tpl documents, target documents, manifest), fully determined by the
-    spec's seed.
+    spec's seed.  Cyclic GC is paused while the documents are built.
 
     Every planted (binary, library) pair receives at least
     ceil(fraction * |library|) verbatim function copies, taken API-first.

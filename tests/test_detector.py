@@ -224,6 +224,23 @@ def test_reduce_scores_gives_each_weight_row_its_own_bits(mode):
             math.copysign(1.0, x) for x in want]
 
 
+@pytest.mark.parametrize("mode", [AGG_WEIGHTED_MEAN, AGG_MATCH_SUM])
+def test_reduce_scores_sums_left_to_right(mode):
+    # a += loop from 0.0 stays at 1.0, as each 1e-16 is under half an ulp
+    # of 1.0; pairwise summation (ndarray.sum) adds the 1e-16s to each
+    # other first and ends above 1.0.  Unit weights make the weighted
+    # mean's terms the cosines and its weight total exactly 16.0
+    terms = np.array([1.0] + [1e-16] * 15)
+    sims = terms if mode == AGG_WEIGHTED_MEAN else np.stack([terms, terms / 2, -terms], axis=1)
+    weights = np.ones(sims.shape[-1])
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    assert total == 1.0 and float(terms.sum()) != total
+    want = total if mode == AGG_MATCH_SUM else total / 16.0
+    assert detector.reduce_scores(sims, weights[None, :], mode).tolist() == [want]
+
+
 # ---------------------------------------------------------------------------
 # end-to-end detection
 

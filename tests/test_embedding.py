@@ -8,12 +8,6 @@ import numpy as np
 import pytest
 
 from libsift.embedding import (
-    EXTFUNC,
-    IMM,
-    MEM,
-    MNEMONIC,
-    NEARFUNC,
-    REG,
     HashedNgramEmbedder,
     batched_similarity,
     cosine,
@@ -41,17 +35,14 @@ def _fn(name, rows, edges=None, section=".text"):
 
 def test_registers_kept_verbatim_immediates_abstracted():
     toks = normalize(_fn("f", [["mov", "rax", "0x10"], ["add", "ecx", "-42"]]))
-    assert [(t.kind, t.text) for t in toks] == [
-        (MNEMONIC, "mov"), (REG, "rax"), (IMM, IMM),
-        (MNEMONIC, "add"), (REG, "ecx"), (IMM, IMM),
-    ]
+    assert toks == ["MNEMONIC:mov", "REG:rax", "IMM:IMM", "MNEMONIC:add", "REG:ecx", "IMM:IMM"]
 
 
 def test_memory_operands_collapse_to_one_class():
     a = normalize(_fn("f", [["mov", "rax", "[rbp-0x8]"]]))
     b = normalize(_fn("f", [["mov", "rax", "qword ptr [rsp+rdi*4]"]]))
     assert a == b
-    assert a[2].kind == MEM
+    assert a[2] == "MEM:MEM"
 
 
 def test_call_targets_split_by_locality():
@@ -60,18 +51,18 @@ def test_call_targets_split_by_locality():
         _fn("f", [["call", "helper"], ["call", "memcpy"], ["ret"]]),
     ])
     streams = normalize_document(doc)
-    kinds = [t.kind for t in streams["f"]]
-    assert kinds == [MNEMONIC, NEARFUNC, MNEMONIC, EXTFUNC, MNEMONIC]
+    assert streams["f"] == ["MNEMONIC:call", "NEARFUNC:NEARFUNC", "MNEMONIC:call",
+                            "EXTFUNC:EXTFUNC", "MNEMONIC:ret"]
 
 
 def test_conditional_jumps_are_branches():
     toks = normalize(_fn("f", [["jne", "loc_40"], ["loop", "loc_41"]]))
-    assert [t.kind for t in toks] == [MNEMONIC, EXTFUNC, MNEMONIC, EXTFUNC]
+    assert toks == ["MNEMONIC:jne", "EXTFUNC:EXTFUNC", "MNEMONIC:loop", "EXTFUNC:EXTFUNC"]
 
 
 def test_bare_symbol_on_data_instruction_is_memory():
     toks = normalize(_fn("f", [["lea", "rax", "some_table"]]))
-    assert toks[2].kind == MEM
+    assert toks[2] == "MEM:MEM"
 
 
 def test_block_id_order_defines_stream():

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -175,6 +176,20 @@ def test_generate_corpus_is_deterministic():
     assert man_a == man_b
     for a, b in zip(tpl_a + tgt_a, tpl_b + tgt_b):
         assert serialize_document(a) == serialize_document(b)
+
+
+def test_generate_corpus_runs_with_gc_paused(monkeypatch):
+    seen = []
+    real = evaluation._synth_function
+
+    def synth(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_synth_function", synth)
+    generate_corpus(_mini_spec())
+    assert seen and not any(seen)
+    assert gc.isenabled()
 
 
 def test_generate_corpus_shapes():

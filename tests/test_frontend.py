@@ -187,7 +187,7 @@ def test_front_end_matches_reference(doc, dim, seed):
         assert list(streams) == [fn.name for fn in source.functions]
         for fn in source.functions:
             tokens = streams[fn.name]
-            assert [(t.text, t.kind) for t in tokens] == _ref_normalize(fn, local)
+            assert tokens == ["%s:%s" % (kind, text) for text, kind in _ref_normalize(fn, local)]
             assert normalize(fn, local) == tokens
         names, mat = HashedNgramEmbedder(dim, seed).embed_document(source)
         assert names == [fn.name for fn in source.functions]
@@ -198,12 +198,10 @@ def test_front_end_matches_reference(doc, dim, seed):
             assert single.tobytes() == row.tobytes()
 
 
-def test_tokens_carry_their_key_and_compare_without_it():
-    tokens = normalize_document(_FIXED)["f1"]
-    assert [t.key for t in tokens] == ["%s:%s" % (t.kind, t.text) for t in tokens]
+def test_tokens_are_interned_keys():
     a, b = normalize(_fn("f", [["mov", "rax", "0x10"]])), normalize(_fn("g", [["mov", "rax", "7"]]))
-    assert a == b
-    assert a[0] is not b[0] and a[0].key == b[0].key == "MNEMONIC:mov"
+    assert a == ["MNEMONIC:mov", "REG:rax", "IMM:IMM"]
+    assert all(x is y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +245,13 @@ def test_bad_instruction_error_is_the_same_with_a_warm_memo(case):
         assert str(info.value) == "line %d: %s" % (line, message)
 
 
-def test_instructions_and_tokens_are_shared_within_one_document_only():
+def test_instructions_are_shared_within_one_document_only():
     data = serialize_document(_FIXED)
     doc, again = parse_document(data), parse_document(data)
     movs = [ins for fn in doc.functions for b in fn.blocks for ins in b.instructions
             if ins == Instruction("mov", ("rax", "0x10"))]
     assert len(movs) == 3 and all(ins is movs[0] for ins in movs)
     assert again.functions[0].blocks[0].instructions[1] is not movs[0]
-    tokens, tokens_again = normalize_document(doc)["f0"], normalize_document(doc)["f0"]
-    assert tokens == tokens_again and tokens[0] is not tokens_again[0]
 
 
 def test_empty_mnemonic_is_a_validation_error_after_parse_errors_of_its_line():
@@ -363,7 +359,22 @@ def test_slot_cache_holds_one_entry_per_distinct_ngram():
     embedder.embed_document(_FIXED)
     keys = set()
     for tokens in streams.values():
-        k = ["%s:%s" % (t.kind, t.text) for t in tokens]
-        keys.update(k)
-        keys.update(zip(k, k[1:]))
+        keys.update(tokens)
+        keys.update(zip(tokens, tokens[1:]))
     assert set(embedder._slots) == keys
+
+
+def test_cold_cache_hashes_each_distinct_ngram_once(monkeypatch):
+    # f repeats "push rbp": 6 unigrams and 5 bigrams, of which 4 are distinct;
+    # g adds MNEMONIC:ret and the bigram (REG:rbp, MNEMONIC:ret)
+    doc = BinaryDocument("rep", "tpl", [_fn("f", [["push", "rbp"]] * 3),
+                                        _fn("g", [["push", "rbp"], ["ret"]])])
+    embedder = HashedNgramEmbedder(41, 8311)
+    embedder._slots.clear()
+    hashed = []
+    real = HashedNgramEmbedder._hash
+    monkeypatch.setattr(HashedNgramEmbedder, "_hash",
+                        lambda self, text: hashed.append(text) or real(self, text))
+    _, mat = embedder.embed_document(doc)
+    assert len(hashed) == len(set(hashed)) == len(embedder._slots) == 6
+    assert mat.tobytes() == _ref_embed_document(doc, 41, 8311).tobytes()

@@ -107,12 +107,15 @@ def test_theta_counts_extremes():
 
 
 def test_theta_counts_spans_block_boundary():
-    # more rows than the internal block so the seam is exercised
+    # more than two internal blocks, the last one partial; the checked rows
+    # take both sides of every seam, the last row and a random sample
     rng = np.random.default_rng(4)
-    count = 1200
+    block = _kernels._BLOCK
+    count = 2 * block + 176
     vecs = _unit(rng, count, 8)
     ids = _lib_ids(rng, count, 6)
-    _check_counts(vecs, ids, 6, [0.9, 0.5, 0.95], rng.integers(0, count, 25))
+    rows = [0, block - 1, block, 2 * block - 1, 2 * block, count - 1]
+    _check_counts(vecs, ids, 6, [0.9, 0.5, 0.95], rows + rng.integers(0, count, 25).tolist())
 
 
 def test_theta_counts_validates_lib_ids():
