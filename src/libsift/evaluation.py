@@ -155,17 +155,6 @@ DELTA = 1e-9
 _DELTA_TERMS = 4e6
 
 
-def _union(repo: TplRepository) -> list:
-    """[(library id, features)] over the non-empty libraries of `repo`, in
-    id order: the repository whose features hold every set scored with
-    it.  Their vectors are read here, one embed call per library, so
-    weighting any subset of them embeds nothing more."""
-    union = [(lib_id, repo.libraries[lib_id]) for lib_id in sorted(repo.libraries)
-             if repo.libraries[lib_id]]
-    feature_vectors(f for _, feats in union for f in feats)
-    return union
-
-
 @dataclass
 class _Group:
     """One retained feature set with its weightings, laid over the union:
@@ -180,21 +169,20 @@ class _Group:
     max_weights: np.ndarray
 
 
-def _lay_out(union, repo: TplRepository, rows) -> _Group:
-    """`repo`, a subset of the union's features, with `rows`: one
-    `weight_rows` array per weighting over its non-empty libraries."""
+def _lay_out(union, columns, repo: TplRepository, rows) -> _Group:
+    """`repo`, a subset of the union's features (`columns`: id -> column, per
+    union library), with one `weight_rows` array per weighting in `rows`."""
     rows = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
     offsets, pos = {}, 0
     for lib_id, feats in repo.libraries.items():
         offsets[lib_id] = pos
         pos += len(feats)
     entries = []
-    for lib_id, union_feats in union:
+    for (lib_id, _), column in zip(union, columns):
         feats = repo.libraries.get(lib_id)
         if not feats:
             entries.append(None)
             continue
-        column = {id(f): j for j, f in enumerate(union_feats)}
         cols = np.array([column[id(f)] for f in feats], dtype=np.int64)
         start = offsets[lib_id]
         entries.append((cols, rows[:, start:start + len(feats)], feats))
@@ -220,25 +208,30 @@ def _slack(group: _Group, mode, rows: int, dim: int) -> np.ndarray:
     return slack
 
 
-def _shared_scores(target_docs, manifest, config: RepoConfig, union, groups, mode,
-                   theta3_values) -> tuple:
-    """(binary ids, library ids, scores): scores[g] is a (targets x
-    weightings x libraries) array of aggregate scores under each weighting
-    of group g, over the union's libraries; -inf where detect could decide
-    nothing (an emptied library, an empty target).
+def _shared_scores(target_docs, manifest, sets, weightings, mode, theta3_values) -> tuple:
+    """(binary ids, library ids, scores): scores[s] is a (targets x
+    weightings x libraries) array of aggregate scores of `sets[s]` under
+    each row of `weightings(sets[s])`, over the union's libraries; -inf
+    where detect could decide nothing (an emptied library, an empty target).
 
-    `union` is `_union`'s, and `groups` holds (repository, weight rows)
-    pairs over subsets of it; the union's blocks are built here, after
-    the weighting, so the two never hold memory at once.  Targets are taken one document at a time:
-    each is embedded and normalized once, matched once per union library,
-    and each group's columns are gathered from that match and re-weighted
-    at once.  Every gathered score within its DELTA bound of a value in
-    `theta3_values` is then recomputed on its group's own block, built on
-    first need and kept for the run, so every decision at those
-    thresholds is the own block's.  Every target must be in the manifest,
-    once.
+    The union is the largest set, which holds every other one.  Its
+    non-empty libraries, in id order, are read before any set is weighted,
+    one embed call per library; its column index and blocks are built
+    after the weighting, so they never hold memory at once.  Targets are
+    streamed: each is embedded once with the sets' shared config, matched
+    once per union library, and each set's columns are gathered from that
+    match and re-weighted.  A gathered score within its DELTA bound of a
+    value in `theta3_values` is recomputed on its set's own block, built on
+    first need and kept for the run, so every decision at those thresholds
+    is the own block's.  Every target must be in the manifest, once.
     """
-    laid_out = [_lay_out(union, repo, rows) for repo, rows in groups]
+    largest = max(sets, key=TplRepository.feature_count)
+    union = [(lib_id, feats) for lib_id, feats in sorted(largest.libraries.items()) if feats]
+    feature_vectors(f for _, feats in union for f in feats)
+    weights = [weightings(repo) for repo in sets]
+    columns = [{id(f): j for j, f in enumerate(feats)} for _, feats in union]
+    laid_out = [_lay_out(union, columns, repo, rows) for repo, rows in zip(sets, weights)]
+    del columns, weights
     blocks = [library_block(feats) for _, feats in union]
     thresholds = np.array(theta3_values, dtype=np.float64)
     own_blocks = {}
@@ -249,7 +242,7 @@ def _shared_scores(target_docs, manifest, config: RepoConfig, union, groups, mod
             raise ValidationError("target %r missing from manifest" % bin_id)
         bin_ids.append(bin_id)
         rows = [np.full((group.weightings, len(union)), -np.inf) for group in laid_out]
-        _, mat = embed_target(doc, config)
+        _, mat = embed_target(doc, largest.config)
         if mat is not None:
             bin_mat = unit_rows(mat)
             for j, block in enumerate(blocks):
@@ -273,6 +266,15 @@ def _shared_scores(target_docs, manifest, config: RepoConfig, union, groups, mod
         np.array(table).reshape(len(bin_ids), group.weightings, len(union))
         for table, group in zip(scores, laid_out)
     ]
+
+
+def _evaluate(target_docs, manifest, sets, weightings, mode, theta3_values) -> list:
+    """[set][weighting][theta3] EvalResults counted on `_shared_scores`'s tables."""
+    bin_ids, lib_ids, scores = _shared_scores(target_docs, manifest, sets, weightings, mode,
+                                              theta3_values)
+    return [[list(map(metrics_from_counts, _confusions(
+                bin_ids, lib_ids, (weighted >= t3 for t3 in theta3_values), manifest)))
+             for weighted in table.transpose(1, 0, 2)] for table in scores]
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +334,14 @@ def sweep(
 
     theta2 alone fixes the retained features: the complexity filter runs
     once per theta2, and one pass of similarity products per theta2
-    weights it for every theta1.  The theta2 groups are nested, so each
-    library is embedded once, before any weighting, and each target is
-    embedded once, matched once per library against the largest group and
-    re-weighted per (theta2, theta1) from that match; a score too close to
-    a theta3 to trust that shared match is recomputed on its group's own
-    block (see DELTA).  theta3 only re-thresholds the scores.  Every grid
-    value is checked before the first document is read.
+    weights it for every theta1.  The theta2 sets are nested, so
+    `_shared_scores` takes the largest as the union: each library is
+    embedded once, before any weighting, and each target is embedded
+    once, matched once per library against the union and re-weighted per
+    (theta2, theta1) from that match; a score too close to a theta3 to
+    trust that shared match is recomputed on its set's own block (see
+    DELTA).  theta3 only re-thresholds the scores.  Every grid value is
+    checked before the first document is read.
     """
     if not theta1_values or not theta2_values or not theta3_values:
         raise ConfigError("sweep grids must be non-empty")
@@ -348,29 +351,18 @@ def sweep(
             RepoConfig(theta1=t1, theta2=t2, dim=dim, seed=seed)
     origin = build_origin(tpl_docs, dim=dim, seed=seed)
     exported = purify_export(origin)
+    # purify_mi keeps nested sets, so the largest holds every other one
     purified = [purify_mi(exported, t2) for t2 in theta2_values]
-    # purify_mi keeps nested sets, so the union is the largest of them
-    union = _union(max(purified, key=TplRepository.feature_count))
-    groups = [(staged, [weights for weights, _, _ in weight_rows(staged, theta1_values)])
-              for staged in purified]
-    bin_ids, lib_ids, scores = _shared_scores(target_docs, manifest, origin.config, union,
-                                              groups, mode, theta3_values)
-
-    cells = []
-    for i1, t1 in enumerate(theta1_values):
-        for i2, t2 in enumerate(theta2_values):
-            table = scores[i2][:, i1]
-            counts = _confusions(bin_ids, lib_ids, (table >= t3 for t3 in theta3_values),
-                                 manifest)
-            for t3, count in zip(theta3_values, counts):
-                result = metrics_from_counts(count)
-                cells.append(
-                    SweepCell(
-                        float(t1), float(t2), float(t3), purified[i2].stats[-1].leave_percent,
-                        result.precision, result.recall, result.f1,
-                    )
-                )
-    return SweepGrid(cells)
+    results = _evaluate(target_docs, manifest, purified,
+                        lambda staged: [w for w, _, _ in weight_rows(staged, theta1_values)],
+                        mode, theta3_values)
+    return SweepGrid([
+        SweepCell(float(t1), float(t2), float(t3), staged.stats[-1].leave_percent,
+                  result.precision, result.recall, result.f1)
+        for i1, t1 in enumerate(theta1_values)
+        for t2, staged, by_theta1 in zip(theta2_values, purified, results)
+        for t3, result in zip(theta3_values, by_theta1[i1])
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +435,10 @@ def run_ablation(
     """Eight rows: four purification configs, each with weights off (all
     1.0) and on, at fixed thresholds; every stage reads theta1 and theta2
     from the origin's config.  Every config keeps a subset of the origin,
-    so each target is matched once per library against the origin and
-    each config's columns are gathered and re-weighted for weights off
-    and on, as `sweep` does."""
+    so `_shared_scores` takes the origin as the union, as `sweep` takes
+    its largest theta2 set: each target is matched once per library
+    against the origin, and each config's columns are gathered and
+    re-weighted for weights off and on."""
     check_scoring(mode, theta3)
     origin = build_origin(tpl_docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed)
     configs = []
@@ -454,32 +447,24 @@ def run_ablation(
         for _, staged in stage_steps(origin, stages):
             pass
         configs.append(staged)
-    # every config keeps a subset of the origin, so the origin is the union
-    union = _union(origin)
-    groups = [(staged, [np.ones(staged.feature_count()),
-                        weight_rows(staged, (origin.config.theta1,))[0][0]])
-              for staged in configs]
-    bin_ids, lib_ids, scores = _shared_scores(target_docs, manifest, origin.config, union,
-                                              groups, mode, (theta3,))
-
-    rows = []
-    for (label, _), staged, table in zip(ABLATION_CONFIGS, configs, scores):
-        for weights_on in (False, True):
-            count, = _confusions(bin_ids, lib_ids, [table[:, int(weights_on)] >= theta3],
-                                 manifest)
-            result = metrics_from_counts(count)
-            rows.append(
-                AblationRow(
-                    config=label,
-                    weights=weights_on,
-                    func_count=staged.feature_count(),
-                    leave_percent=staged.stats[-1].leave_percent,
-                    precision=result.precision,
-                    recall=result.recall,
-                    f1=result.f1,
-                )
-            )
-    return AblationTable(rows)
+    # every config keeps a subset of the origin, the largest of them
+    results = _evaluate(target_docs, manifest, configs,
+                        lambda staged: [np.ones(staged.feature_count()),
+                                        weight_rows(staged, (origin.config.theta1,))[0][0]],
+                        mode, (theta3,))
+    return AblationTable([
+        AblationRow(
+            config=label,
+            weights=weights_on,
+            func_count=staged.feature_count(),
+            leave_percent=staged.stats[-1].leave_percent,
+            precision=result.precision,
+            recall=result.recall,
+            f1=result.f1,
+        )
+        for (label, _), staged, by_weighting in zip(ABLATION_CONFIGS, configs, results)
+        for weights_on, (result,) in zip((False, True), by_weighting)
+    ])
 
 
 # ---------------------------------------------------------------------------

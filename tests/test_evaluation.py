@@ -53,7 +53,6 @@ from libsift.evaluation import (
     DEFAULT_THETA3_GRID,
     _confusions,
     _shared_scores,
-    _union,
 )
 from libsift.repository import stage_steps
 
@@ -359,15 +358,6 @@ def test_sweep_finds_working_thresholds():
     assert streamed.to_csv_bytes() == grid.to_csv_bytes()
 
 
-def test_sweep_embeds_each_library_once(monkeypatch):
-    tpl_docs, target_docs, manifest = generate_corpus(_mini_spec(functions_per_library=20))
-    calls = embed_calls(monkeypatch)
-    sweep(tpl_docs, target_docs, manifest, dim=64, theta1_values=(0.8, 0.9),
-          theta3_values=(0.8,))
-    libraries = [doc.binary_id for doc in calls if doc.kind == "tpl"]
-    assert len(libraries) == len(set(libraries)) <= len(tpl_docs)
-
-
 def test_sweep_validates_inputs():
     tpl_docs, target_docs, manifest = generate_corpus(_mini_spec())
     with pytest.raises(ConfigError, match="non-empty"):
@@ -526,6 +516,13 @@ def _weight_row(repo):
     return [f.weight for feats in repo.libraries.values() for f in feats]
 
 
+def _union(repo):
+    """{library id: features} over the non-empty libraries of `repo`, in
+    id order: the libraries that _shared_scores scores with `repo` as its
+    union."""
+    return {lib_id: feats for lib_id, feats in sorted(repo.libraries.items()) if feats}
+
+
 def _superset(cells):
     """The largest retained feature set of `cells`, which holds every
     other one: purify_mi keeps nested sets, and every ablation config keeps
@@ -535,12 +532,10 @@ def _superset(cells):
 
 def _grouped(target_docs, manifest, cells, mode, theta3_values):
     """_shared_scores over `cells`: (retained feature set, repositories
-    weighting exactly those features) pairs, one per group, laid over the
-    union of their superset."""
-    superset = _superset(cells)
-    groups = [(staged, [_weight_row(repo) for repo in repos]) for staged, repos in cells]
-    return _shared_scores(target_docs, manifest, superset.config, _union(superset), groups,
-                          mode, theta3_values)
+    weighting exactly those features) pairs, one per set."""
+    rows = {id(staged): [_weight_row(repo) for repo in repos] for staged, repos in cells}
+    return _shared_scores(target_docs, manifest, [staged for staged, _ in cells],
+                          lambda staged: rows[id(staged)], mode, theta3_values)
 
 
 def _sweep_cells(exported, theta1_values, theta2_values):
@@ -614,7 +609,7 @@ def test_grouped_scores_equal_the_reference_at_attained_scores(mode, corpus, dat
             _sweep_cells(exported, data.draw(some(sims)), data.draw(some(shares))),
             [(staged, [staged, compute_weights(staged)])
              for staged in (_staged(origin, stages) for _, stages in ABLATION_CONFIGS)]]:
-        union = dict(_union(_superset(cells)))
+        union = _union(_superset(cells))
         want = [[[[reference.aggregate(names, mat.tolist(), repo.libraries[lib_id], mode)[0]
                    if mat is not None and repo.libraries[lib_id] else -np.inf
                    for lib_id in union] for repo in repos] for names, mat in targets.values()]
@@ -710,7 +705,7 @@ def test_sweep_matches_once_per_target_and_union_library(monkeypatch):
     sweep(tpl_docs, target_docs, manifest, dim=128, theta1_values=(0.75, 0.8, 0.9),
           theta2_values=theta2_values, theta3_values=(-1.0,))
     assert len(union) == 3  # libpriv keeps nothing
-    assert best == [len(feats) for _ in range(nonempty_targets) for _, feats in union]
+    assert best == [len(feats) for _ in range(nonempty_targets) for feats in union.values()]
     assert thetas == [(0.75, 0.8, 0.9)] * len(theta2_values)
 
 
@@ -723,6 +718,44 @@ def test_ablation_matches_once_per_target_and_origin_library(monkeypatch):
     run_ablation(tpl_docs, target_docs, manifest, dim=128, theta3=-1.0)
     sizes = [len(origin.libraries[lib_id]) for lib_id in sorted(origin.libraries)]
     assert best == sizes * nonempty_targets
+
+
+@pytest.mark.parametrize("run", [sweep, run_ablation])
+def test_evaluation_embeds_each_union_library_and_target_once(run, monkeypatch):
+    tpl_docs, target_docs, manifest = generate_corpus(_mini_spec(
+        library_count=4,
+        planted_reuse={"bin%03d" % i: (["lib%03d" % i], 1.0) for i in range(4)}))
+    origin = build_origin(tpl_docs, dim=64)
+    # the sweep's union is its widest theta2 set, the ablation's the origin
+    union = _union(origin if run is run_ablation
+                   else purify_mi(purify_export(origin), max(DEFAULT_THETA2_GRID)))
+    assert len(union) == len(target_docs) == 4
+    calls = embed_calls(monkeypatch)
+    run(tpl_docs, target_docs, manifest, dim=64)
+    # weighting a nested theta2 set before the union is read would embed
+    # each increment of it with its own call per library
+    assert sorted(doc.binary_id for doc in calls if doc.kind == "tpl") == list(union)
+    assert [doc.binary_id for doc in calls if doc.kind == "target"] == [
+        doc.binary_id for doc in target_docs]
+
+
+@pytest.mark.parametrize("mode", AGGREGATION_MODES)
+def test_sweep_cell_equals_the_ablation_row_at_the_same_thresholds(mode):
+    library_ids = SyntheticCorpusSpec(library_count=5).library_ids()
+    tpl_docs, target_docs, manifest = generate_corpus(SyntheticCorpusSpec(
+        library_count=5, functions_per_library=30,
+        planted_reuse=random_reuse_plan(random.Random(1),
+                                        ["bin%03d" % i for i in range(8)], library_ids)))
+    f1s = []
+    for theta1, theta2, theta3 in [(0.8, 0.2, 0.5), (0.9, 0.5, 0.89)]:
+        cell, = sweep(tpl_docs, target_docs, manifest, dim=64, theta1_values=(theta1,),
+                      theta2_values=(theta2,), theta3_values=(theta3,), mode=mode).cells
+        row = run_ablation(tpl_docs, target_docs, manifest, dim=64, theta1=theta1,
+                           theta2=theta2, theta3=theta3, mode=mode).row("export+mi", True)
+        assert (cell.retained_fraction, cell.precision, cell.recall, cell.f1) == (
+            row.leave_percent, row.precision, row.recall, row.f1)
+        f1s.append(cell.f1)
+    assert min(f1s) < 1.0  # a corpus that every cell reads perfectly would show nothing
 
 
 def _lazy(docs, parsed, alive_at_parse):
