@@ -94,10 +94,7 @@ from .evaluation import (
     StageTimings,
     SweepCell,
     SweepGrid,
-    SyntheticCorpusSpec,
-    generate_corpus,
     metrics_from_counts,
-    random_reuse_plan,
     read_timings,
     run_ablation,
     score_metrics,
@@ -105,6 +102,7 @@ from .evaluation import (
     time_stages,
     write_timings,
 )
+from .synthetic import SyntheticCorpusSpec, generate_corpus, random_reuse_plan
 
 __version__ = "0.1.0"
 

@@ -29,9 +29,6 @@ from .evaluation import (
     DEFAULT_THETA1_GRID,
     DEFAULT_THETA2_GRID,
     DEFAULT_THETA3_GRID,
-    SyntheticCorpusSpec,
-    generate_corpus,
-    random_reuse_plan,
     run_ablation,
     sweep,
     time_stages,
@@ -47,6 +44,7 @@ from .repository import (
     save_manifest,
     save_repository,
 )
+from .synthetic import SyntheticCorpusSpec, generate_corpus, random_reuse_plan
 
 
 def _parse_stages(text: str) -> tuple:

@@ -31,7 +31,7 @@ import zlib
 import numpy as np
 
 from libsift.embedding import HashedNgramEmbedder
-from libsift.evaluation import (
+from libsift.synthetic import (
     _BASE_MNEMONICS,
     SyntheticCorpusSpec,
     _synth_function,

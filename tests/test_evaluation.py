@@ -44,7 +44,7 @@ from libsift import (
     time_stages,
     write_timings,
 )
-from libsift import _kernels, evaluation
+from libsift import _kernels, evaluation, synthetic
 from libsift.detector import AGG_WEIGHTED_MEAN, aggregate, embed_target, library_block
 from libsift.evaluation import (
     ABLATION_CONFIGS,
@@ -179,13 +179,13 @@ def test_generate_corpus_is_deterministic():
 
 def test_generate_corpus_runs_with_gc_paused(monkeypatch):
     seen = []
-    real = evaluation._synth_function
+    real = synthetic._synth_function
 
     def synth(*args, **kwargs):
         seen.append(gc.isenabled())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "_synth_function", synth)
+    monkeypatch.setattr(synthetic, "_synth_function", synth)
     generate_corpus(_mini_spec())
     assert seen and not any(seen)
     assert gc.isenabled()
