@@ -7,6 +7,10 @@ leave all of them unchanged; a change meant to alter results updates the
 digests and says why.  The digests were recorded with numpy and OpenBLAS
 on x86-64; vectors and weights in the repository file are only bit-exact
 where the float arithmetic is.
+
+The generator's own bytes are pinned too, on that corpus and on two more:
+one that reaches every random draw the generator makes, and one that
+plants no reuse.
 """
 import hashlib
 import random
@@ -21,14 +25,18 @@ from libsift import (
     random_reuse_plan,
     run_ablation,
     save_document,
+    save_manifest,
     save_repository,
+    serialize_document,
     sweep,
     write_reports,
 )
 from libsift import evaluation
 from libsift.cli import main
+from libsift.interchange import BinaryDocument
+from libsift.synthetic import _BASE_MNEMONICS, _synth_function
 
-from corpora import write_seeded_vectors
+from corpora import TIER_L, TIER_M, TIER_S, TIER_XL, write_seeded_vectors
 
 DIM = 192
 EXTERNAL_DIM = 32
@@ -53,8 +61,16 @@ RECORDED_EXTERNAL = {
 }
 
 
-@pytest.fixture(scope="module")
-def corpus():
+# sha256 over `serialize_document` of every tpl document, then every
+# target document, then the manifest file as `libsift gen` writes it
+RECORDED_GENERATED = {
+    "equivalence": "8773d0fae1e9d8bf853057489679573f2d552a53ffecc822797554d7cfa7a214",
+    "every-draw-site": "e55f46574f18d1578d0cf783a07483d8ab6e6de00ebf828a7b9f40bc33babe42",
+    "no-planted-reuse": "29c6205727a0ed79e123ba3fb4674a2042e19e5d5c5775981669e7c81f203e73",
+}
+
+
+def _equivalence_corpus():
     rng = random.Random(21)
     libs = ["lib%03d" % i for i in range(5)]
     plan = random_reuse_plan(rng, ["bin%03d" % i for i in range(6)], libs, max_libs=2)
@@ -63,6 +79,58 @@ def corpus():
         distractor_functions=12, rng_seed=21,
     )
     return generate_corpus(spec)
+
+
+def _every_draw_site_corpus():
+    """Clones, simple functions, exports, partial reuse and distractors,
+    plus one more tpl of `_synth_function` calls over every test tier and
+    three mnemonic pools, the last smaller than the mnemonic sample."""
+    rng = random.Random(23)
+    libs = ["lib%03d" % i for i in range(6)]
+    plan = random_reuse_plan(rng, ["bin%03d" % i for i in range(5)], libs,
+                             max_libs=3, min_fraction=0.2, max_fraction=0.9)
+    tpl_docs, target_docs, manifest = generate_corpus(SyntheticCorpusSpec(
+        library_count=6, functions_per_library=24, clone_rate=0.1, simple_fn_rate=0.3,
+        export_rate=0.35, planted_reuse=plan, distractor_functions=10, rng_seed=23,
+    ))
+    pools = (_BASE_MNEMONICS[:-30], _BASE_MNEMONICS[-30:], _BASE_MNEMONICS[:6])
+    tiers = (TIER_XL, TIER_L, TIER_M, TIER_S)
+    pooled = [
+        _synth_function(rng, "pool%d_tier%d" % (p, t), is_export=(p + t) % 2 == 0,
+                        mnemonic_pool=pool, **tier)
+        for p, pool in enumerate(pools)
+        for t, tier in enumerate(tiers)
+    ]
+    return tpl_docs + [BinaryDocument("pooled", "tpl", pooled)], target_docs, manifest
+
+
+def _no_planted_reuse_corpus():
+    return generate_corpus(SyntheticCorpusSpec(
+        library_count=4, functions_per_library=30, clone_rate=0.1, rng_seed=29,
+    ))
+
+
+GENERATED_CORPORA = {
+    "equivalence": _equivalence_corpus,
+    "every-draw-site": _every_draw_site_corpus,
+    "no-planted-reuse": _no_planted_reuse_corpus,
+}
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return _equivalence_corpus()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED_CORPORA))
+def test_generated_corpus_bytes_match_recorded_digest(name, tmp_path):
+    tpl_docs, target_docs, manifest = GENERATED_CORPORA[name]()
+    digest = hashlib.sha256()
+    for doc in list(tpl_docs) + list(target_docs):
+        digest.update(serialize_document(doc))
+    save_manifest(manifest, tmp_path / "manifest.json")
+    digest.update((tmp_path / "manifest.json").read_bytes())
+    assert digest.hexdigest() == RECORDED_GENERATED[name]
 
 
 @pytest.fixture(scope="module")
