@@ -12,7 +12,6 @@ in the max direction:
 """
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -24,7 +23,7 @@ from . import _kernels
 from .embedding import HashedNgramEmbedder, function_vectors, unit_rows
 from .errors import ConfigError, ParseError, ValidationError
 from .interchange import (
-    NUMBER, BinaryDocument, field_values, json_field, json_fields, json_records,
+    NUMBER, BinaryDocument, field_values, json_field, json_fields, json_line, json_records,
 )
 from .repository import EMBEDDER_EXTERNAL, RepoConfig, TplRepository, feature_vectors
 
@@ -250,7 +249,7 @@ def detect_many(docs: Iterable[BinaryDocument], repo: TplRepository, **kwargs):
 def write_reports(reports: Iterable[DetectionReport], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for report in reports:
-            fh.write(json.dumps(_report_dict(report), separators=(",", ":")))
+            fh.write(json_line(_report_dict(report)))
             fh.write("\n")
 
 

@@ -180,6 +180,13 @@ def json_object(text, fail) -> dict:
     return obj
 
 
+# the one compact encoder behind every JSON line libsift writes: document
+# lines, report lines and the .lsr header.  Each is a tree of strings,
+# numbers, lists and dicts built from the dataclasses, which cannot hold a
+# cycle, so the cycle check is skipped.
+json_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def save_json(obj, path) -> None:
     """Write `obj` to `path` as indented, key-sorted UTF-8 JSON and a
     newline."""
@@ -252,18 +259,17 @@ def _parse_records(records) -> BinaryDocument:
 def serialize_document(doc: BinaryDocument) -> bytes:
     """Serialize a document; parse_document(serialize_document(d)) == d."""
     lines = [
-        json.dumps(
+        json_line(
             {
                 "binary_id": doc.binary_id,
                 "kind": doc.kind,
                 "format_version": doc.format_version,
-            },
-            separators=(",", ":"),
+            }
         )
     ]
     for fn in doc.functions:
         lines.append(
-            json.dumps(
+            json_line(
                 {
                     "name": fn.name,
                     "section": fn.section,
@@ -278,8 +284,7 @@ def serialize_document(doc: BinaryDocument) -> bytes:
                         for b in fn.blocks
                     ],
                     "edges": [list(e) for e in fn.edges],
-                },
-                separators=(",", ":"),
+                }
             )
         )
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import math
 import struct
@@ -30,7 +29,8 @@ from .errors import (
     RepositoryVersionError,
 )
 from .interchange import (
-    NUMBER, BinaryDocument, field_values, json_field, json_fields, json_object, save_json,
+    NUMBER, BinaryDocument, field_values, json_field, json_fields, json_line, json_object,
+    save_json,
 )
 from .metrics import ComplexityProfile, compute_profile
 
@@ -431,7 +431,7 @@ def _header_dict(repo: TplRepository) -> dict:
 def save_repository(repo: TplRepository, path) -> None:
     """Write a versioned, checksummed container; load() restores it
     field-for-field (vectors byte-exact, scalars via JSON round-trip)."""
-    header = json.dumps(_header_dict(repo), separators=(",", ":")).encode("utf-8")
+    header = json_line(_header_dict(repo)).encode("utf-8")
     blob = bytearray()
     for vec in feature_vectors(f for feats in repo.libraries.values() for f in feats):
         blob += np.ascontiguousarray(vec, dtype="<f8").tobytes()

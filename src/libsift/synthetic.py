@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping, Sequence
@@ -69,31 +70,36 @@ def _synth_function(
     embedding space; the repeated idiom concentrates n-gram mass the way
     real loop bodies do.
     """
+    # bound once: the draws below run once per instruction
+    random_, choice, randrange = rng.random, rng.choice, rng.randrange
     pool = list(mnemonic_pool) if mnemonic_pool is not None else _BASE_MNEMONICS
     regs = rng.sample(_REGISTER_POOL, rng.randint(3, 5))
     mnems = rng.sample(pool, min(len(pool), rng.randint(8, 16)))
     jccs = rng.sample(_JCC_POOL, 2)
     # cumulative, so each draw bisects without re-accumulating the weights
     shape_cum_weights = list(accumulate(rng.randint(1, 6) for _ in range(5)))
+    total = shape_cum_weights[-1] + 0.0
 
     def make_instr() -> Instruction:
-        r = rng.random()
+        r = random_()
         if r < 0.87:
-            m = rng.choice(mnems)
+            m = choice(mnems)
         elif r < 0.95:
             m = "mov"
         else:
             m = "cmp"
-        shape = rng.choices(range(5), cum_weights=shape_cum_weights)[0]
-        a = rng.choice(regs)
+        # the one draw rng.choices(range(5), cum_weights=shape_cum_weights)
+        # makes, without its per-call checks
+        shape = bisect(shape_cum_weights, random_() * total, 0, 4)
+        a = choice(regs)
         if shape == 0:
-            ops = (a, rng.choice(regs))
+            ops = (a, choice(regs))
         elif shape == 1:
-            ops = (a, hex(rng.randrange(1 << 20)))
+            ops = (a, hex(randrange(1 << 20)))
         elif shape == 2:
-            ops = (a, "[%s+%s]" % (rng.choice(regs), hex(rng.randrange(512))))
+            ops = (a, "[%s+%s]" % (choice(regs), hex(randrange(512))))
         elif shape == 3:
-            ops = ("[%s+%s]" % (rng.choice(regs), hex(rng.randrange(512))), a)
+            ops = ("[%s+%s]" % (choice(regs), hex(randrange(512))), a)
         else:
             ops = (a,)
         return Instruction(m, ops)
@@ -106,16 +112,16 @@ def _synth_function(
         instrs = []
         budget = rng.randint(*instr_range)
         while budget > 0:
-            if budget >= 3 and rng.random() < 0.4:
+            if budget >= 3 and random_() < 0.4:
                 instrs.extend(idiom)
                 budget -= 3
             else:
                 instrs.append(make_instr())
                 budget -= 1
-        if rng.random() < 0.25:
-            instrs.append(Instruction("call", (rng.choice(_EXT_SYMBOLS),)))
-        if rng.random() < 0.6:
-            instrs.append(Instruction(rng.choice(jccs), ()))
+        if random_() < 0.25:
+            instrs.append(Instruction("call", (choice(_EXT_SYMBOLS),)))
+        if random_() < 0.6:
+            instrs.append(Instruction(choice(jccs), ()))
             jcc_blocks.append(b)
         blocks.append(BasicBlock(b, instrs))
     blocks[-1].instructions.append(Instruction("ret", ()))
@@ -123,7 +129,7 @@ def _synth_function(
     edges = [(b, b + 1) for b in range(n_blocks - 1)]
     present = set(edges)
     for b in jcc_blocks:
-        extra = (b, rng.randrange(n_blocks))
+        extra = (b, randrange(n_blocks))
         if extra not in present:
             edges.append(extra)
             present.add(extra)
@@ -306,7 +312,10 @@ def generate_corpus(spec: SyntheticCorpusSpec):
         for lib in lib_ids
     ]
 
-    ordered = {lib: _api_first(bodies[lib]) for lib in lib_ids}
+    # only a planted library is ever copied from; ordered here, before the
+    # targets, so the profiles' temporaries are freed before targets exist
+    planted = {lib for libs, _ in spec.planted_reuse.values() for lib in libs}
+    ordered = {lib: _api_first(bodies[lib]) for lib in lib_ids if lib in planted}
     target_docs = []
     manifest = {}
     for bin_id, (libs, fraction) in spec.planted_reuse.items():

@@ -191,6 +191,29 @@ def test_generate_corpus_runs_with_gc_paused(monkeypatch):
     assert gc.isenabled()
 
 
+@pytest.mark.parametrize("planted_reuse", [
+    {},
+    # lib002 planted by three targets, lib000 by one, lib001 by none
+    {"bin000": (["lib000", "lib002"], 0.5), "bin001": (["lib002"], 1.0),
+     "bin002": (["lib002"], 0.3)},
+], ids=["none", "repeated"])
+def test_generate_corpus_orders_only_planted_libraries_once(monkeypatch, planted_reuse):
+    profiled = []
+    real = synthetic.compute_profile
+
+    def compute_profile(fn):
+        profiled.append(fn.name)
+        return real(fn)
+
+    monkeypatch.setattr(synthetic, "compute_profile", compute_profile)
+    tpl_docs, _, _ = generate_corpus(_mini_spec(clone_rate=0.25, planted_reuse=planted_reuse))
+    planted = {lib for libs, _ in planted_reuse.values() for lib in libs}
+    assert sorted(profiled) == sorted(
+        fn.name for doc in tpl_docs if doc.binary_id in planted
+        for fn in doc.functions if fn.section == ".text"
+    )
+
+
 def test_generate_corpus_shapes():
     spec = _mini_spec()
     tpl_docs, target_docs, manifest = generate_corpus(spec)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from libsift.detector import _report_dict, detect, write_reports
 from libsift.errors import ParseError, ValidationError
 from libsift.interchange import (
     EXCLUDED_SECTIONS,
@@ -16,6 +17,7 @@ from libsift.interchange import (
     save_document,
     serialize_document,
 )
+from libsift.repository import _MAGIC, _header_dict, build_repository, save_repository
 
 from corpora import random_document
 
@@ -185,3 +187,34 @@ def test_custom_exclusion_set():
     assert filter_sections(doc, excluded=()) == doc
     none_left = filter_sections(doc, excluded={f.section for f in doc.functions})
     assert none_left.functions == []
+
+
+def test_every_json_line_writer_encodes_as_json_dumps(tmp_path):
+    # documents, report lines and the .lsr header share one encoder; it
+    # must escape non-ASCII exactly as json.dumps does
+    def compact(obj):
+        return json.dumps(obj, separators=(",", ":"))
+
+    body = [BasicBlock(0, [Instruction("add", ("rax", "0x%x" % i)) for i in range(6)]
+                       + [Instruction("ret", ())])]
+    lib = BinaryDocument("lib_été", "tpl",
+                         [FunctionRecord("fn_日本", ".text", True, body, [])])
+    target = BinaryDocument("bin_ü", "target",
+                            [FunctionRecord("copy_ß", ".text", False, body, [])])
+
+    text = serialize_document(lib).decode("ascii")
+    assert "\\u00e9" in text and "\\u65e5" in text
+    assert text.splitlines() == [compact(json.loads(line)) for line in text.splitlines()]
+
+    repo = build_repository([lib], dim=32, stages=())
+    save_repository(repo, tmp_path / "repo.lsr")
+    header = compact(_header_dict(repo)).encode("utf-8")
+    assert b"\\u00e9" in header
+    assert (tmp_path / "repo.lsr").read_bytes()[len(_MAGIC) + 6:][:len(header)] == header
+
+    report = detect(target, repo)
+    assert [e.library_id for e in report.entries] == [lib.binary_id]
+    write_reports([report], tmp_path / "reports.jsonl")
+    line = compact(_report_dict(report))
+    assert "\\u00e9" in line and "\\u00fc" in line
+    assert (tmp_path / "reports.jsonl").read_text(encoding="ascii") == line + "\n"
