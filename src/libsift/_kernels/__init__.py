@@ -1,4 +1,7 @@
-"""Numeric kernels over unit-row float64 matrices.
+"""Numeric kernels over unit-row float64 matrices, which they never check:
+every caller passes C-contiguous 2-D rows of one dimension (made by
+`embedding.unit_rows`, or stacked by `repository.weight_rows`) and meets
+the preconditions each kernel states.
 
 Dense similarity products go through numpy's BLAS in row blocks (`_BLOCK`
 rows for the scans, `batch` rows for `sim_matrix`); the scans that fold
@@ -16,23 +19,9 @@ from . import fallback
 _BLOCK = 512
 
 
-def _rows(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D array of row vectors")
-    return a
-
-
 def sim_matrix(queries, keys, batch=128):
-    """M[i][j] = dot(queries[i], keys[j]), chunked by `batch` query rows;
-    every chunking computes the same dot products."""
-    queries = _rows(queries)
-    keys = _rows(keys)
-    if queries.shape[1] != keys.shape[1]:
-        raise ValueError("dimension mismatch")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    batch = int(batch)
+    """M[i][j] = dot(queries[i], keys[j]), chunked by `batch` >= 1 query
+    rows; every chunking computes the same dot products."""
     out = np.empty((queries.shape[0], keys.shape[0]), dtype=np.float64)
     kt = keys.T
     for start in range(0, queries.shape[0], batch):
@@ -47,22 +36,13 @@ def theta_counts(vectors, lib_ids, n_libs, thetas):
     once and folded once per threshold, so every pair equals a call with
     that threshold alone.
 
-    lib_ids must be nondecreasing, covering every value in [0, n_libs).
+    lib_ids holds one entry per vector, nondecreasing and covering every
+    value in [0, n_libs).
     """
-    vectors = _rows(vectors)
     lib_ids = np.ascontiguousarray(lib_ids, dtype=np.int64)
-    if lib_ids.shape != (vectors.shape[0],):
-        raise ValueError("lib_ids must have one entry per vector")
-    if lib_ids.size:
-        if (np.diff(lib_ids) < 0).any():
-            raise ValueError("lib_ids must be nondecreasing")
-        if lib_ids[0] != 0 or lib_ids[-1] != n_libs - 1 or np.unique(lib_ids).size != n_libs:
-            raise ValueError("lib_ids must cover every value in [0, n_libs)")
     count = vectors.shape[0]
     thetas = [float(theta) for theta in thetas]
     out = [(np.ones(count, dtype=np.int64), np.zeros(count, dtype=np.int64)) for _ in thetas]
-    if not count or not thetas:
-        return out
     edges = np.searchsorted(lib_ids, np.arange(int(n_libs) + 1)).tolist()
     vt = vectors.T
     # one block of products at a time, each written over the last
@@ -76,14 +56,8 @@ def theta_counts(vectors, lib_ids, n_libs, thetas):
 
 
 def best_match(queries, keys):
-    """Per key: max similarity over queries and the first query row index
-    attaining it."""
-    queries = _rows(queries)
-    keys = _rows(keys)
-    if queries.shape[1] != keys.shape[1]:
-        raise ValueError("dimension mismatch")
-    if queries.shape[0] == 0:
-        raise ValueError("queries must be non-empty")
+    """Per key: max similarity over the non-empty `queries` and the first
+    query row index attaining it."""
     best = np.full(keys.shape[0], -np.inf, dtype=np.float64)
     arg = np.zeros(keys.shape[0], dtype=np.int64)
     kt = keys.T

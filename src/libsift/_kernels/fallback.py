@@ -1,8 +1,8 @@
 """NumPy block scans behind the kernels in __init__.
 
-All inputs are C-contiguous float64 arrays of unit-norm rows; __init__
-validates them, owns the block loop and computes each BLAS similarity
-block these functions fold.
+All inputs are C-contiguous float64 arrays of unit-norm rows, as the
+kernels' callers guarantee; __init__ owns the block loop and computes
+each BLAS similarity block these functions fold.
 """
 from __future__ import annotations
 

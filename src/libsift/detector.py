@@ -147,16 +147,18 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN, *
     """
     check_scoring(mode)
     features = list(features)
-    bin_vectors = np.asarray(bin_vectors, dtype=np.float64)
-    if len(features) == 0 or bin_vectors.shape[0] == 0:
+    bin_mat = np.ascontiguousarray(bin_vectors, dtype=np.float64)
+    if len(features) == 0 or bin_mat.shape[0] == 0:
         raise ValueError("aggregate needs a non-empty binary and library")
-    if len(bin_names) != bin_vectors.shape[0]:
+    if len(bin_names) != bin_mat.shape[0]:
         raise ValueError("aggregate got %d binary names for %d rows"
-                         % (len(bin_names), bin_vectors.shape[0]))
+                         % (len(bin_names), bin_mat.shape[0]))
+    lib_mat = library_block(features)
+    if bin_mat.ndim != 2 or bin_mat.shape[1] != lib_mat.shape[1]:
+        raise ValueError("dimension mismatch")
 
     weights = np.array([f.weight for f in features], dtype=np.float64)
-    bin_mat = bin_vectors if normalized else unit_rows(bin_vectors)
-    matches = match_library(bin_mat, library_block(features), mode)
+    matches = match_library(bin_mat if normalized else unit_rows(bin_mat), lib_mat, mode)
     score = float(reduce_scores(matches[0], weights[None, :], mode)[0])
     evidence = [
         MatchEvidence(bin_names[i], features[j].function_name, cosine, features[j].weight,
@@ -168,10 +170,10 @@ def aggregate(bin_vectors, bin_names, features, mode: str = AGG_WEIGHTED_MEAN, *
 
 
 def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
-    """(function names, matrix) for a target's functions after section
-    filtering, or ([], None) when filtering leaves none.  The rows are the
-    embedder's unit vectors, unit only up to rounding, so every scorer
-    passes them through `unit_rows`, once per target.
+    """(function names, unit-row matrix) for a target's functions after
+    section filtering, or ([], None) when filtering leaves none.  The
+    embedder's rows are unit only up to rounding, so they pass through
+    `unit_rows` here, once per target; every scorer takes them as they are.
 
     The repository's embedder decides the embedding space: a repository
     built from external vectors requires the reader `vectors`, and any
@@ -191,7 +193,7 @@ def embed_target(doc: BinaryDocument, config: RepoConfig, *, vectors=None):
     elif config.embedder != HashedNgramEmbedder.name:
         raise ConfigError("repository embedder %r is not available" % config.embedder)
     functions, mat = function_vectors(doc, config.dim, config.seed, vectors=vectors)
-    return [fn.name for fn in functions], mat
+    return [fn.name for fn in functions], None if mat is None else unit_rows(mat)
 
 
 def detect(
@@ -213,10 +215,9 @@ def detect(
     check_scoring(mode, theta3)
     echo = field_values(SimpleNamespace(**vars(repo.config), theta3=theta3, mode=mode,
                                         batch=DEFAULT_BATCH), _ECHO_FIELDS)
-    names, mat = embed_target(doc, repo.config, vectors=vectors)
-    if mat is None:
+    names, bin_mat = embed_target(doc, repo.config, vectors=vectors)
+    if bin_mat is None:
         return DetectionReport(doc.binary_id, [], echo)
-    bin_mat = unit_rows(mat)
     entries = []
     for lib_id in sorted(repo.libraries):
         feats = repo.libraries[lib_id]

@@ -21,7 +21,7 @@ from .detector import (
     reduce_scores,
     unique_targets,
 )
-from .embedding import DEFAULT_DIM, DEFAULT_SEED, unit_rows
+from .embedding import DEFAULT_DIM, DEFAULT_SEED
 from .errors import ConfigError, ParseError, ValidationError
 from .interchange import NUMBER, json_field, json_object, save_json
 from .repository import (
@@ -82,16 +82,9 @@ def _confusions(bin_ids, lib_ids, decisions, manifest: Mapping) -> list:
     the one counting rule of reports and evaluation tables.
 
     Manifest binaries without a row count as all-missed, and so do
-    manifest libraries outside `lib_ids`; a binary absent from the
-    manifest, or given twice, is an error.
+    manifest libraries outside `lib_ids`; every binary in `bin_ids` is in
+    the manifest, once.
     """
-    seen = set()
-    for bin_id in bin_ids:
-        if bin_id not in manifest:
-            raise ValidationError("report for unknown binary %r" % bin_id)
-        if bin_id in seen:
-            raise ValidationError("duplicate report for binary %r" % bin_id)
-        seen.add(bin_id)
     truth = np.array([[lib_id in libs for lib_id in lib_ids]
                       for libs in (set(manifest[bin_id]) for bin_id in bin_ids)],
                      dtype=bool).reshape(len(bin_ids), len(lib_ids))
@@ -107,14 +100,21 @@ def score_metrics(reports, manifest: Mapping) -> EvalResult:
     """Count (binary, library) decisions against the manifest.
 
     Manifest binaries without a report count as all-missed; a report for a
-    binary absent from the manifest is an error.
+    binary absent from the manifest, or a second report for one binary, is
+    an error.
     """
+    bin_ids, seen = [r.binary_id for r in reports], set()
+    for bin_id in bin_ids:
+        if bin_id not in manifest:
+            raise ValidationError("report for unknown binary %r" % bin_id)
+        if bin_id in seen:
+            raise ValidationError("duplicate report for binary %r" % bin_id)
+        seen.add(bin_id)
     decided = [r.decided() for r in reports]
     lib_ids = sorted(set().union(*decided))
     table = np.array([[lib_id in libs for lib_id in lib_ids] for libs in decided],
                      dtype=bool).reshape(len(decided), len(lib_ids))
-    return metrics_from_counts(
-        _confusions([r.binary_id for r in reports], lib_ids, [table], manifest)[0])
+    return metrics_from_counts(_confusions(bin_ids, lib_ids, [table], manifest)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +229,8 @@ def _shared_scores(target_docs, manifest, sets, weightings, mode, theta3_values)
             raise ValidationError("target %r missing from manifest" % bin_id)
         bin_ids.append(bin_id)
         rows = [np.full((group.weightings, len(union)), -np.inf) for group in laid_out]
-        _, mat = embed_target(doc, largest.config)
-        if mat is not None:
-            bin_mat = unit_rows(mat)
+        _, bin_mat = embed_target(doc, largest.config)
+        if bin_mat is not None:
             for j, block in enumerate(blocks):
                 sims, _ = match_library(bin_mat, block, mode)
                 for group, row in zip(laid_out, rows):

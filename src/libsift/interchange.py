@@ -197,7 +197,9 @@ def save_json(obj, path) -> None:
 
 def json_records(data) -> list:
     """(1-based line number, object) for every non-blank line of JSON Lines
-    `data`, UTF-8 bytes or str; any other line raises ParseError."""
+    `data`, UTF-8 bytes or str; any other line raises ParseError.  Only a
+    line feed ends a line: JSON strings may hold U+2028 raw, and the
+    carriage return of a CRLF is JSON whitespace."""
     if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
@@ -206,7 +208,7 @@ def json_records(data) -> list:
             raise ParseError("not UTF-8: %s" % exc.reason, line=line) from exc
     return [
         (lineno, json_object(raw, lambda message: ParseError(message, line=lineno)))
-        for lineno, raw in enumerate(data.splitlines(), start=1)
+        for lineno, raw in enumerate(data.split("\n"), start=1)
         if raw.strip()
     ]
 

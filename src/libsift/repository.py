@@ -385,7 +385,9 @@ def build_steps(
         docs, theta1=theta1, theta2=theta2, dim=dim, seed=seed, vectors=vectors,
     )
     yield "origin", repo
-    yield from stage_steps(repo, stages)
+    steps = stage_steps(repo, stages)
+    del repo  # only the stage loop holds the origin: its first stage frees it
+    yield from steps
 
 
 def build_repository(docs: Iterable[BinaryDocument], **options) -> TplRepository:

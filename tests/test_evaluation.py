@@ -603,7 +603,8 @@ def test_grouped_scores_equal_aggregate_bit_for_bit(mode, monkeypatch):
                         if mat is None or not feats:
                             assert exact_table[t, k, j] == shared_table[t, k, j] == -np.inf
                             continue
-                        want = aggregate(mat, names, feats, mode=mode)[0]
+                        want = aggregate(mat, names, feats, mode=mode,
+                                         normalized=True)[0]
                         assert exact_table[t, k, j] == want, (bin_ids[t], lib_id, repo.config)
                         # the shared path: within the certified bound, and
                         # on the same side of every theta3 in use

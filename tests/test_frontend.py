@@ -11,7 +11,6 @@ import gc
 import re
 import struct
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import blake2b
 
@@ -283,32 +282,6 @@ def test_gc_is_paused_inside_parse_and_embed(monkeypatch):
     function_vectors(parse_document(serialize_document(_FIXED)), 16, 1)
     assert seen == [("parse", False), ("embed", False)]
     assert gc.isenabled()
-
-
-def test_gc_pause_overlapping_across_threads_ends_with_the_last_one():
-    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
-    seen = []
-
-    def first():
-        with _gc.paused():
-            first_in.set()
-            second_in.wait(10)
-        first_out.set()
-
-    def second():
-        first_in.wait(10)
-        with _gc.paused():
-            second_in.set()
-            first_out.wait(10)
-            seen.append(gc.isenabled())  # the first pause ended inside this one
-        seen.append(gc.isenabled())
-
-    threads = [threading.Thread(target=first), threading.Thread(target=second)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(10)
-    assert seen == [False, True]
 
 
 def test_gc_state_is_restored_after_errors():

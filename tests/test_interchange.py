@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from libsift.detector import _report_dict, detect, write_reports
+from libsift.detector import (
+    DetectionReport, LibraryScore, MatchEvidence, _report_dict, detect, read_reports,
+    write_reports,
+)
+from libsift.embedding import import_embeddings
 from libsift.errors import ParseError, ValidationError
 from libsift.interchange import (
     EXCLUDED_SECTIONS,
@@ -218,3 +222,39 @@ def test_every_json_line_writer_encodes_as_json_dumps(tmp_path):
     line = compact(_report_dict(report))
     assert "\\u00e9" in line and "\\u00fc" in line
     assert (tmp_path / "reports.jsonl").read_text(encoding="ascii") == line + "\n"
+
+
+# breaks that str.splitlines takes for line ends and that JSON lets a
+# string hold raw; the writers escape them, other tools need not
+_RAW_BREAKS = "\u2028\u2029\x85"
+
+
+def _raw_line(obj):
+    return json.dumps(obj, ensure_ascii=False)
+
+
+def test_json_lines_end_at_a_line_feed_only(tmp_path):
+    name = "f" + _RAW_BREAKS + "g"
+    text = _doc(_raw_line(dict(json.loads(FN), name=name)))
+    assert text.count("\n") == 1 and "\u2028" in text
+    doc = parse_document(text.encode("utf-8"))
+    assert [fn.name for fn in doc.functions] == [name]
+    # CRLF line ends still read: the carriage return is JSON whitespace
+    assert parse_document(text.replace("\n", "\r\n") + "\r\n") == doc
+    with pytest.raises(ParseError, match="^line 3: invalid JSON"):
+        parse_document(text + "\n{bad")
+
+    vectors = "\n".join([_raw_line({"doc_id": "demo", "dim": 2}),
+                         _raw_line({"function": name, "values": [3.0, 4.0]})])
+    assert import_embeddings(doc, vectors.encode("utf-8"), 2)[name].tolist() == [0.6, 0.8]
+    with pytest.raises(ParseError, match="^line 3: invalid JSON"):
+        import_embeddings(doc, vectors + "\n{bad", 2)
+
+    report = DetectionReport("bin" + _RAW_BREAKS, [LibraryScore(
+        "lib", 0.5, False, [MatchEvidence(name, "h", 0.5, 1.0, 0.5)])], {"mode": "match-sum"})
+    path = tmp_path / "reports.jsonl"
+    path.write_text(_raw_line(_report_dict(report)) + "\n", encoding="utf-8")
+    assert read_reports(path) == [report]
+    path.write_text(_raw_line(_report_dict(report)) + "\n\n{bad\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 3: invalid JSON"):
+        read_reports(path)

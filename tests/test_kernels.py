@@ -1,9 +1,16 @@
+import zlib
+
 import numpy as np
 import pytest
 
-from libsift import _kernels
+from libsift import (
+    AGG_MATCH_SUM, AGG_WEIGHTED_MEAN, AGGREGATION_MODES, BinaryDocument, SyntheticCorpusSpec, _kernels, aggregate,
+    batched_similarity, build_repository, detect, generate_corpus, run_ablation, sweep,
+)
+from libsift.detector import embed_target
 
 import reference
+from corpora import one_block
 
 
 def _unit(rng, n, dim):
@@ -42,15 +49,6 @@ def test_sim_matrix_batch_invariance():
     for batch in (7, 128, 1000):
         np.testing.assert_allclose(_kernels.sim_matrix(q, k, batch=batch),
                                    base, atol=1e-9)
-
-
-def test_sim_matrix_validates():
-    with pytest.raises(ValueError):
-        _kernels.sim_matrix(np.ones((2, 3)), np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        _kernels.sim_matrix(np.ones(3), np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        _kernels.sim_matrix(np.ones((2, 3)), np.ones((2, 3)), batch=0)
 
 
 def _check_counts(vectors, lib_ids, n_libs, thetas, rows=None):
@@ -118,16 +116,6 @@ def test_theta_counts_spans_block_boundary():
     _check_counts(vecs, ids, 6, [0.9, 0.5, 0.95], rows + rng.integers(0, count, 25).tolist())
 
 
-def test_theta_counts_validates_lib_ids():
-    vecs = np.eye(4)
-    with pytest.raises(ValueError):
-        _kernels.theta_counts(vecs, np.array([0, 1, 0, 1]), 2, [0.5])  # not sorted
-    with pytest.raises(ValueError):
-        _kernels.theta_counts(vecs, np.array([0, 0, 2, 2]), 3, [0.5])  # lib 1 empty
-    with pytest.raises(ValueError):
-        _kernels.theta_counts(vecs, np.array([0, 0, 1]), 2, [0.5])  # length mismatch
-
-
 def test_best_match_against_oracle():
     rng = np.random.default_rng(5)
     q = _unit(rng, 33, 12)
@@ -158,6 +146,96 @@ def test_best_match_ties_across_internal_blocks():
     assert best[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_best_match_requires_queries():
-    with pytest.raises(ValueError):
-        _kernels.best_match(np.empty((0, 4)), np.ones((2, 4)))
+# ---------------------------------------------------------------------------
+# the kernels check nothing: every caller must meet their preconditions
+
+def _rows(*mats):
+    """Float64, C-contiguous 2-D row matrices of one shared dimension."""
+    for mat in mats:
+        assert isinstance(mat, np.ndarray) and mat.dtype == np.float64
+        assert mat.ndim == 2 and mat.flags.c_contiguous
+    assert len({mat.shape[1] for mat in mats}) == 1
+
+
+def _external(dim):
+    """A vector reader giving each function float32 values seeded by its
+    name, so the public entry points must convert them."""
+    def read(doc):
+        return {fn.name: np.random.default_rng(zlib.crc32(fn.name.encode())).standard_normal(
+            dim).astype(np.float32) for fn in doc.functions}
+    return read
+
+
+def test_every_caller_meets_the_kernels_preconditions(monkeypatch):
+    real = {name: getattr(_kernels, name) for name in ("sim_matrix", "theta_counts",
+                                                         "best_match")}
+    calls = []
+
+    def sim_matrix(queries, keys, batch=128):
+        _rows(queries, keys)
+        assert queries.shape[0] > 0 and batch >= 1
+        calls.append("sim_matrix")
+        return real["sim_matrix"](queries, keys, batch)
+
+    def theta_counts(vectors, lib_ids, n_libs, thetas):
+        _rows(vectors)
+        lib_ids = np.asarray(lib_ids)
+        assert lib_ids.shape == (vectors.shape[0],)
+        assert (np.diff(lib_ids) >= 0).all()
+        assert np.unique(lib_ids).tolist() == list(range(n_libs))
+        calls.append("theta_counts")
+        return real["theta_counts"](vectors, lib_ids, n_libs, thetas)
+
+    def best_match(queries, keys):
+        _rows(queries, keys)
+        assert queries.shape[0] > 0
+        calls.append("best_match")
+        return real["best_match"](queries, keys)
+
+    for name, wrapper in (("sim_matrix", sim_matrix), ("theta_counts", theta_counts),
+                          ("best_match", best_match)):
+        monkeypatch.setattr(_kernels, name, wrapper)
+
+    def reached(*names):
+        assert sorted(set(calls)) == sorted(names)
+        calls.clear()
+
+    # the kernel each aggregation mode scores with
+    kernel = {AGG_WEIGHTED_MEAN: "best_match", AGG_MATCH_SUM: "sim_matrix"}
+    dim = 32
+    tpl_docs, target_docs, manifest = generate_corpus(SyntheticCorpusSpec(
+        library_count=4, functions_per_library=10, simple_fn_rate=0.25, export_rate=0.6,
+        planted_reuse={"bin000": (["lib000"], 1.0), "bin001": (["lib002", "lib003"], 0.6)},
+        distractor_functions=6, rng_seed=3))
+    # a target that section filtering empties is never scored
+    target_docs.append(BinaryDocument("binstub", "target", [
+        one_block("stub", ["jmp"], section=".plt")]))
+    manifest["binstub"] = []
+
+    for vectors in (None, _external(dim)):
+        repo = build_repository(tpl_docs, dim=dim, vectors=vectors)
+        reached("theta_counts")
+        for mode in AGGREGATION_MODES:
+            for doc in target_docs:
+                detect(doc, repo, mode=mode, vectors=vectors)
+            reached(kernel[mode])
+
+    # the public entries prepare what they receive: raw, float32 or
+    # Fortran-ordered rows
+    names, mat = embed_target(target_docs[0], repo.config, vectors=vectors)
+    feats = repo.libraries["lib000"]
+    for mode in AGGREGATION_MODES:
+        aggregate(np.asfortranarray(mat), names, feats, mode=mode, normalized=True)
+        aggregate((3 * mat).astype(np.float32).tolist(), names, feats, mode=mode)
+        reached(kernel[mode])
+    rng = np.random.default_rng(0)
+    batched_similarity(np.asfortranarray(rng.standard_normal((7, 5)).astype(np.float32)),
+                       rng.integers(1, 9, (4, 5)), batch=3)
+    reached("sim_matrix")
+
+    for mode in AGGREGATION_MODES:
+        sweep(tpl_docs, target_docs, manifest, theta1_values=(0.8, 0.9),
+              theta2_values=(0.2, 0.5), theta3_values=(0.7, 0.9), dim=dim, mode=mode)
+        reached("theta_counts", kernel[mode])
+        run_ablation(tpl_docs, target_docs, manifest, dim=dim, mode=mode)
+        reached("theta_counts", kernel[mode])

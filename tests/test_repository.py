@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -30,6 +31,7 @@ from libsift import (
     SyntheticCorpusSpec,
     build_origin,
     build_repository,
+    build_steps,
     compute_weights,
     filter_sections,
     generate_corpus,
@@ -619,6 +621,16 @@ def test_build_repository_runs_stages_in_canonical_order():
 def test_build_repository_rejects_unknown_stage():
     with pytest.raises(ConfigError, match="unknown stages"):
         build_repository(_small_corpus(), dim=DIM, stages=("export", "polish"))
+
+
+def test_build_steps_free_the_origin_once_the_first_stage_has_run():
+    steps = build_steps(_small_corpus(seed=7), dim=DIM)
+    stage, origin = next(steps)
+    origin = weakref.ref(origin)
+    assert stage == "origin" and origin() is not None
+    assert next(steps)[0] == "export"
+    assert origin() is None
+    assert [stage for stage, _ in steps] == ["mi", "weights"]
 
 
 def test_build_repository_no_stages_is_origin():
