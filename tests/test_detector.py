@@ -35,7 +35,7 @@ from libsift import (
 )
 from libsift import detector
 from libsift.detector import embed_target
-from libsift.embedding import unit_rows
+from libsift.embedding import function_vectors, unit_rows
 
 import reference
 from corpora import one_block
@@ -189,6 +189,17 @@ def test_aggregate_rejects_bad_inputs():
                 aggregate(np.eye(4)[:2], names, feats, normalized=normalized)
 
 
+def test_aggregate_rejects_a_dimension_mismatch():
+    # aggregate is public: it checks its rows' dimension itself, since the
+    # kernels it calls take their preconditions on trust
+    feats = [_feature("f", np.ones(4))]
+    for normalized in (False, True):
+        for rows in (np.eye(3), np.ones((2, 5)), np.ones((1, 1, 4))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                aggregate(rows, ["q%d" % i for i in range(len(rows))], feats,
+                          normalized=normalized)
+
+
 @pytest.mark.parametrize("mode", [AGG_WEIGHTED_MEAN, AGG_MATCH_SUM])
 def test_aggregate_on_unit_rows_gives_the_same_bits(mode):
     # 600 rows: two best_match query blocks, five match-sum blocks
@@ -283,6 +294,27 @@ def test_detect_normalizes_the_target_once(monkeypatch):
     assert len(normalized) == 1
     assert len(aggregated) == len(report.entries) == len(repo.libraries)
     assert all(mat is normalized[0] for mat in aggregated)
+
+
+def test_embed_target_returns_unit_rows_or_none():
+    docs = _corpus(seed=1)
+    target = BinaryDocument("bin000", "target", _copy_target(docs[0]).functions
+                            + [one_block("s", ["jmp"], section=".plt")])
+    stub = BinaryDocument("binstub", "target", [one_block("s", ["jmp"], section=".plt")])
+    rng = np.random.default_rng(0)
+    table = {fn.name: rng.standard_normal(16).astype(np.float32) for fn in target.functions}
+    hashed = build_repository(docs, dim=DIM, stages=("export", "weights"))
+    external = _external_repository(docs, np.random.default_rng(1))
+    for repo, vectors in ((hashed, None), (external, lambda doc: table)):
+        names, mat = embed_target(target, repo.config, vectors=vectors)
+        kept, raw = function_vectors(target, repo.config.dim, repo.config.seed, vectors=vectors)
+        assert names == [fn.name for fn in kept] == [fn.name for fn in target.functions[:-1]]
+        assert mat.dtype == np.float64 and mat.flags.c_contiguous
+        assert mat.shape == (len(names), repo.config.dim)
+        # one unit_rows pass over the embedder's matrix, so the same bits
+        assert np.array_equal(mat, unit_rows(raw))
+        np.testing.assert_allclose(np.linalg.norm(mat, axis=1), 1.0, atol=1e-12)
+        assert embed_target(stub, repo.config, vectors=vectors) == ([], None)
 
 
 def test_detect_entries_are_sorted_and_echo_config():
