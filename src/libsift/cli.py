@@ -172,6 +172,24 @@ def _parse_grid(text: str) -> tuple:
 # ---------------------------------------------------------------------------
 # subcommands
 
+# gen's corpus flags: flag -> (the SyntheticCorpusSpec field or
+# random_reuse_plan keyword it sets, its type); a flag left out is None and
+# keeps the generator's own default
+_GEN_FLAGS = {
+    "seed": ("rng_seed", int),
+    "libraries": ("library_count", int),
+    "functions": ("functions_per_library", int),
+    "clone-rate": ("clone_rate", float),
+    "simple-rate": ("simple_fn_rate", float),
+    "export-rate": ("export_rate", float),
+    "min-libs": ("min_libs", int),
+    "max-libs": ("max_libs", int),
+    "min-fraction": ("min_fraction", float),
+    "max-fraction": ("max_fraction", float),
+    "distractors": ("distractor_functions", int),
+}
+
+
 def cmd_gen(args) -> int:
     if args.targets < 0:
         raise ConfigError("--targets must be >= 0")
@@ -179,20 +197,16 @@ def cmd_gen(args) -> int:
         raise ConfigError("--out must name a directory")
     if os.path.isdir(args.out) and os.listdir(args.out):
         raise ConfigError("--out %s is not empty" % args.out)
-    spec = SyntheticCorpusSpec(
-        library_count=args.libraries,
-        functions_per_library=args.functions,
-        clone_rate=args.clone_rate,
-        simple_fn_rate=args.simple_rate,
-        export_rate=args.export_rate,
-        distractor_functions=args.distractors,
-        rng_seed=args.seed,
-    )
+    spec_fields = {f.name for f in dataclasses.fields(SyntheticCorpusSpec)}
+    spec_kw, plan_kw = {}, {}
+    for flag, (key, _) in _GEN_FLAGS.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None:
+            (spec_kw if key in spec_fields else plan_kw)[key] = value
+    spec = SyntheticCorpusSpec(**spec_kw)
     spec = dataclasses.replace(spec, planted_reuse=random_reuse_plan(
-        random.Random(args.seed), ["bin%03d" % i for i in range(args.targets)],
-        spec.library_ids(),
-        min_libs=args.min_libs, max_libs=args.max_libs,
-        min_fraction=args.min_fraction, max_fraction=args.max_fraction,
+        random.Random(spec.rng_seed), ["bin%03d" % i for i in range(args.targets)],
+        spec.library_ids(), **plan_kw,
     ))
     tpl_docs, target_docs, manifest = generate_corpus(spec)
 
@@ -336,18 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--libraries", type=int, default=10)
-    p.add_argument("--functions", type=int, default=50)
-    p.add_argument("--clone-rate", type=float, default=0.05)
-    p.add_argument("--simple-rate", type=float, default=0.3)
-    p.add_argument("--export-rate", type=float, default=0.35)
     p.add_argument("--targets", type=int, default=20)
-    p.add_argument("--min-libs", type=int, default=1)
-    p.add_argument("--max-libs", type=int, default=3)
-    p.add_argument("--min-fraction", type=float, default=0.3)
-    p.add_argument("--max-fraction", type=float, default=1.0)
-    p.add_argument("--distractors", type=int, default=40)
+    for flag, (_, kind) in _GEN_FLAGS.items():
+        p.add_argument("--" + flag, type=kind)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_gen)
 

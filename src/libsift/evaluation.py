@@ -5,7 +5,7 @@ ablation matrix and stage timing.  The synthetic corpus generator is
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -264,6 +264,22 @@ def _evaluate(target_docs, manifest, sets, weightings, mode, theta3_values) -> l
 
 
 # ---------------------------------------------------------------------------
+# result CSVs: one column per field of the row dataclass, in field order
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _csv_bytes(row_type, rows) -> bytes:
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    lines.extend(",".join(_csv_cell(getattr(row, name)) for name in names) for row in rows)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # threshold sweep
 
 @dataclass(frozen=True)
@@ -290,14 +306,7 @@ class SweepGrid:
         )
 
     def to_csv_bytes(self) -> bytes:
-        lines = ["theta1,theta2,theta3,retained_fraction,precision,recall,f1"]
-        for c in self.cells:
-            lines.append(
-                "%r,%r,%r,%r,%r,%r,%r"
-                % (c.theta1, c.theta2, c.theta3, c.retained_fraction,
-                   c.precision, c.recall, c.f1)
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return _csv_bytes(SweepCell, self.cells)
 
     def write_csv(self, path) -> None:
         with open(path, "wb") as fh:
@@ -384,14 +393,7 @@ class AblationTable:
         raise KeyError((config, weights))
 
     def to_csv_bytes(self) -> bytes:
-        lines = ["config,weights,func_count,leave_percent,precision,recall,f1"]
-        for r in self.rows:
-            lines.append(
-                "%s,%s,%d,%r,%r,%r,%r"
-                % (r.config, "on" if r.weights else "off", r.func_count,
-                   r.leave_percent, r.precision, r.recall, r.f1)
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
+        return _csv_bytes(AblationRow, self.rows)
 
     def __str__(self) -> str:
         out = ["%-10s %-4s %10s %14s %10s %8s %8s"

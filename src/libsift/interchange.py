@@ -55,6 +55,12 @@ class BinaryDocument:
     format_version: int = FORMAT_VERSION
 
 
+# the fields of the header and of each function record, in the order they
+# are read and written; a function's nested `blocks` and `edges` follow
+_HEADER_FIELDS = (("binary_id", str), ("kind", str), ("format_version", int))
+_FUNCTION_FIELDS = (("name", str), ("section", str), ("is_export", bool))
+
+
 def _decode_function(record: dict, line: int, shared: dict):
     """(FunctionRecord, whether an instruction it holds first has an empty
     mnemonic).
@@ -67,9 +73,7 @@ def _decode_function(record: dict, line: int, shared: dict):
     def fail(message):
         return ParseError(message, line=line)
 
-    name = json_field(record, "name", str, fail)
-    section = json_field(record, "section", str, fail)
-    is_export = json_field(record, "is_export", bool, fail)
+    fields = json_fields(record, _FUNCTION_FIELDS, fail)
     raw_blocks = json_field(record, "blocks", list, fail)
     raw_edges = json_field(record, "edges", list, fail)
 
@@ -103,7 +107,7 @@ def _decode_function(record: dict, line: int, shared: dict):
             raise fail("edge must be a [from, to] integer pair")
         edges.append((re_[0], re_[1]))
 
-    return FunctionRecord(name, section, is_export, blocks, edges), empty_mnemonic
+    return FunctionRecord(**fields, blocks=blocks, edges=edges), empty_mnemonic
 
 
 def _validate_function(fn: FunctionRecord, empty_mnemonic: bool) -> None:
@@ -162,8 +166,8 @@ def field_values(obj, fields) -> dict:
 
 def json_object(text, fail) -> dict:
     """The JSON object that UTF-8 bytes (or str) `text` hold; text that is
-    not UTF-8, not JSON, nested too deeply or not an object raises
-    fail(message)."""
+    not UTF-8, not JSON, nested too deeply, escapes a lone surrogate or is
+    not an object raises fail(message)."""
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
@@ -171,10 +175,15 @@ def json_object(text, fail) -> dict:
             raise fail("not UTF-8: %s" % exc.reason) from None
     try:
         obj = json.loads(text)
+        if "\\" in text:
+            # an escape may decode to a lone surrogate, which no UTF-8 holds
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except json.JSONDecodeError as exc:
         raise fail("invalid JSON: %s" % exc.msg) from None
     except RecursionError:
         raise fail("JSON nested too deeply") from None
+    except UnicodeEncodeError:
+        raise fail("not valid Unicode: a lone surrogate escape") from None
     if not isinstance(obj, dict):
         raise fail("not a JSON object")
     return obj
@@ -233,9 +242,8 @@ def _parse_records(records) -> BinaryDocument:
     def fail(message):
         return ParseError(message, line=header_line)
 
-    binary_id = json_field(header, "binary_id", str, fail)
-    kind = json_field(header, "kind", str, fail)
-    version = json_field(header, "format_version", int, fail)
+    header = json_fields(header, _HEADER_FIELDS, fail)
+    binary_id, kind, version = header.values()
     if kind not in DOCUMENT_KINDS:
         raise fail("kind must be one of %s" % (DOCUMENT_KINDS,))
     if version != FORMAT_VERSION:
@@ -255,40 +263,22 @@ def _parse_records(records) -> BinaryDocument:
         names.add(fn.name)
         functions.append(fn)
 
-    return BinaryDocument(binary_id, kind, functions, version)
+    return BinaryDocument(**header, functions=functions)
 
 
 def serialize_document(doc: BinaryDocument) -> bytes:
     """Serialize a document; parse_document(serialize_document(d)) == d."""
-    lines = [
-        json_line(
-            {
-                "binary_id": doc.binary_id,
-                "kind": doc.kind,
-                "format_version": doc.format_version,
-            }
-        )
-    ]
+    lines = [json_line(field_values(doc, _HEADER_FIELDS))]
     for fn in doc.functions:
-        lines.append(
-            json_line(
-                {
-                    "name": fn.name,
-                    "section": fn.section,
-                    "is_export": fn.is_export,
-                    "blocks": [
-                        {
-                            "id": b.id,
-                            "instructions": [
-                                [ins.mnemonic, *ins.operands] for ins in b.instructions
-                            ],
-                        }
-                        for b in fn.blocks
-                    ],
-                    "edges": [list(e) for e in fn.edges],
-                }
-            )
-        )
+        lines.append(json_line(dict(
+            field_values(fn, _FUNCTION_FIELDS),
+            blocks=[
+                {"id": b.id,
+                 "instructions": [[ins.mnemonic, *ins.operands] for ins in b.instructions]}
+                for b in fn.blocks
+            ],
+            edges=[list(e) for e in fn.edges],
+        )))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

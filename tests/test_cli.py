@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import random
 import weakref
 
 import pytest
@@ -7,10 +9,12 @@ import pytest
 from libsift import (
     ConfigError,
     RepoConfig,
+    SyntheticCorpusSpec,
     build_repository,
     load_document,
     load_manifest,
     load_repository,
+    random_reuse_plan,
     read_reports,
     save_repository,
     score_metrics,
@@ -70,6 +74,17 @@ def test_gen_is_reproducible(corpus_dir, tmp_path):
     assert main(["gen", "--out", str(again)] + _GEN_FLAGS) == 0
     for rel in ("tpls/lib000.jsonl", "targets/bin002.jsonl", "manifest.json"):
         assert (again / rel).read_bytes() == (corpus_dir / rel).read_bytes()
+
+
+def test_gen_defaults_are_the_generators(tmp_path):
+    out = tmp_path / "defaults"
+    assert main(["gen", "--out", str(out), "--quiet"]) == 0
+    spec = SyntheticCorpusSpec()
+    plan = random_reuse_plan(random.Random(spec.rng_seed), ["bin%03d" % i for i in range(20)],
+                             spec.library_ids())
+    expected = dict(dataclasses.asdict(spec), planted_reuse={
+        b: {"libraries": libs, "fraction": frac} for b, (libs, frac) in plan.items()})
+    assert json.loads((out / "corpus_spec.json").read_text()) == expected
 
 
 def test_gen_refuses_an_empty_out_and_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -298,6 +298,63 @@ def test_cli_exits_cleanly_on_deeply_nested_json(case, cli_inputs, capsys):
 
 
 # ---------------------------------------------------------------------------
+# a JSON escape of a lone surrogate, which decodes to text no UTF-8 can hold
+
+LONE_SURROGATE = "not valid Unicode: a lone surrogate escape"
+
+
+@pytest.mark.parametrize("text", [b'{"x": "\\ud800"}', b'{"\\udfff": 1}',
+                                  b'{"x": ["\\ude00\\ud83d"]}'],
+                         ids=["value", "key", "reversed-pair"])
+@pytest.mark.parametrize("reader", sorted(_READER_ERRORS))
+def test_readers_refuse_a_lone_surrogate_escape(reader, text, tmp_path):
+    with pytest.raises(_READER_ERRORS[reader], match=LONE_SURROGATE) as err:
+        _read_json(reader, text, tmp_path / "input")
+    if reader in ("parse_document", "import_embeddings", "read_reports"):
+        assert err.value.line == 1
+
+
+# the serialized _library("liba", 0) text each case escapes, and its line
+_SURROGATE_SITES = {"token": (b'"add"', 2), "function-name": (b'"liba_f1"', 3),
+                    "binary-id": (b'"liba"', 1)}
+
+
+@pytest.mark.parametrize("site", sorted(_SURROGATE_SITES))
+def test_parse_document_refuses_a_lone_surrogate_and_reads_an_escaped_pair(site):
+    text, line = _SURROGATE_SITES[site]
+    data = serialize_document(_library("liba", 0))
+    with pytest.raises(ParseError, match="line %d: %s" % (line, LONE_SURROGATE)):
+        parse_document(data.replace(text, b'"\\ud800"', 1))
+    doc = parse_document(data.replace(text, b'"\\ud83d\\ude00"', 1))
+    assert "\U0001f600" in (doc.binary_id, doc.functions[1].name,
+                            doc.functions[0].blocks[0].instructions[0].mnemonic)
+
+
+@pytest.mark.parametrize("case", ["build-token", "detect-binary-id", "build-config"])
+def test_cli_exits_cleanly_on_a_lone_surrogate(case, cli_inputs, capsys):
+    d = cli_inputs
+    out = d / "out"
+    if case == "build-token":
+        path = d / "tpls" / "liba.jsonl"
+        path.write_bytes(path.read_bytes().replace(b'"add"', b'"\\ud800"', 1))
+        command = "build --tpls {d}/tpls --out {d}/out --stages none --quiet"
+        code, prefix = 1, "error: line 2:"
+    elif case == "detect-binary-id":
+        path = d / "targets" / "bin.jsonl"
+        path.write_bytes(path.read_bytes().replace(b'"bin"', b'"\\ud800"', 1))
+        command = _CLI_CASES["detect-target"][1].replace("r.jsonl", "out")
+        code, prefix = 1, "error: line 1:"
+    else:
+        (d / "cfg.json").write_bytes(b'{"mode": "\\ud800"}')
+        command = "build --tpls {d}/tpls --out {d}/out --config {d}/cfg.json --quiet"
+        code, prefix = 2, "config error: config file"
+    assert main(command.format(d=d).split()) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and LONE_SURROGATE in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # one rule for what may enter a cosine, whichever similarity helper takes it
 
 _BAD_SIMILARITY_ROWS = {
