@@ -328,9 +328,9 @@ def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:
     record per function.  Every vector passes `_unit_vector`.
     """
     records = json_records(data)
-    if not records:
+    header_line, header = next(records, (1, None))
+    if header is None:
         raise ParseError("empty vector file", line=1)
-    header_line, header = records[0]
 
     def fail(message):
         return ParseError("vector header " + message, line=header_line)
@@ -344,7 +344,7 @@ def import_embeddings(doc: BinaryDocument, data, dim: int) -> dict:
     count = json_field(header, "count", int, fail) if "count" in header else None
     known = {fn.name for fn in doc.functions}
     out = {}
-    for _, rec in records[1:]:
+    for _, rec in records:
         name = rec.get("function")
         if not isinstance(name, str) or name not in known:
             raise EmbeddingError("vector for unknown function %r" % (name,))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from . import _gc
 from .errors import ParseError, ValidationError
@@ -61,14 +60,14 @@ _HEADER_FIELDS = (("binary_id", str), ("kind", str), ("format_version", int))
 _FUNCTION_FIELDS = (("name", str), ("section", str), ("is_export", bool))
 
 
-def _decode_function(record: dict, line: int, shared: dict):
-    """(FunctionRecord, whether an instruction it holds first has an empty
-    mnemonic).
+def _decode_function(record: dict, line: int, shared: dict) -> FunctionRecord:
+    """The FunctionRecord a function line holds: every ParseError of the
+    line is raised before any ValidationError of its invariants.
 
     `shared` maps the token tuple of every instruction seen earlier in the
     document to its one Instruction, so a repeated instruction is checked
     and built once.  An instruction with an empty mnemonic fails its first
-    function's validation, so only a first sighting can carry one.
+    function, so only a first sighting can carry one.
     """
     def fail(message):
         return ParseError(message, line=line)
@@ -107,31 +106,27 @@ def _decode_function(record: dict, line: int, shared: dict):
             raise fail("edge must be a [from, to] integer pair")
         edges.append((re_[0], re_[1]))
 
-    return FunctionRecord(**fields, blocks=blocks, edges=edges), empty_mnemonic
-
-
-def _validate_function(fn: FunctionRecord, empty_mnemonic: bool) -> None:
+    fn = FunctionRecord(**fields, blocks=blocks, edges=edges)
     if not fn.name:
         raise ValidationError("empty function name", function=fn.name)
-    if not fn.blocks:
+    if not blocks:
         raise ValidationError("function has no basic blocks", function=fn.name)
-    ids = [b.id for b in fn.blocks]
-    if len(set(ids)) != len(ids):
+    ids = {b.id for b in blocks}
+    if len(ids) != len(blocks):
         raise ValidationError("duplicate basic block id", function=fn.name)
     if fn.instruction_count() == 0:
         raise ValidationError("function has no instructions", function=fn.name)
     if empty_mnemonic:
         raise ValidationError("empty mnemonic", function=fn.name)
-    known = set(ids)
     seen_edges = set()
-    for edge in fn.edges:
-        if edge[0] not in known or edge[1] not in known:
-            raise ValidationError(
-                "edge %r references a missing block id" % (edge,), function=fn.name
-            )
+    for edge in edges:
+        if edge[0] not in ids or edge[1] not in ids:
+            raise ValidationError("edge %r references a missing block id" % (edge,),
+                                  function=fn.name)
         if edge in seen_edges:
             raise ValidationError("duplicate edge %r" % (edge,), function=fn.name)
         seen_edges.add(edge)
+    return fn
 
 
 # the JSON type of a number field: an int or a finite float, never a bool
@@ -166,8 +161,9 @@ def field_values(obj, fields) -> dict:
 
 def json_object(text, fail) -> dict:
     """The JSON object that UTF-8 bytes (or str) `text` hold; text that is
-    not UTF-8, not JSON, nested too deeply, escapes a lone surrogate or is
-    not an object raises fail(message)."""
+    not UTF-8, not JSON, nested too deeply, escapes a lone surrogate, holds
+    a number too long to read or is not an object raises fail(message).
+    This is the one place libsift decodes JSON text."""
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("utf-8")
@@ -184,6 +180,8 @@ def json_object(text, fail) -> dict:
         raise fail("JSON nested too deeply") from None
     except UnicodeEncodeError:
         raise fail("not valid Unicode: a lone surrogate escape") from None
+    except ValueError:  # an integer past Python's digit limit
+        raise fail("invalid JSON: a number too long to read") from None
     if not isinstance(obj, dict):
         raise fail("not a JSON object")
     return obj
@@ -204,66 +202,58 @@ def save_json(obj, path) -> None:
         fh.write("\n")
 
 
-def json_records(data) -> list:
-    """(1-based line number, object) for every non-blank line of JSON Lines
-    `data`, UTF-8 bytes or str; any other line raises ParseError.  Only a
-    line feed ends a line: JSON strings may hold U+2028 raw, and the
-    carriage return of a CRLF is JSON whitespace."""
+def json_records(data):
+    """Yield (1-based line number, object) for each non-blank line of JSON
+    Lines `data`, UTF-8 bytes or str, decoding a line only when asked for
+    it; json_object refuses a bad line with ParseError.  A blank line holds
+    only JSON whitespace (space, tab, CR), and only a line feed ends a
+    line: JSON strings may hold U+2028 raw, and a CRLF's CR is whitespace."""
+    newline, blank = "\n", " \t\r"
     if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ParseError("not UTF-8: %s" % exc.reason, line=line) from exc
-    return [
-        (lineno, json_object(raw, lambda message: ParseError(message, line=lineno)))
-        for lineno, raw in enumerate(data.split("\n"), start=1)
-        if raw.strip()
-    ]
+        newline, blank = b"\n", b" \t\r"
+    for lineno, raw in enumerate(data.split(newline), start=1):
+        if raw.strip(blank):
+            yield lineno, json_object(raw, lambda message: ParseError(message, line=lineno))
 
 
 def parse_document(data) -> BinaryDocument:
     """Parse UTF-8 bytes (or str) into a validated BinaryDocument.
 
     Raises ParseError for syntax/type problems (with a line number) and
-    ValidationError for invariant violations (naming the function).
-    Equal instructions within the document share one Instruction.
+    ValidationError for invariant violations (naming the function); the
+    first bad line in file order is the one reported.  Equal instructions
+    within the document share one Instruction.
     """
     with _gc.paused():
-        return _parse_records(json_records(data))
+        records = json_records(data)
+        header_line, header = next(records, (1, None))
+        if header is None:
+            raise ParseError("empty document: header record missing", line=1)
 
+        def fail(message):
+            return ParseError(message, line=header_line)
 
-def _parse_records(records) -> BinaryDocument:
-    if not records:
-        raise ParseError("empty document: header record missing", line=1)
+        header = json_fields(header, _HEADER_FIELDS, fail)
+        binary_id, kind, version = header.values()
+        if kind not in DOCUMENT_KINDS:
+            raise fail("kind must be one of %s" % (DOCUMENT_KINDS,))
+        if version != FORMAT_VERSION:
+            raise fail("unsupported format_version %d (this build writes %d)"
+                       % (version, FORMAT_VERSION))
+        if not binary_id:
+            raise fail("binary_id must be non-empty")
 
-    header_line, header = records[0]
+        functions = []
+        names = set()
+        shared = {}
+        for lineno, record in records:
+            fn = _decode_function(record, lineno, shared)
+            if fn.name in names:
+                raise ValidationError("duplicate function name", function=fn.name)
+            names.add(fn.name)
+            functions.append(fn)
 
-    def fail(message):
-        return ParseError(message, line=header_line)
-
-    header = json_fields(header, _HEADER_FIELDS, fail)
-    binary_id, kind, version = header.values()
-    if kind not in DOCUMENT_KINDS:
-        raise fail("kind must be one of %s" % (DOCUMENT_KINDS,))
-    if version != FORMAT_VERSION:
-        raise fail("unsupported format_version %d (this build writes %d)"
-                   % (version, FORMAT_VERSION))
-    if not binary_id:
-        raise fail("binary_id must be non-empty")
-
-    functions = []
-    names = set()
-    shared = {}
-    for lineno, record in records[1:]:
-        fn, empty_mnemonic = _decode_function(record, lineno, shared)
-        _validate_function(fn, empty_mnemonic)
-        if fn.name in names:
-            raise ValidationError("duplicate function name", function=fn.name)
-        names.add(fn.name)
-        functions.append(fn)
-
-    return BinaryDocument(**header, functions=functions)
+        return BinaryDocument(**header, functions=functions)
 
 
 def serialize_document(doc: BinaryDocument) -> bytes:
@@ -292,13 +282,10 @@ def save_document(doc: BinaryDocument, path) -> None:
         fh.write(serialize_document(doc))
 
 
-def filter_sections(
-    doc: BinaryDocument, excluded: Iterable[str] = EXCLUDED_SECTIONS
-) -> BinaryDocument:
-    """Drop functions living in excluded sections (exact, case-sensitive).
+def filter_sections(doc: BinaryDocument) -> BinaryDocument:
+    """Drop functions living in EXCLUDED_SECTIONS (exact, case-sensitive).
 
     Idempotent; retained records are shared, not copied.
     """
-    excluded = frozenset(excluded)
-    kept = [fn for fn in doc.functions if fn.section not in excluded]
+    kept = [fn for fn in doc.functions if fn.section not in EXCLUDED_SECTIONS]
     return BinaryDocument(doc.binary_id, doc.kind, kept, doc.format_version)

@@ -11,6 +11,7 @@ import gc
 import re
 import struct
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import blake2b
 
@@ -323,6 +324,26 @@ def test_gc_state_is_restored_after_concurrent_parse_and_embed():
     assert gc.isenabled()
     want = _ref_embed_document(_FIXED, 32, 1).tobytes()
     assert all(r is None or r.tobytes() == want for r in results)
+
+
+def test_pauses_that_overlap_on_two_threads_count_as_one():
+    inside, leave = threading.Event(), threading.Event()
+
+    def hold():
+        with _gc.paused():
+            inside.set()
+            leave.wait()
+
+    thread = threading.Thread(target=hold)
+    try:
+        with _gc.paused():
+            thread.start()
+            inside.wait()
+        assert not gc.isenabled()  # the other thread's pause still runs
+    finally:
+        leave.set()
+        thread.join()
+    assert gc.isenabled()
 
 
 def test_slot_cache_holds_one_entry_per_distinct_ngram():

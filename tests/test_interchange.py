@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from libsift.interchange import (
     serialize_document,
 )
 from libsift.repository import _MAGIC, _header_dict, build_repository, save_repository
+from libsift.synthetic import SyntheticCorpusSpec, generate_corpus
 
 from corpora import random_document
 
@@ -64,6 +66,32 @@ def test_operands_preserved_verbatim():
 def test_blank_lines_ignored():
     doc = parse_document(HEADER + "\n\n" + FN + "\n\n")
     assert len(doc.functions) == 1
+
+
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_a_blank_line_holds_only_json_whitespace(encode):
+    assert len(parse_document(encode(HEADER + "\n \t\r\n" + FN)).functions) == 1
+    # other Unicode whitespace is not JSON whitespace
+    for space in ("\u00a0", "\f"):
+        with pytest.raises(ParseError, match="^line 2: invalid JSON"):
+            parse_document(encode(HEADER + "\n" + space + "\n" + FN))
+
+
+def test_parse_reads_each_line_into_its_record_before_the_next():
+    # so a parse's peak stays near the size of the document it returns:
+    # the decoded lines are never all held at once
+    tpl_docs, _, _ = generate_corpus(
+        SyntheticCorpusSpec(library_count=1, functions_per_library=2000))
+    data = serialize_document(tpl_docs[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        doc = parse_document(data)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(doc.functions) == 2003
+    assert peak - base < 1.8 * (size - base)
 
 
 def test_round_trip_law_many_random_documents():
@@ -186,11 +214,11 @@ def test_filter_sections_idempotent_and_sharing():
             assert any(fn is orig for orig in doc.functions)
 
 
-def test_custom_exclusion_set():
-    doc = random_document(random.Random(3), "doc")
-    assert filter_sections(doc, excluded=()) == doc
-    none_left = filter_sections(doc, excluded={f.section for f in doc.functions})
-    assert none_left.functions == []
+def test_filter_sections_keeps_every_other_section_in_order():
+    doc = random_document(random.Random(6), "doc")
+    kept = [f for f in doc.functions if f.section not in EXCLUDED_SECTIONS]
+    assert 0 < len(kept) < len(doc.functions)
+    assert filter_sections(doc).functions == kept
 
 
 def test_every_json_line_writer_encodes_as_json_dumps(tmp_path):

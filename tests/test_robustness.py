@@ -4,6 +4,7 @@ import json
 import math
 import random
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_detect_refuses_a_repository_with_an_unknown_embedder(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# non-UTF-8 input
+# JSON text no reader can take
 
 def _saved_repository(path):
     save_repository(build_repository([_library("liba", 0)], dim=DIM, stages=()), path)
@@ -134,43 +135,25 @@ def _resolve_build_config(path):
         ["build", "--tpls", "t", "--out", "o", "--config", str(path)]))
 
 
-@pytest.mark.parametrize("reader", ["parse_document", "read_reports", "load_manifest",
-                                    "load_repository", "import_embeddings", "config",
-                                    "read_timings"])
-def test_readers_refuse_non_utf8_input(reader, tmp_path):
-    path = tmp_path / "input"
-    if reader == "parse_document":
-        with pytest.raises(ParseError, match="line 2: not UTF-8"):
-            parse_document(serialize_document(_library("liba", 0)).replace(b"liba_f0", NOT_UTF8))
-    elif reader == "load_repository":
-        header = b'{"config": "' + NOT_UTF8 + b'"}'
-        path.write_bytes(forge_lsr(_saved_repository(path), header_bytes=header))
-        with pytest.raises(RepositoryError, match="not UTF-8"):
-            load_repository(path)
-    elif reader == "import_embeddings":
-        with pytest.raises(ParseError, match="line 2: not UTF-8"):
-            import_embeddings(_library("liba", 0), vector_file("liba", DIM, []).encode() + NOT_UTF8,
-                              DIM)
-    elif reader == "config":
-        path.write_bytes(NOT_UTF8 + b"{}")
-        with pytest.raises(ConfigError, match="not UTF-8"):
-            _resolve_build_config(path)
-    else:
-        path.write_bytes(NOT_UTF8 + b"{}\n")
-        with pytest.raises(ParseError, match="not UTF-8"):
-            _FILE_READERS[reader](path)
-
-
 # the error each reader raises for JSON text it cannot take
 _READER_ERRORS = dict({reader: ParseError for reader in _FILE_READERS},
                       parse_document=ParseError, import_embeddings=ParseError,
                       load_repository=RepositoryError, config=ConfigError)
 
+# a valid first line for each JSON Lines reader
+_FIRST_LINES = {
+    "parse_document": b'{"binary_id":"liba","kind":"tpl","format_version":1}\n',
+    "import_embeddings": vector_file("liba", DIM, []).encode(),
+    "read_reports": b'{"binary_id":"bin","entries":[],"config":{}}\n',
+}
 
-def _read_json(reader, text, path):
-    """Hand `text` to `reader` as the JSON it decodes first: a document's,
-    vector file's or report file's first line, a repository header, or a
+
+def _read_json(reader, text, path, line=1):
+    """Hand `text` to `reader` as the JSON it decodes: line `line` (1 or 2)
+    of a document, vector file or report file, a repository header, or a
     whole manifest, config or timing file."""
+    if reader in _FIRST_LINES and line == 2:
+        text = _FIRST_LINES[reader] + text
     if reader == "parse_document":
         return parse_document(text)
     if reader == "import_embeddings":
@@ -184,15 +167,48 @@ def _read_json(reader, text, path):
     return _FILE_READERS[reader](path)
 
 
-@pytest.mark.parametrize("text,message", [(b'{"a": ', "invalid JSON"),
-                                          (b"[1]", "not a JSON object")],
-                         ids=["invalid-json", "not-an-object"])
+DEEP = b"[" * 100000
+# an integer past Python's digit limit (4,300 digits by default); where
+# the limit is missing, the reader reads it and refuses the record instead
+LONG_INTEGER = b'{"format_version": ' + b"1" * 5000 + b"}"
+_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+# text, the message it is refused with, and the line a JSON Lines reader
+# reads it on
+_UNREADABLE = {
+    "invalid-json": (b'{"a": ', "invalid JSON", 1),
+    "not-an-object": (b"[1]", "not a JSON object", 1),
+    "not-utf8": (NOT_UTF8 + b"{}", "not UTF-8", 2),
+    "deeply-nested": (b'{"a": ' + DEEP, "JSON nested too deeply", 2),
+    "long-integer": (LONG_INTEGER,
+                     "invalid JSON: a number too long to read" if _DIGIT_LIMIT else None, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
 @pytest.mark.parametrize("reader", sorted(_READER_ERRORS))
-def test_readers_refuse_invalid_json_and_non_objects(reader, text, message, tmp_path):
+def test_readers_refuse_unreadable_json(reader, case, tmp_path):
+    text, message, line = _UNREADABLE[case]
     with pytest.raises(_READER_ERRORS[reader], match=message) as err:
-        _read_json(reader, text, tmp_path / "input")
-    if reader in ("parse_document", "import_embeddings", "read_reports"):
-        assert err.value.line == 1
+        _read_json(reader, text, tmp_path / "input", line)
+    if reader in _FIRST_LINES:
+        assert err.value.line == line
+
+
+# a bad first line for each JSON Lines reader, and the error it raises
+_BAD_FIRST_LINES = {
+    "parse_document": (b'{"binary_id":"x","kind":"lib","format_version":1}',
+                       "kind must be one of"),
+    "import_embeddings": (b'{"dim":%d}' % DIM, "vector header lacks field 'doc_id'"),
+    "read_reports": (b"{}", "report lacks field 'entries'"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_BAD_FIRST_LINES))
+def test_json_lines_readers_report_the_first_bad_line(reader, tmp_path):
+    first, message = _BAD_FIRST_LINES[reader]
+    with pytest.raises(ParseError, match="^line 1: " + message):
+        _read_json(reader, first + b"\n\n" + NOT_UTF8 + b"\n", tmp_path / "input")
 
 
 @pytest.fixture
@@ -222,15 +238,18 @@ _CLI_CASES = {
                        "sweep --tpls {d}/tpls --targets {d}/targets --manifest "
                        "{d}/manifest.json --out {d}/s.csv --theta3-grid 0.9 --quiet"),
     "inspect-header": ("repo.lsr", "inspect --repo {d}/repo.lsr"),
+    "build-tpl": ("tpls/liba.jsonl", "build --tpls {d}/tpls --out {d}/x.lsr --quiet"),
 }
+_CLI_CONTENTS = {"not-utf8": NOT_UTF8 + b"{}", "not-an-object": b"[1]",
+                 "long-integer": LONG_INTEGER}
 
 
-@pytest.mark.parametrize("content", ["not-utf8", "not-an-object"])
+@pytest.mark.parametrize("content", sorted(_CLI_CONTENTS))
 @pytest.mark.parametrize("case", sorted(_CLI_CASES))
 def test_cli_exits_one_on_unreadable_input(case, content, cli_inputs, capsys):
     rel, command = _CLI_CASES[case]
     path = cli_inputs / rel
-    bad = NOT_UTF8 + b"{}" if content == "not-utf8" else b"[1]"
+    bad = _CLI_CONTENTS[content]
     if rel.endswith(".lsr"):
         path.write_bytes(forge_lsr(path.read_bytes(), header_bytes=bad))
     else:
@@ -238,48 +257,6 @@ def test_cli_exits_one_on_unreadable_input(case, content, cli_inputs, capsys):
     assert main(command.format(d=cli_inputs).split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-
-
-# ---------------------------------------------------------------------------
-# JSON nested deeper than the decoder can recurse
-
-DEEP = b"[" * 100000
-
-
-@pytest.mark.parametrize("reader", ["parse_document", "import_embeddings", "read_reports",
-                                    "load_manifest", "load_repository", "config",
-                                    "read_timings"])
-def test_readers_refuse_deeply_nested_json(reader, tmp_path):
-    path = tmp_path / "input"
-    doc = _library("liba", 0)
-    if reader == "parse_document":
-        header = serialize_document(doc).splitlines()[0]
-        with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
-            parse_document(header + b"\n" + b'{"name":' + DEEP + b"\n")
-    elif reader == "import_embeddings":
-        with pytest.raises(ParseError, match="line 1: JSON nested too deeply"):
-            import_embeddings(doc, b'{"doc_id":' + DEEP, DIM)
-    elif reader == "read_reports":
-        path.write_bytes(b"{}\n" + DEEP)
-        with pytest.raises(ParseError, match="line 2: JSON nested too deeply"):
-            read_reports(path)
-    elif reader == "load_manifest":
-        path.write_bytes(b'{"bin": ' + DEEP)
-        with pytest.raises(ParseError, match="nested too deeply"):
-            load_manifest(path)
-    elif reader == "load_repository":
-        path.write_bytes(forge_lsr(_saved_repository(path), header_bytes=b'{"config": ' + DEEP))
-        with pytest.raises(RepositoryError, match="nested too deeply"):
-            load_repository(path)
-    elif reader == "config":
-        path.write_bytes(b'{"theta1": ' + DEEP)
-        with pytest.raises(ConfigError, match="nested too deeply"):
-            resolve_config(build_parser().parse_args(
-                ["build", "--tpls", "t", "--out", "o", "--config", str(path)]))
-    else:
-        path.write_bytes(b'{"export_s": ' + DEEP)
-        with pytest.raises(ParseError, match="nested too deeply"):
-            read_timings(path)
 
 
 @pytest.mark.parametrize("case", ["detect-target", "build-config"])
@@ -310,7 +287,7 @@ LONE_SURROGATE = "not valid Unicode: a lone surrogate escape"
 def test_readers_refuse_a_lone_surrogate_escape(reader, text, tmp_path):
     with pytest.raises(_READER_ERRORS[reader], match=LONE_SURROGATE) as err:
         _read_json(reader, text, tmp_path / "input")
-    if reader in ("parse_document", "import_embeddings", "read_reports"):
+    if reader in _FIRST_LINES:
         assert err.value.line == 1
 
 
