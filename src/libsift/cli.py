@@ -38,7 +38,6 @@ from .repository import (
     ALL_STAGES,
     DEFAULT_THETA1,
     DEFAULT_THETA2,
-    _header_dict,
     load_manifest,
     load_repository,
     save_manifest,
@@ -309,10 +308,9 @@ def cmd_ablate(args) -> int:
 def cmd_inspect(args) -> int:
     repo = load_repository(args.repo)
     cfg = repo.config
-    header = _header_dict(repo)
     payload = dict(
-        header["config"],
-        stats=header["stats"],
+        dataclasses.asdict(cfg),
+        stats=[dataclasses.asdict(s) for s in repo.stats],
         libraries={lib_id: len(feats) for lib_id, feats in sorted(repo.libraries.items())},
         feature_count=repo.feature_count(),
     )

@@ -7,6 +7,7 @@ and never mutates its input.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -208,11 +209,11 @@ def json_records(data):
     it; json_object refuses a bad line with ParseError.  A blank line holds
     only JSON whitespace (space, tab, CR), and only a line feed ends a
     line: JSON strings may hold U+2028 raw, and a CRLF's CR is whitespace."""
-    newline, blank = "\n", " \t\r"
-    if isinstance(data, (bytes, bytearray)):
-        newline, blank = b"\n", b" \t\r"
-    for lineno, raw in enumerate(data.split(newline), start=1):
-        if raw.strip(blank):
+    binary = isinstance(data, (bytes, bytearray))
+    # BytesIO shares a bytes object's buffer, so no line list copies the input
+    lines = io.BytesIO(data) if binary else io.StringIO(data, newline="\n")
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.strip(b" \t\r\n" if binary else " \t\r\n"):
             yield lineno, json_object(raw, lambda message: ParseError(message, line=lineno))
 
 

@@ -38,6 +38,10 @@ log = logging.getLogger(__name__)
 
 REPO_FORMAT_VERSION = 1
 _MAGIC = b"LSREPO"
+# the container (FORMAT.md): this prefix, the JSON header, the vector
+# block, then the SHA-256 of everything before it
+_PREFIX = struct.Struct("<6sHI")  # magic, format version, header length
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 STAGE_EXPORT = "export"
 STAGE_MI = "mi"
@@ -290,9 +294,8 @@ def purify_mi(repo: TplRepository, theta2: float = None):
     if values.size == 0:
         log.warning("complexity filter ran on an empty repository")
         return {lib_id: [] for lib_id in repo.libraries}, config
-    ordered = np.sort(values)
-    distinct = np.unique(values)
-    below = np.searchsorted(ordered, distinct, side="left")
+    distinct, counts = np.unique(values, return_counts=True)
+    below = np.cumsum(counts) - counts  # how many values lie strictly below each
     eligible = distinct[below / values.size <= config.theta2]
     m_star = float(eligible[-1])  # below[0] == 0, so this always exists
     libraries = {lib_id: [f for f in feats if f.profile.mi < m_star]
@@ -434,52 +437,48 @@ def save_repository(repo: TplRepository, path) -> None:
     """Write a versioned, checksummed container; load() restores it
     field-for-field (vectors byte-exact, scalars via JSON round-trip)."""
     header = json_line(_header_dict(repo)).encode("utf-8")
-    blob = bytearray()
-    for vec in feature_vectors(f for feats in repo.libraries.values() for f in feats):
-        blob += np.ascontiguousarray(vec, dtype="<f8").tobytes()
-    _vector_rows(blob, repo.feature_count(), repo.config.dim)
-    payload = _MAGIC + struct.pack("<HI", REPO_FORMAT_VERSION, len(header)) + header + bytes(blob)
-    digest = hashlib.sha256(payload).digest()
+    vectors = feature_vectors(f for feats in repo.libraries.values() for f in feats)
+    block = np.concatenate(vectors or [()], dtype="<f8")
+    _vector_rows(block, repo.feature_count(), repo.config.dim)
+    parts = (_PREFIX.pack(_MAGIC, REPO_FORMAT_VERSION, len(header)), header, block)
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
     with open(path, "wb") as fh:
-        fh.write(payload + digest)
+        fh.writelines(parts + (digest.digest(),))
 
 
 def load_repository(path) -> TplRepository:
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < len(_MAGIC) + 6 or not data.startswith(_MAGIC):
+    if len(data) < _PREFIX.size or not data.startswith(_MAGIC):
         raise RepositoryError("not a repository file")
-    version, header_len = struct.unpack_from("<HI", data, len(_MAGIC))
+    _, version, header_len = _PREFIX.unpack_from(data)
     if version != REPO_FORMAT_VERSION:
-        raise RepositoryVersionError(
-            "repository format %d unsupported (this build reads %d)"
-            % (version, REPO_FORMAT_VERSION)
-        )
-    body_start = len(_MAGIC) + 6
-    if len(data) < body_start + header_len + 32:
+        raise RepositoryVersionError("repository format %d unsupported (this build reads %d)"
+                                     % (version, REPO_FORMAT_VERSION))
+    block_start = _PREFIX.size + header_len
+    if len(data) < block_start + _DIGEST_SIZE:
         raise RepositoryChecksumError("repository file is truncated")
-    payload, digest = data[:-32], data[-32:]
-    if hashlib.sha256(payload).digest() != digest:
+    payload = memoryview(data)[:-_DIGEST_SIZE]
+    if hashlib.sha256(payload).digest() != data[-_DIGEST_SIZE:]:
         raise RepositoryChecksumError("repository checksum mismatch")
 
-    header = json_object(payload[body_start : body_start + header_len], _header_error)
+    header = json_object(data[_PREFIX.size:block_start], _header_error)
     config, stats, libraries = _read_header(header)
-    blob = payload[body_start + header_len :]
     count = sum(len(recs) for _, recs in libraries)
-    rows = iter(_vector_rows(blob, count, config.dim).copy())
-    return TplRepository(
-        {lib_id: [FunctionFeature(library_id=lib_id, vector=next(rows), **rec) for rec in recs]
-         for lib_id, recs in libraries},
-        config,
-        stats,
-    )
+    # the one copy of the vector block: writable, and free of `data`
+    rows = iter(_vector_rows(payload[block_start:], count, config.dim).copy())
+    features = {lib_id: [FunctionFeature(library_id=lib_id, vector=next(rows), **rec)
+                         for rec in recs] for lib_id, recs in libraries}
+    return TplRepository(features, config, stats)
 
 
 def _vector_rows(blob, count: int, dim: int) -> np.ndarray:
-    """The (count, dim) matrix the vector block `blob` holds; save and load
-    both refuse a block of another length or with a row that fails
-    `row_norms`."""
-    if len(blob) != count * dim * 8:
+    """The (count, dim) matrix the bytes-like vector block `blob` holds;
+    save and load both refuse a block of another length or with a row that
+    fails `row_norms`."""
+    if memoryview(blob).nbytes != count * dim * 8:
         raise RepositoryChecksumError("vector block has wrong length")
     rows = np.frombuffer(blob, dtype="<f8").reshape(count, dim)
     try:

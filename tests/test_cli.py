@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import json
 import os
 import random
+import struct
 import weakref
 
 import pytest
@@ -277,6 +279,29 @@ def test_inspect_text_and_json(repo_path, capsys):
     assert payload["dim"] == 192
     assert set(payload["libraries"]) == {"lib%03d" % i for i in range(4)}
     assert payload["stats"][0]["stage"] == "origin"
+
+
+def test_inspect_json_echoes_the_saved_header(repo_path, capsys):
+    # read with the layout FORMAT.md gives, not with the loader
+    data = repo_path.read_bytes()
+    (size,) = struct.unpack_from("<I", data, 8)
+    header = json.loads(data[12:12 + size])
+    assert main(["inspect", "--repo", str(repo_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    libraries = {lib["library_id"]: len(lib["features"]) for lib in header["libraries"]}
+    assert payload == dict(header["config"], stats=header["stats"], libraries=libraries,
+                           feature_count=sum(libraries.values()))
+
+
+def test_cli_imports_no_private_name():
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.split(".")[0] == "libsift")
+                for alias in node.names]
+    assert len(imported) >= 10  # the walk still finds cli's own imports
+    assert [(module, name) for module, name in imported if name.startswith("_")] == []
 
 
 def test_config_file_and_flag_precedence(corpus_dir, tmp_path):

@@ -1,16 +1,19 @@
 """The README and FORMAT name only code that exists: every backticked
 `module.attr` reference to a libsift submodule resolves, and FORMAT.md's
-CSV headers and examples spell the fields the code reads and writes."""
+CSV headers, examples and repository layout spell the fields the code
+reads and writes."""
 import dataclasses
 import importlib
+import itertools
 import pkgutil
 import re
+import struct
 from pathlib import Path
 
 import pytest
 
 import libsift
-from libsift import detector, interchange
+from libsift import detector, interchange, repository
 from libsift.evaluation import AblationRow, SweepCell
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +84,18 @@ def test_format_examples_spell_the_document_and_report_field_tables():
     assert report == (_names(detector._REPORT_FIELDS) + _names(detector._ECHO_FIELDS)
                       + ["entries"] + _names(detector._ENTRY_FIELDS)
                       + ["evidence"] + _names(detector._EVIDENCE_FIELDS))
+
+
+def test_format_spells_the_repository_layout_as_its_struct():
+    # (offset, size) of each row of the layout table, after its heading
+    rows = re.findall(r"^\| (\S+) \| (\S+) \|", _format_section("Repository files (binary)"),
+                      re.M)[2:]
+    prefix = repository._PREFIX
+    sizes = [struct.calcsize(prefix.format[0] + code)
+             for code in re.findall(r"\d*[A-Za-z]", prefix.format[1:])]
+    offsets = list(itertools.accumulate([0] + sizes))
+    assert offsets[-1] == prefix.size == 12
+    assert rows[:len(sizes)] == [(str(o), str(n)) for o, n in zip(offsets, sizes)]
+    assert rows[len(sizes)] == (str(prefix.size), "H")  # the JSON header follows the prefix
+    digest = repository._DIGEST_SIZE
+    assert rows[-1] == ("end−%d" % digest, str(digest)) == ("end−32", "32")

@@ -17,6 +17,7 @@ from libsift.interchange import (
     FunctionRecord,
     Instruction,
     filter_sections,
+    json_records,
     load_document,
     parse_document,
     save_document,
@@ -92,6 +93,22 @@ def test_parse_reads_each_line_into_its_record_before_the_next():
         tracemalloc.stop()
     assert len(doc.functions) == 2003
     assert peak - base < 1.8 * (size - base)
+
+
+def test_json_records_walks_its_input_in_place():
+    # no list of the input's lines: only the line being decoded is held
+    tpl_docs, _, _ = generate_corpus(
+        SyntheticCorpusSpec(library_count=1, functions_per_library=2000))
+    data = serialize_document(tpl_docs[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        count = sum(1 for _ in json_records(data))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert count == 1 + 2003
+    assert peak < 0.1 * len(data)
 
 
 def test_round_trip_law_many_random_documents():

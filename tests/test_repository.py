@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -662,6 +663,56 @@ def test_save_is_deterministic(tmp_path):
     save_repository(repo, tmp_path / "a.lsr")
     save_repository(repo, tmp_path / "b.lsr")
     assert (tmp_path / "a.lsr").read_bytes() == (tmp_path / "b.lsr").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def embedded_origin():
+    """A stages=() repository of 2,100 functions at the default dim, its
+    vectors embedded; its file is about 13 MB."""
+    tpl_docs, _, _ = generate_corpus(
+        SyntheticCorpusSpec(library_count=10, functions_per_library=200))
+    repo = build_repository(tpl_docs, stages=())
+    repository.feature_vectors(f for feats in repo.libraries.values() for f in feats)
+    return repo
+
+
+def _traced_peak(call):
+    """(result, the tracemalloc peak of `call()` above what was traced
+    before it)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_joins_no_payload(embedded_origin, tmp_path):
+    # the prefix, header and block go to the digest and the file unjoined,
+    # so the peak is the block plus the norm check's temporary
+    path = tmp_path / "repo.lsr"
+    _, peak = _traced_peak(lambda: save_repository(embedded_origin, path))
+    assert peak <= 2.5 * path.stat().st_size
+
+
+def test_load_holds_the_file_and_one_copy_of_the_vector_block(embedded_origin, tmp_path):
+    path = tmp_path / "repo.lsr"
+    save_repository(embedded_origin, path)
+    back, peak = _traced_peak(lambda: load_repository(path))
+    assert back.feature_count() == embedded_origin.feature_count() == 2100
+    assert peak <= 2.5 * path.stat().st_size
+    vector = back.libraries["lib000"][0].vector
+    assert vector.flags.writeable and vector.base.base is None  # not a view of the file
+
+
+def test_an_empty_repository_saves_and_loads(tmp_path):
+    # no vectors: the block concatenates no rows
+    repo = build_repository([_doc("lib", [])], dim=DIM)
+    assert repo.feature_count() == 0
+    path = tmp_path / "repo.lsr"
+    save_repository(repo, path)
+    assert load_repository(path) == repo
 
 
 def test_load_rejects_foreign_file(tmp_path):
